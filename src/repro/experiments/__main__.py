@@ -16,8 +16,6 @@ Usage::
                                               # journal completed points
     python -m repro.experiments fig8 --cache-dir .sweep-cache --resume
                                               # ... and skip journaled ones
-    python -m repro.experiments fig8 --jobs 4 --no-shm
-                                              # force the pickle transport
 
 ``--backend NAME`` resolves through the replication-backend registry
 (:mod:`repro.backend`), so any registered backend — including out-of-tree
@@ -32,8 +30,7 @@ simulator and seed, so rows are identical to a serial run.
 completed sweep point to a per-experiment JSONL file under ``DIR``, keyed
 by a config hash; ``--resume`` additionally *replays* journaled rows, so
 a grown grid — or a rerun CI shard — only computes points it has never
-seen.  ``--no-shm`` (or ``REPRO_SWEEP_SHM=0``) disables the
-shared-memory result transport; rows are identical either way.
+seen.
 """
 
 from __future__ import annotations
@@ -98,7 +95,6 @@ def main(argv) -> int:
     jobs = parallel.default_jobs()
     cache_dir = None
     resume = False
-    shm = None
     names = []
     args = list(argv)
     while args:
@@ -126,8 +122,6 @@ def main(argv) -> int:
             cache_dir = arg.split("=", 1)[1]
         elif arg == "--resume":
             resume = True
-        elif arg == "--no-shm":
-            shm = False
         elif arg == "--quick":
             os.environ["REPRO_QUICK"] = "1"
         elif arg in ("-h", "--help"):
@@ -149,8 +143,6 @@ def main(argv) -> int:
         overrides["cache_dir"] = cache_dir
     if resume:
         overrides["resume"] = True
-    if shm is not None:
-        overrides["shm"] = shm
     if overrides:
         parallel.configure(**overrides)
     if backend not in backend_registry.names():

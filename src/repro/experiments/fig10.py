@@ -42,7 +42,7 @@ def _point_worker(point) -> Dict:
         group = make_group(testbed, backend, slots=1024,
                            region_size=32 << 20)
     recorder = latency_sweep(group, "gwrite", size, count)
-    publish_recorder(recorder)  # full distribution via shm transport
+    publish_recorder(recorder)  # full distribution back to the parent
     return {
         "system": system,
         "group_size": group_size,
@@ -62,8 +62,7 @@ def run(group_sizes=None, sizes=None, count: int = None,
               for system in ("naive", backend)
               for group_size in group_sizes
               for size in sizes]
-    return sweep(points, _point_worker, jobs=jobs,
-                 recorders=recorders, samples_hint=count)
+    return sweep(points, _point_worker, jobs=jobs, recorders=recorders)
 
 
 def tail_growth(rows: List[Dict], system: str) -> float:

@@ -73,7 +73,7 @@ def _point_worker(point) -> Dict:
         raise RuntimeError(
             f"fig12 {system}/{letter}: run did not complete")
     overall = runner.stats.overall
-    publish_recorder(overall)  # full distribution via shm transport
+    publish_recorder(overall)  # full distribution back to the parent
     return {
         "system": system,
         "workload": letter,
@@ -92,8 +92,7 @@ def run(workloads=None, op_count: int = None, record_count: int = None,
     record_count = record_count or scaled(150, 100_000)
     points = [(system, letter, op_count, record_count, seed, backend)
               for system in ("native", backend) for letter in workloads]
-    return sweep(points, _point_worker, jobs=jobs,
-                 recorders=recorders, samples_hint=op_count)
+    return sweep(points, _point_worker, jobs=jobs, recorders=recorders)
 
 
 def tail_gap_reduction(rows: List[Dict]) -> Dict[str, float]:

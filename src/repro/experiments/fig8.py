@@ -41,8 +41,8 @@ def _point_worker(point) -> Dict:
         group = make_group(testbed, backend, slots=1024,
                            region_size=32 << 20)
     recorder = latency_sweep(group, op, size, count)
-    # The full distribution rides the sweep engine's shared-memory
-    # transport; only the summary row goes through the result pipe.
+    # The full distribution goes back to callers that pass
+    # ``recorders=``; the summary row is what the figure prints.
     publish_recorder(recorder)
     summary = recorder.summary_us()
     return {
@@ -70,8 +70,7 @@ def run(op: str = "gwrite", sizes=None, count: int = None,
     count = count or scaled(1500, 10_000)
     points = [(system, size, op, count, seed, backend)
               for system in ("naive", backend) for size in sizes]
-    return sweep(points, _point_worker, jobs=jobs,
-                 recorders=recorders, samples_hint=count)
+    return sweep(points, _point_worker, jobs=jobs, recorders=recorders)
 
 
 def speedups(rows: List[Dict]) -> Dict[int, Dict[str, float]]:

@@ -74,9 +74,7 @@ def run(sizes=None, total_bytes: int = None, seed: int = 9,
     total_bytes = total_bytes or scaled(48 * MiB, 1024 * MiB)
     points = [(system, size, total_bytes, seed, backend)
               for system in ("naive-polling", backend) for size in sizes]
-    # Throughput points publish no latency recorders — samples_hint=0
-    # tells the sweep engine to skip shared-memory arena setup entirely.
-    return sweep(points, _point_worker, jobs=jobs, samples_hint=0)
+    return sweep(points, _point_worker, jobs=jobs)
 
 
 def main(backend: str = "hyperloop", jobs: int = 1) -> List[Dict]:

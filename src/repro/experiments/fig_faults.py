@@ -188,7 +188,7 @@ def run(jobs: int = 1, bucket_ms: int = 5,
     points = [(kind, backend, bucket_ms, buckets, fault_bucket,
                ops_per_bucket, seed)
               for backend in backends for kind in kinds]
-    return sweep(points, _fault_worker, jobs=jobs, samples_hint=0)
+    return sweep(points, _fault_worker, jobs=jobs)
 
 
 def main(backend: str = "hyperloop", jobs: int = 1) -> List[Dict[str, Any]]:

@@ -229,7 +229,7 @@ def run_retry_storm(jobs: int = 1, rate_ops: int = 600_000,
         points.append((arm, arm_backend, retry_kind, use_admission,
                        rate_ops, bucket_ms, buckets, stall_bucket,
                        stall_buckets, tenants, seed))
-    return sweep(points, _storm_worker, jobs=jobs, samples_hint=0)
+    return sweep(points, _storm_worker, jobs=jobs)
 
 
 # ----------------------------------------------------------------------
@@ -319,7 +319,7 @@ def run_tenant_burst(jobs: int = 1, rate_per_tenant: int = 150_000,
         ("quota+admission", 1, backend, rate_per_tenant, burst_multiplier,
          bucket_ms, buckets, tenants, seed),
     ]
-    return sweep(points, _burst_worker, jobs=jobs, samples_hint=0)
+    return sweep(points, _burst_worker, jobs=jobs)
 
 
 # ----------------------------------------------------------------------

@@ -88,8 +88,6 @@ def _drive_closed_loop(deployment: ShardedDeployment, clients: int,
             f"closed loop incomplete: {state['done']}/{total} ops "
             f"before the deadline")
     elapsed = sim.now - start
-    # At 10⁵-client scale this recorder is the multi-megabyte payload
-    # the shared-memory transport exists for.
     publish_recorder(recorder)
     summary = recorder.summary_us()
     return {
@@ -139,8 +137,7 @@ def run(shard_counts: Optional[List[int]] = None, clients: int = None,
     clients = clients or scaled(2_000, 100_000)
     points = [(shards, clients, ops_per_client, replicas, seed, backend)
               for shards in shard_counts]
-    return sweep(points, _point_worker, jobs=jobs, recorders=recorders,
-                 samples_hint=clients * ops_per_client)
+    return sweep(points, _point_worker, jobs=jobs, recorders=recorders)
 
 
 def rebalance_run(shards: int = 2, clients: int = None,

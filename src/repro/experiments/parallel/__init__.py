@@ -1,14 +1,11 @@
-"""Sweep-engine package: parallel point grids, zero-copy, resumable.
+"""Sweep-engine package: parallel point grids, resumable.
 
 Layering (see ``docs/INTERNALS.md`` §11):
 
 ``engine``
     :func:`sweep` itself — ordering, the serial/pool decision,
-    cache-hit skipping, worker wrapping, and every graceful fallback.
-``transport``
-    The shared-memory result path: a preallocated int64 slab arena that
-    workers deposit latency samples into so the parent reconstructs
-    full recorders zero-copy instead of unpickling sample lists.
+    cache-hit skipping, worker wrapping, the recorder hand-off, and the
+    serial fallback.
 ``cache``
     The resumable-sweep journal: completed rows keyed by an FNV-1a
     config hash, appended as JSON lines, replayed on ``--resume``.
@@ -17,9 +14,8 @@ The public surface (``sweep``, ``default_jobs``) is unchanged from the
 old single-module ``parallel.py``; everything new is additive.
 """
 
-from . import cache, engine, transport
+from . import cache, engine
 from .engine import (
-    DEFAULT_SAMPLES_HINT,
     SweepOptions,
     SweepStats,
     configure,
@@ -39,8 +35,6 @@ __all__ = [
     "last_stats",
     "SweepOptions",
     "SweepStats",
-    "DEFAULT_SAMPLES_HINT",
     "cache",
     "engine",
-    "transport",
 ]

@@ -1,4 +1,4 @@
-"""Sweep engine: ordered point grids with caching and zero-copy results.
+"""Sweep engine: ordered point grids with caching and full-distribution results.
 
 Every figure experiment is an embarrassingly parallel sweep: each
 (system, message-size, …) point builds its *own* testbed and its own
@@ -6,17 +6,16 @@ Every figure experiment is an embarrassingly parallel sweep: each
 row.  Points share nothing — the simulation seed is part of the point —
 so they can run in worker processes with no coordination and, crucially,
 **no change in results**: a sweep at ``jobs=N`` must produce rows
-identical to ``jobs=1``, with shared memory on or off, cold cache or
-warm (``tests/experiments/test_parallel.py`` pins the whole matrix).
+identical to ``jobs=1``, cold cache or warm
+(``tests/experiments/test_parallel.py`` pins the whole matrix).
 
 Workers must be module-level functions (picklable) taking a single
 point tuple; each figure module defines a ``_point_worker`` next to its
 ``run()``.  A worker may additionally hand its full latency distribution
 to the engine with :func:`publish_recorder`; the samples then ride the
-shared-memory transport (:mod:`.transport`) back to the parent instead
-of the pickle pipe, and callers who pass ``recorders=[...]`` get
-zero-copy reconstructed :class:`~repro.sim.stats.LatencyRecorder`\\ s,
-one per point.
+result pipe back to the parent as one packed int64 ``bytes`` blob, and
+callers who pass ``recorders=[...]`` get reconstructed
+:class:`~repro.sim.stats.LatencyRecorder`\\ s, one per point.
 
 With a cache directory configured (:func:`configure`, the CLI's
 ``--cache-dir``, or ``REPRO_SWEEP_CACHE``), every completed row is
@@ -24,38 +23,29 @@ journaled under a config hash (:mod:`.cache`); with ``resume`` on, hits
 are replayed instead of recomputed, so a grown grid only pays for its
 new points.
 
-``sweep`` degrades gracefully at every layer: ``jobs<=1``, a single
-point, or an environment where process pools cannot start (sandboxes
-without working semaphores) fall back to in-process serial execution,
-and an environment without usable shared memory falls back to pickled
-results — same rows in all cases.
+``sweep`` degrades gracefully: ``jobs<=1``, a single point, or an
+environment where process pools cannot start (sandboxes without working
+semaphores) fall back to in-process serial execution — same rows in all
+cases.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from array import array
 from collections.abc import Sequence as AbcSequence
 from dataclasses import dataclass, replace
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+from typing import (Any, Callable, Iterable, List, Optional, Sequence,
                     Tuple, TypeVar)
 
 from ...sim.stats import LatencyRecorder
 from .cache import MISS, SweepCache
-from .transport import ShmArena
 
 __all__ = ["sweep", "default_jobs", "publish_recorder", "configure",
-           "options", "last_stats", "SweepOptions", "SweepStats",
-           "DEFAULT_SAMPLES_HINT"]
+           "options", "last_stats", "SweepOptions", "SweepStats"]
 
 P = TypeVar("P")
 R = TypeVar("R")
-
-#: Default per-point slab capacity (int64 samples) when the caller gives
-#: no ``samples_hint``: 32 Ki samples = 256 KiB per point.  Points that
-#: overflow their slab fall back to pickled bytes individually.
-DEFAULT_SAMPLES_HINT = 1 << 15
 
 
 def default_jobs() -> int:
@@ -78,15 +68,13 @@ def default_jobs() -> int:
 class SweepOptions:
     """Engine-wide knobs, settable per-call or ambiently via
     :func:`configure` (which the experiment CLI's ``--cache-dir`` /
-    ``--resume`` / ``--no-shm`` flags drive)."""
+    ``--resume`` flags drive)."""
 
     #: Directory for per-worker JSONL journals; None disables caching.
     cache_dir: Optional[str] = None
     #: Replay journaled rows instead of recomputing them.  Off by
     #: default: ``--cache-dir`` alone records without skipping.
     resume: bool = False
-    #: Use the shared-memory result transport for published recorders.
-    shm: bool = True
     #: Extra user salt folded into every cache key.
     salt: str = ""
 
@@ -95,7 +83,6 @@ class SweepOptions:
         return cls(
             cache_dir=os.environ.get("REPRO_SWEEP_CACHE") or None,
             resume=os.environ.get("REPRO_SWEEP_RESUME", "") == "1",
-            shm=os.environ.get("REPRO_SWEEP_SHM", "1") != "0",
             salt=os.environ.get("REPRO_SWEEP_SALT", ""),
         )
 
@@ -124,10 +111,9 @@ class SweepStats:
     points: int = 0
     cache_hits: int = 0
     computed: int = 0
-    shm_deposits: int = 0
     raw_deposits: int = 0
     journaled: int = 0
-    transport: str = "serial"  # serial | shm | pickle
+    transport: str = "serial"  # serial | pickle
 
 
 _last_stats = SweepStats()
@@ -141,60 +127,36 @@ def last_stats() -> SweepStats:
 # ----------------------------------------------------------------------
 # Publish channel: worker-side recorder hand-off
 # ----------------------------------------------------------------------
-class _DirectSink:
-    """Serial-path sink: keeps the published recorder in-process."""
+class _Sink:
+    """Holds the recorder the current point's worker published."""
 
     __slots__ = ("recorder",)
 
     def __init__(self) -> None:
         self.recorder: Optional[LatencyRecorder] = None
 
-    def publish(self, recorder: LatencyRecorder) -> None:
-        self.recorder = recorder
 
-
-class _ShmSink:
-    """Pool-worker sink: deposits into the point's arena slab, falling
-    back to raw bytes when the slab is absent or too small."""
-
-    __slots__ = ("arena", "slot", "handle")
-
-    def __init__(self, arena: Optional[ShmArena], slot: int) -> None:
-        self.arena = arena
-        self.slot = slot
-        self.handle: Optional[Tuple[Any, ...]] = None
-
-    def publish(self, recorder: LatencyRecorder) -> None:
-        samples = recorder.samples
-        if self.arena is not None and self.arena.write(self.slot, samples):
-            self.handle = ("shm", self.slot, len(samples), recorder.name)
-        else:
-            data = samples.tobytes() if isinstance(samples, array) \
-                else bytes(samples)
-            self.handle = ("raw", data, recorder.name)
-
-
-_active_sink: Optional[Any] = None
+_active_sink: Optional[_Sink] = None
 
 
 def publish_recorder(recorder: LatencyRecorder) -> None:
     """Hand the current point's full latency recorder to the engine.
 
-    Inside a sweep worker the samples ride the shared-memory transport
-    (or the pickle fallback) back to the parent; on the serial path the
+    Inside a pool worker the samples are packed into a bytes blob and
+    ride the result pipe back to the parent; on the serial path the
     recorder object is kept as-is.  Outside any sweep this is a no-op,
     so ``_point_worker`` functions stay directly callable.  One
     recorder per point: publishing again replaces the previous one.
     """
     if _active_sink is not None:
-        _active_sink.publish(recorder)
+        _active_sink.recorder = recorder
 
 
 def _run_point(worker: Callable[[P], R], point: P) \
         -> Tuple[R, Optional[LatencyRecorder]]:
-    """Serial in-process execution of one point, capturing its publish."""
+    """In-process execution of one point, capturing its publish."""
     global _active_sink
-    sink = _DirectSink()
+    sink = _Sink()
     _active_sink = sink
     try:
         row = worker(point)
@@ -206,80 +168,41 @@ def _run_point(worker: Callable[[P], R], point: P) \
 # ----------------------------------------------------------------------
 # Pool-side task
 # ----------------------------------------------------------------------
-#: Per-worker-process arena attachments, keyed by segment name (pool
-#: workers are reused across chunks; attach once).  ``None`` records a
-#: failed attach so it is not retried per point.
-_worker_arenas: Dict[str, Optional[ShmArena]] = {}
-
-
-def _attach_arena(name: Optional[str], slots: int,
-                  capacity: int) -> Optional[ShmArena]:
-    if name is None:
-        return None
-    if name not in _worker_arenas:
-        try:
-            _worker_arenas[name] = ShmArena.attach(name, slots, capacity)
-        except (OSError, ValueError):
-            _worker_arenas[name] = None  # degrade to raw-bytes handles
-    return _worker_arenas[name]
+#: What a pool worker sends back for a published recorder: the packed
+#: int64 samples and the recorder's name.
+_Deposit = Tuple[bytes, str]
 
 
 class _PoolTask:
-    """Picklable per-point task: run the user worker with a transport
-    sink active, return ``(row, deposit_handle)``.
+    """Picklable per-point task: run the user worker, return
+    ``(row, deposit)``.
 
     ``want_deposits=False`` (the caller passed no ``recorders`` list)
-    runs the worker with no sink at all: publishing becomes a no-op
-    instead of shipping sample blobs nobody will read.
+    drops the published recorder instead of shipping a sample blob
+    nobody will read.
     """
 
-    __slots__ = ("worker", "arena_name", "slots", "capacity",
-                 "want_deposits")
+    __slots__ = ("worker", "want_deposits")
 
-    def __init__(self, worker: Callable[[P], R], arena_name: Optional[str],
-                 slots: int, capacity: int, want_deposits: bool) -> None:
+    def __init__(self, worker: Callable[[P], R], want_deposits: bool) -> None:
         self.worker = worker
-        self.arena_name = arena_name
-        self.slots = slots
-        self.capacity = capacity
         self.want_deposits = want_deposits
 
-    def __call__(self, indexed: Tuple[int, P]) \
-            -> Tuple[R, Optional[Tuple[Any, ...]]]:
-        global _active_sink
-        slot, point = indexed
-        if not self.want_deposits:
-            return self.worker(point), None
-        arena = _attach_arena(self.arena_name, self.slots, self.capacity)
-        sink = _ShmSink(arena, slot)
-        _active_sink = sink
-        try:
-            row = self.worker(point)
-        finally:
-            _active_sink = None
-        return row, sink.handle
+    def __call__(self, point: P) -> Tuple[R, Optional[_Deposit]]:
+        row, recorder = _run_point(self.worker, point)
+        if recorder is None or not self.want_deposits:
+            return row, None
+        return row, (recorder.samples.tobytes(), recorder.name)
 
 
-def _reconstruct(handle: Optional[Tuple[Any, ...]],
-                 arena: Optional[ShmArena],
+def _reconstruct(deposit: Optional[_Deposit],
                  stats: SweepStats) -> Optional[LatencyRecorder]:
-    """Parent-side recorder rebuild from a worker's deposit handle."""
-    if handle is None:
+    """Parent-side recorder rebuild from a worker's deposit."""
+    if deposit is None:
         return None
-    if handle[0] == "shm" and arena is not None:
-        _, slot, count, name = handle
-        recorder = arena.recorder(slot, name)
-        if len(recorder) != count:  # pragma: no cover - torn write guard
-            raise RuntimeError(
-                f"arena slot {slot}: header says {len(recorder)} samples, "
-                f"handle says {count}")
-        stats.shm_deposits += 1
-        return recorder
-    _, data, name = handle
-    samples: "array[int]" = array("q")
-    samples.frombytes(data)
+    data, name = deposit
     recorder = LatencyRecorder(name)
-    recorder.samples = samples
+    recorder.samples.frombytes(data)
     stats.raw_deposits += 1
     return recorder
 
@@ -289,7 +212,6 @@ def _reconstruct(handle: Optional[Tuple[Any, ...]],
 # ----------------------------------------------------------------------
 def sweep(points: Iterable[P], worker: Callable[[P], R], jobs: int = 1, *,
           recorders: Optional[List[Optional[LatencyRecorder]]] = None,
-          samples_hint: Optional[int] = None,
           sweep_options: Optional[SweepOptions] = None) -> List[R]:
     """Run ``worker(point)`` for every point, in submission order.
 
@@ -298,12 +220,9 @@ def sweep(points: Iterable[P], worker: Callable[[P], R], jobs: int = 1, *,
     callers see exactly the rows a serial loop would have produced.
 
     ``recorders``, if given, is cleared and filled with one entry per
-    point: the recorder that point's worker :func:`publish_recorder`-ed
-    (zero-copy from shared memory where possible), or ``None`` (nothing
-    published, or the row came from the cache — the journal stores rows
-    only).  ``samples_hint`` sizes each point's shared-memory slab in
-    samples; pass ``0`` for sweeps whose workers never publish, which
-    skips arena setup entirely.  ``sweep_options`` overrides the ambient
+    point: the recorder that point's worker :func:`publish_recorder`-ed,
+    or ``None`` (nothing published, or the row came from the cache — the
+    journal stores rows only).  ``sweep_options`` overrides the ambient
     :func:`configure` state for this call.
     """
     global _last_stats
@@ -353,20 +272,7 @@ def sweep(points: Iterable[P], worker: Callable[[P], R], jobs: int = 1, *,
         _report(cache, stats)
         return rows
 
-    hint = DEFAULT_SAMPLES_HINT if samples_hint is None else samples_hint
-    want_deposits = recorders is not None
-    arena: Optional[ShmArena] = None
-    if opts.shm and hint > 0 and want_deposits:
-        try:
-            # One slab per *point* (not per miss): the point's index is
-            # its slot, so warm-cache partial sweeps keep stable slots.
-            arena = ShmArena.create(len(items), hint)
-        except (OSError, ValueError) as exc:
-            print(f"[sweep] shared memory unavailable ({exc!r}); "
-                  "falling back to pickled results", file=sys.stderr)
-
-    task = _PoolTask(worker, arena.name if arena is not None else None,
-                     len(items), hint, want_deposits)
+    task = _PoolTask(worker, want_deposits=recorders is not None)
     # One IPC round-trip per point (chunksize=1, the default) dominates
     # small-point sweeps; ~4 chunks per worker balances batching against
     # tail-straggler idling.
@@ -374,30 +280,25 @@ def sweep(points: Iterable[P], worker: Callable[[P], R], jobs: int = 1, *,
     try:
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(misses))) as pool:
-            results = pool.map(task, misses, chunksize=chunksize)
-            for (index, point), (row, handle) in zip(misses, results):
+            results = pool.map(task, [point for _index, point in misses],
+                               chunksize=chunksize)
+            for (index, point), (row, deposit) in zip(misses, results):
                 rows[index] = row
                 if recorders is not None:
-                    recorders[index] = _reconstruct(handle, arena, stats)
+                    recorders[index] = _reconstruct(deposit, stats)
                 record(point, row)
-        stats.transport = "shm" if arena is not None else "pickle"
-    except (OSError, PermissionError, BrokenExecutor) as exc:
+        stats.transport = "pickle"
+    except (OSError, BrokenExecutor) as exc:
         # Two distinct failure shapes, one recovery: restricted
-        # environments (no /dev/shm, seccomp'd semaphores) cannot start
-        # worker processes at all, and a worker dying mid-sweep (OOM
-        # kill, hard crash) surfaces as BrokenProcessPool — a
-        # RuntimeError subclass the OSError net never caught.  Points
-        # share nothing, so re-running the misses serially is always
-        # safe (the cache may re-journal early rows; last line wins).
+        # environments (seccomp'd semaphores) cannot start worker
+        # processes at all, and a worker dying mid-sweep (OOM kill, hard
+        # crash) surfaces as BrokenProcessPool — a RuntimeError
+        # subclass the OSError net never caught.  Points share nothing,
+        # so re-running the misses serially is always safe (the cache
+        # may re-journal early rows; last line wins).
         print(f"[sweep] process pool unavailable ({exc!r}); "
               "running serially", file=sys.stderr)
         run_serially()
-    finally:
-        if arena is not None:
-            keep = recorders is not None and any(
-                recorder is not None and recorder.is_shared
-                for recorder in recorders)
-            arena.retire(keep_mapped=keep)
     _report(cache, stats)
     return rows
 

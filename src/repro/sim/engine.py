@@ -21,12 +21,7 @@ model"):
 * every scheduled occurrence is a plain ``(time, seq, kind, payload)``
   tuple.  ``seq`` is a global tie-breaker that preserves FIFO order at
   equal timestamps and guarantees comparisons never reach the payload;
-* near-future entries live in a **hierarchical timing wheel** (the
-  short-delay regime — NIC per-WQE processing, context switches, link
-  hops — is O(1) insert/dispatch); far-future deadlines overflow to the
-  original binary heap and cascade into the wheel on horizon crossing.
-  ``Simulator(scheduler="heap")`` selects the pure-heap structure so the
-  two implementations can be diffed event-for-event;
+* the schedule is one binary heap of those tuples (``heapq``);
 * process bootstrap and interrupt delivery are scheduled as *direct
   resume* entries — no throwaway :class:`Event` is allocated;
 * callbacks are stored inline: the common single-subscriber case (a
@@ -57,7 +52,6 @@ Example
 
 from __future__ import annotations
 
-import os
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
@@ -105,20 +99,6 @@ _KIND_DELAY = 3    # payload: (Process, token) — resume from a bare delay.
 
 # "No deadline": beyond any plausible simulated time (≈292 years in ns).
 _T_MAX = 2 ** 63
-
-# Timing-wheel geometry (docs/INTERNALS.md §8).  Level 0 resolves single
-# nanoseconds across the current 1024 ns block, so a bucket holds exactly
-# one timestamp and append order *is* (time, seq) dispatch order.  Level 1
-# resolves 1024 ns slots across the current ~1.05 ms superblock; the tuple
-# heap is the overflow level beyond that horizon.
-_L0_BITS = 10
-_L0_SIZE = 1 << _L0_BITS
-_L0_MASK = _L0_SIZE - 1
-_L1_SIZE = 1 << _L0_BITS
-_SPAN_BITS = 2 * _L0_BITS          # wheel horizon: 2**20 ns ≈ 1.05 ms
-_SPAN_MASK = (1 << _SPAN_BITS) - 1
-# Precomputed slot bits: avoids re-building a fresh big int per insert.
-_BIT = tuple(1 << i for i in range(_L0_SIZE))
 
 #: One scheduled occurrence: ``(time, seq, kind, payload)``.
 _Entry = Tuple[int, int, int, Any]
@@ -415,56 +395,21 @@ class AnyOf(Event):
 
 
 class Simulator:
-    """The event loop: a clock plus a schedule of pending entries.
+    """The event loop: a clock plus a binary heap of pending entries.
 
-    ``scheduler`` selects the schedule structure:
-
-    * ``"wheel"`` (default) — a two-level hierarchical timing wheel for
-      the near future with the binary heap retained as the overflow
-      level; O(1) insert/dispatch in the short-delay regime where most
-      bare-delay waits land (docs/INTERNALS.md §8);
-    * ``"heap"`` — the plain tuple heap, kept so the equivalence suite
-      can diff the two implementations event-for-event.
-
-    ``None`` reads ``REPRO_SCHEDULER`` from the environment (default
-    ``wheel``), which lets whole experiment pipelines be flipped without
-    plumbing the knob through every constructor.
-
-    Both structures dispatch in exactly ``(time, seq)`` order, so results
-    are byte-identical — pinned by the fig8/fig9 golden-row tests.
+    Entries dispatch in exactly ``(time, seq)`` order, so results are
+    byte-identical run to run — pinned by the fig8/fig9 golden-row tests.
     """
 
-    __slots__ = ("now", "scheduler", "_heap", "_seq", "_front", "_l0",
-                 "_l1", "_l0_occ", "_l1_occ", "_l0_block", "_l0_limit",
-                 "_l1_block", "_l1_limit")
+    __slots__ = ("now", "scheduler", "_heap", "_seq")
 
-    def __init__(self, scheduler: Optional[str] = None) -> None:
-        if scheduler is None:
-            scheduler = os.environ.get("REPRO_SCHEDULER", "wheel")
-        if scheduler not in ("wheel", "heap"):
-            raise ValueError(
-                f"unknown scheduler {scheduler!r} (expected 'wheel' or 'heap')")
-        self.scheduler = scheduler
+    def __init__(self) -> None:
+        #: Name of the schedule structure, recorded as provenance by the
+        #: benchmark; there is one implementation.
+        self.scheduler = "heap"
         self.now: int = 0
-        self._heap: List[_Entry] = []  # Overflow level (or the whole schedule).
+        self._heap: List[_Entry] = []
         self._seq = 0  # Tie-breaker preserving FIFO order at equal times.
-        # Front spill: entries that land between ``now`` and an already
-        # advanced level-0 block (only reachable after a limit/stop return
-        # mid-cascade).  Almost always empty.
-        self._front: List[_Entry] = []
-        self._l0_occ = 0   # Occupied-slot bitmaps: lowest set bit == next
-        self._l1_occ = 0   # slot, so empty slots are never scanned.
-        self._l0_block = 0
-        self._l0_limit = _L0_SIZE
-        self._l1_block = 0
-        self._l1_limit = 1 << _SPAN_BITS
-        if scheduler == "wheel":
-            self._l0: Optional[List[List[_Entry]]] = \
-                [[] for _ in range(_L0_SIZE)]
-            self._l1: List[List[_Entry]] = [[] for _ in range(_L1_SIZE)]
-        else:
-            self._l0 = None
-            self._l1 = []
 
     # ------------------------------------------------------------------
     # Factories
@@ -499,33 +444,12 @@ class Simulator:
         """Insert one scheduled occurrence.
 
         Every push path (event trigger, timeout, bootstrap, interrupt,
-        bare delay, ``call_at``) funnels through here, which is what lets
-        the scheduler knob swap the structure without touching callers.
+        bare delay, ``call_at``) funnels through here, so counting calls
+        to it counts kernel events.
         """
         seq = self._seq
         self._seq = seq + 1
-        entry = (time, seq, kind, payload)
-        l0 = self._l0
-        if l0 is None:
-            heappush(self._heap, entry)
-            return
-        if time < self._l0_limit:
-            if time >= self._l0_block:
-                idx = time & _L0_MASK
-                bucket = l0[idx]
-                if not bucket:
-                    self._l0_occ |= _BIT[idx]
-                bucket.append(entry)
-            else:
-                heappush(self._front, entry)
-        elif time < self._l1_limit:
-            idx = (time >> _L0_BITS) & _L0_MASK
-            bucket = self._l1[idx]
-            if not bucket:
-                self._l1_occ |= _BIT[idx]
-            bucket.append(entry)
-        else:
-            heappush(self._heap, entry)
+        heappush(self._heap, (time, seq, kind, payload))
 
     def _queue(self, event: Event, delay: int = 0) -> None:
         """Schedule an already-triggered event's callback dispatch."""
@@ -537,104 +461,31 @@ class Simulator:
             raise SimulationError(f"cannot schedule in the past ({time} < {self.now})")
         self._schedule(time, _KIND_CALL, fn)
 
-    def _promote(self, limit: int) -> bool:
-        """Refill level 0 from the next occupied source.
+    def step(self) -> None:
+        """Process the next scheduled entry.
 
-        Cascades the lowest occupied level-1 slot down into level 0, or —
-        with the whole wheel empty — jumps both wheel levels to the
-        overflow heap's first superblock and drains every heap entry
-        inside it into the wheel.  Returns False when the next source
-        starts beyond ``limit`` (nothing is advanced) or nothing is
-        scheduled at all.  Only called with level 0 and the front spill
-        empty, so every migrated entry lands at or above the new block.
+        A failed :class:`Process` that nobody joined re-raises here —
+        silent death of a model process (a NIC pipeline, a scheduler core)
+        is always a bug, never intended behaviour.
         """
-        l0 = self._l0
-        assert l0 is not None
-        occ = self._l1_occ
-        if occ:
-            lsb = occ & -occ
-            idx = lsb.bit_length() - 1
-            block = self._l1_block + (idx << _L0_BITS)
-            if block > limit:
-                return False
-            self._l1_occ = occ ^ lsb
-            self._l0_block = block
-            self._l0_limit = block + _L0_SIZE
-            l0_occ = self._l0_occ
-            bucket = self._l1[idx]
-            for entry in bucket:
-                i0 = entry[0] & _L0_MASK
-                slot = l0[i0]
-                if not slot:
-                    l0_occ |= _BIT[i0]
-                slot.append(entry)
-            self._l0_occ = l0_occ
-            bucket.clear()
-            return True
-        heap = self._heap
-        if heap:
-            t0 = heap[0][0]
-            if t0 > limit:
-                return False
-            self._l1_block = t0 & ~_SPAN_MASK
-            self._l1_limit = l1_limit = self._l1_block + (1 << _SPAN_BITS)
-            self._l0_block = t0 & ~_L0_MASK
-            self._l0_limit = l0_limit = self._l0_block + _L0_SIZE
-            pop = heappop
-            while heap and heap[0][0] < l1_limit:
-                entry = pop(heap)
-                time = entry[0]
-                if time < l0_limit:
-                    idx = time & _L0_MASK
-                    slot = l0[idx]
-                    if not slot:
-                        self._l0_occ |= _BIT[idx]
-                    slot.append(entry)
-                else:
-                    idx = (time >> _L0_BITS) & _L0_MASK
-                    slot = self._l1[idx]
-                    if not slot:
-                        self._l1_occ |= _BIT[idx]
-                    slot.append(entry)
-            return True
-        return False
-
-    def _pop_wheel(self) -> Optional[_Entry]:
-        """Remove and return the earliest wheel entry (``step``'s source)."""
-        l0 = self._l0
-        assert l0 is not None
-        while True:
-            front = self._front
-            if front:
-                return heappop(front)
-            occ = self._l0_occ
-            if occ:
-                lsb = occ & -occ
-                bucket = l0[lsb.bit_length() - 1]
-                entry = bucket.pop(0)
-                if not bucket:
-                    self._l0_occ = occ ^ lsb
-                return entry
-            if not self._promote(_T_MAX):
-                return None
-
-    def _dispatch(self, kind: int, payload: Any) -> None:
-        """Dispatch one already-dequeued entry (shared cold path)."""
+        time, _seq, kind, payload = heappop(self._heap)
+        if time < self.now:
+            raise SimulationError("event queue corrupted: time went backwards")
+        self.now = time
         if kind == _KIND_EVENT:
-            event = payload
-            cb1 = event._cb1
-            cbs = event._cbs
-            event._cb1 = None
-            event._cbs = None
-            event._processed = True
+            cb1 = payload._cb1
+            cbs = payload._cbs
+            payload._cb1 = None
+            payload._cbs = None
+            payload._processed = True
             if cb1 is not None:
-                cb1(event)
+                cb1(payload)
                 if cbs is not None:
                     for callback in cbs:
-                        callback(event)
-            elif (event._ok is False and isinstance(event, Process)
-                    and not isinstance(event._value, Interrupt)):
-                raise event._value
+                        callback(payload)
+            elif (payload._ok is False and isinstance(payload, Process)
+                    and not isinstance(payload._value, Interrupt)):
+                raise payload._value
         elif kind == _KIND_DELAY:
             process, token = payload
             if process._wait_token == token:
@@ -645,32 +496,7 @@ class Simulator:
         else:  # _KIND_CALL
             payload()
 
-    def step(self) -> None:
-        """Process the next scheduled entry.
-
-        A failed :class:`Process` that nobody joined re-raises here —
-        silent death of a model process (a NIC pipeline, a scheduler core)
-        is always a bug, never intended behaviour.
-        """
-        if self._l0 is None:
-            time, _seq, kind, payload = heappop(self._heap)
-        else:
-            entry = self._pop_wheel()
-            if entry is None:
-                raise IndexError("step on an empty schedule")
-            time, _seq, kind, payload = entry
-        if time < self.now:
-            raise SimulationError("event queue corrupted: time went backwards")
-        self.now = time
-        self._dispatch(kind, payload)
-
     def _drain(self, limit: int, stop: Optional[Event]) -> None:
-        if self._l0 is None:
-            self._drain_heap(limit, stop)
-        else:
-            self._drain_wheel(limit, stop)
-
-    def _drain_heap(self, limit: int, stop: Optional[Event]) -> None:
         """Dispatch heap entries until ``limit`` is passed, ``stop`` (if
         given) triggers, or the heap drains.
 
@@ -711,137 +537,6 @@ class Simulator:
             else:  # _KIND_CALL
                 payload()
 
-    def _drain_wheel(self, limit: int, stop: Optional[Event]) -> None:
-        """The wheel's dispatch loop — :meth:`_drain_heap`'s contract on
-        the hierarchical structure.
-
-        Level-0 buckets are drained by index rather than by iterator so
-        same-time entries scheduled *while the bucket dispatches* (event
-        triggers, zero delays) are picked up in the same pass, in seq
-        order — exactly the heap's behaviour at equal timestamps.
-        """
-        l0 = self._l0
-        assert l0 is not None
-        front = self._front
-        while True:
-            if front:
-                time = front[0][0]
-                if time > limit:
-                    return
-                if stop is not None and stop._value is not PENDING:
-                    return
-                _t, _s, kind, payload = heappop(front)
-                self.now = time
-                self._dispatch(kind, payload)
-                continue
-            occ = self._l0_occ
-            if occ:
-                lsb = occ & -occ
-                idx = lsb.bit_length() - 1
-                time = self._l0_block | idx
-                if time > limit:
-                    return
-                if stop is not None and stop._value is not PENDING:
-                    return
-                self.now = time
-                bucket = l0[idx]
-                while len(bucket) == 1:
-                    # Single-entry bucket (the dominant case in sparse
-                    # regions): consume the entry before dispatching so a
-                    # same-time insert during dispatch re-arms the slot,
-                    # then keep looping on the slot while it does (event
-                    # ping-pong at one timestamp) instead of paying the
-                    # occupancy rescan per entry.  Dispatch can only insert
-                    # at ``time >= now``, and same-block later times map to
-                    # higher slots, so a re-armed ``idx`` stays the minimum.
-                    _t, _s, kind, payload = bucket[0]
-                    bucket.clear()
-                    # The slot bit is always set on entry here (initially
-                    # from the occupancy scan, afterwards re-armed by
-                    # ``_schedule``), so xor clears it without the ``~``.
-                    self._l0_occ ^= lsb
-                    if kind == _KIND_EVENT:
-                        cb1 = payload._cb1
-                        cbs = payload._cbs
-                        payload._cb1 = None
-                        payload._cbs = None
-                        payload._processed = True
-                        if cb1 is not None:
-                            cb1(payload)
-                            if cbs is not None:
-                                for callback in cbs:
-                                    callback(payload)
-                        elif (payload._ok is False
-                                and isinstance(payload, Process)
-                                and not isinstance(payload._value, Interrupt)):
-                            raise payload._value
-                    elif kind == _KIND_DELAY:
-                        process, token = payload
-                        if process._wait_token == token:
-                            process._step(True, None)
-                    elif kind == _KIND_RESUME:
-                        process, ok, value = payload
-                        process._step(ok, value)
-                    else:  # _KIND_CALL
-                        payload()
-                    if not bucket:
-                        break
-                    if stop is not None and stop._value is not PENDING:
-                        return
-                if not bucket:
-                    continue
-                i = 0
-                try:
-                    while True:
-                        _t, _s, kind, payload = bucket[i]
-                        i += 1
-                        if kind == _KIND_EVENT:
-                            cb1 = payload._cb1
-                            cbs = payload._cbs
-                            payload._cb1 = None
-                            payload._cbs = None
-                            payload._processed = True
-                            if cb1 is not None:
-                                cb1(payload)
-                                if cbs is not None:
-                                    for callback in cbs:
-                                        callback(payload)
-                            elif (payload._ok is False
-                                    and isinstance(payload, Process)
-                                    and not isinstance(payload._value, Interrupt)):
-                                raise payload._value
-                        elif kind == _KIND_DELAY:
-                            process, token = payload
-                            if process._wait_token == token:
-                                process._step(True, None)
-                        elif kind == _KIND_RESUME:
-                            process, ok, value = payload
-                            process._step(ok, value)
-                        else:  # _KIND_CALL
-                            payload()
-                        if i >= len(bucket):
-                            break
-                        if stop is not None and stop._value is not PENDING:
-                            return
-                        if i >= 4096 and 2 * i >= len(bucket):
-                            # Compact once at least half the bucket is
-                            # dispatched (amortized O(1) per entry) so a
-                            # same-time chain that appends as fast as it
-                            # drains doesn't pin every dispatched tuple
-                            # live — that turns into GC pressure the heap
-                            # scheduler (which frees on pop) never pays.
-                            del bucket[:i]
-                            i = 0
-                finally:
-                    # Keep anything not yet dispatched (stop/limit return,
-                    # or an escaping process failure) scheduled.
-                    del bucket[:i]
-                    if not bucket:
-                        self._l0_occ &= ~lsb
-                continue
-            if not self._promote(limit):
-                return
-
     def run(self, until: Optional[int] = None) -> None:
         """Run until the queue drains or the clock passes ``until``.
 
@@ -870,15 +565,4 @@ class Simulator:
 
     def peek(self) -> Optional[int]:
         """Time of the next queued event, or None if the queue is empty."""
-        if self._l0 is None:
-            return self._heap[0][0] if self._heap else None
-        if self._front:
-            return self._front[0][0]
-        occ = self._l0_occ
-        if occ:
-            return self._l0_block | ((occ & -occ).bit_length() - 1)
-        occ = self._l1_occ
-        if occ:
-            idx = (occ & -occ).bit_length() - 1
-            return min(entry[0] for entry in self._l1[idx])
         return self._heap[0][0] if self._heap else None

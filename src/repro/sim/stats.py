@@ -14,29 +14,19 @@ scale-out experiments' volumes (10⁵ clients × several ops each, per sweep
 point) that is 8 bytes per sample instead of a ~28-byte boxed int plus
 pointer, with identical append/extend behaviour.
 
-Two performance modes layer on top of that storage without changing a
-single reported number:
-
-* **Shared-memory attachment** (:meth:`LatencyRecorder.attach_shared`) —
-  a recorder can wrap an int64 ``memoryview`` into a
-  ``multiprocessing.shared_memory`` slab written by a sweep worker
-  process, so the parent reconstructs the full distribution zero-copy
-  instead of unpickling a million-entry list.  Attached recorders are
-  read-only until mutated: the first :meth:`record`/:meth:`merge`
-  copies the view into an owned ``array('q')`` (copy-on-write).
-* **Vectorized summaries** — when numpy is importable and the recorder
-  holds at least :data:`NUMPY_MIN_SAMPLES` samples, sorting and summing
-  go through numpy.  The percentile formula itself stays the shared
-  pure-Python :func:`_percentile` (values are coerced back to Python
-  ints before any float arithmetic), so both paths are **bit-identical**
-  — ``tests/sim/test_stats.py`` pins them equal at float tolerance 0.
+**Vectorized summaries** — when numpy is importable and the recorder
+holds at least :data:`NUMPY_MIN_SAMPLES` samples, sorting and summing go
+through numpy.  The percentile formula itself stays the shared
+pure-Python :func:`_percentile` (values are coerced back to Python ints
+before any float arithmetic), so both paths are **bit-identical** —
+``tests/sim/test_stats.py`` pins them equal at float tolerance 0.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from typing import Any, Dict, Optional, Sequence, Union
+from typing import Any, Dict, Optional, Sequence
 
 from .units import to_us
 
@@ -58,16 +48,13 @@ __all__ = [
 #: either path; the two paths are pinned bit-identical regardless.
 NUMPY_MIN_SAMPLES = 2048
 
-#: Raw samples: an owned ``array('q')`` or an attached int64 memoryview.
-Samples = Union["array[int]", memoryview]
-
 
 def _percentile(sorted_samples: "Sequence[int]", pct: float) -> float:
     """Linear-interpolated percentile of pre-sorted samples.
 
-    Accepts any int64 sequence (``array``, ``memoryview``, ndarray);
-    indexed values are coerced to Python ints *before* the float
-    arithmetic so the result is bit-identical across storage backends.
+    Accepts any int64 sequence (``array`` or ndarray); indexed values
+    are coerced to Python ints *before* the float arithmetic so the
+    result is bit-identical across storage backends.
     """
     if not len(sorted_samples):
         raise ValueError("no samples recorded")
@@ -92,62 +79,24 @@ class LatencyRecorder:
     percentile accessors — is unchanged from the list-backed version.
     The sorted view is computed lazily and cached; any mutation
     (:meth:`record` or :meth:`merge`) invalidates the cache.
-
-    A recorder may instead *attach* to an int64 ``memoryview`` over a
-    shared-memory slab (:meth:`attach_shared`) — same read surface, zero
-    copies; the first mutation converts it to an owned array.
     """
 
-    __slots__ = ("name", "samples", "_sorted", "_source")
+    __slots__ = ("name", "samples", "_sorted")
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self.samples: Samples = array("q")
+        self.samples: "array[int]" = array("q")
         self._sorted: Optional[Any] = None
-        # Keeps the object owning an attached view's memory (e.g. a
-        # transport arena) alive for as long as the recorder reads it.
-        self._source: Optional[object] = None
-
-    @classmethod
-    def attach_shared(cls, view: memoryview, name: str = "",
-                      source: Optional[object] = None) -> "LatencyRecorder":
-        """A recorder reading samples zero-copy from ``view`` (int64).
-
-        ``source`` is any object whose liveness keeps the view's backing
-        memory mapped (the sweep transport passes its arena).  The view
-        is read-only from the recorder's perspective; mutating calls
-        transparently copy it into an owned ``array('q')`` first.
-        """
-        if view.format != "q":
-            raise ValueError(
-                f"attach_shared needs an int64 ('q') view, got "
-                f"format {view.format!r}")
-        recorder = cls(name)
-        recorder.samples = view
-        recorder._source = source
-        return recorder
-
-    @property
-    def is_shared(self) -> bool:
-        """True while samples still live in an attached (foreign) view."""
-        return not isinstance(self.samples, array)
-
-    def _own(self) -> "array[int]":
-        """Copy-on-write: materialize attached views into an owned array."""
-        if not isinstance(self.samples, array):
-            self.samples = array("q", self.samples)
-            self._source = None
-        return self.samples
 
     def record(self, latency_ns: int) -> None:
         if latency_ns < 0:
             raise ValueError(f"negative latency sample: {latency_ns}")
-        self._own().append(latency_ns)
+        self.samples.append(latency_ns)
         self._sorted = None
 
     def merge(self, other: "LatencyRecorder") -> None:
         """Append ``other``'s samples (one memcpy-like extend)."""
-        self._own().extend(other.samples)
+        self.samples.extend(other.samples)
         self._sorted = None
 
     def __len__(self) -> int:

@@ -11,19 +11,7 @@ ordering shows up here first, before it silently changes every figure.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.experiments import fig8, fig9
-
-# Every golden must hold under both kernel scheduling structures — the
-# timing wheel is required to be dispatch-order-identical to the heap,
-# and these rows are the end-to-end proof.
-both_schedulers = pytest.mark.parametrize("scheduler", ["wheel", "heap"])
-
-
-@pytest.fixture
-def force_scheduler(monkeypatch, scheduler):
-    monkeypatch.setenv("REPRO_SCHEDULER", scheduler)
 
 FIG8_GOLDEN = [
     {"system": "naive", "size": 256,
@@ -48,14 +36,12 @@ FIG9_GOLDEN = [
 ]
 
 
-@both_schedulers
-def test_fig8_rows_match_golden(force_scheduler):
+def test_fig8_rows_match_golden():
     rows = fig8.run(op="gwrite", sizes=[256, 1024], count=200, seed=3)
     assert rows == FIG8_GOLDEN
 
 
-@both_schedulers
-def test_fig9_rows_match_golden(force_scheduler):
+def test_fig9_rows_match_golden():
     rows = fig9.run(sizes=[4096], total_bytes=2 * (1 << 20), seed=5)
     assert rows == FIG9_GOLDEN
 

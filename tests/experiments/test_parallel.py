@@ -3,10 +3,9 @@
 Every sweep point owns its simulator and seed, so fanning points out
 over worker processes is pure scheduling — the rows must come back in
 point order and byte-identical to a serial run.  The same invariant
-extends to every engine mode: shared-memory transport on or off, cache
-cold or warm, full grid or resumed partial grid.  A sweep optimization
-that changes results is worse than no optimization at all, so this file
-pins the whole matrix.
+extends to every engine mode: cache cold or warm, full grid or resumed
+partial grid.  A sweep optimization that changes results is worse than
+no optimization at all, so this file pins the whole matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +19,8 @@ import pytest
 from repro.experiments import fig8, fig_shards
 from repro.experiments.parallel import (SweepOptions, default_jobs,
                                         last_stats, publish_recorder, sweep)
-from repro.experiments.parallel import engine, transport
+from repro.experiments.parallel import engine
+from repro.sim.engine import Simulator
 from repro.sim.stats import LatencyRecorder
 
 
@@ -49,7 +49,7 @@ def _marking_row(point):
 
 
 def _publishing_row(point):
-    """Worker that hands its full distribution to the result transport."""
+    """Worker that hands its full distribution to the sweep engine."""
     index, count = point
     recorder = LatencyRecorder(f"pub-{index}")
     for i in range(count):
@@ -191,7 +191,7 @@ class TestSweepCache:
         grown = points + [(7, 40), (8, 40)]
         recs = []
         rows = sweep(grown, _publishing_row, jobs=2, recorders=recs,
-                     samples_hint=64, sweep_options=opts)
+                     sweep_options=opts)
         assert rows[:3] == cold
         assert last_stats().cache_hits == 3
         assert last_stats().computed == 2
@@ -203,98 +203,51 @@ class TestSweepCache:
             [[base * 1_000 + i * 7 for i in range(40)] for base in (7, 8)]
 
 
-class TestShmTransport:
-    """Shared-memory result transport: a pure wall-clock optimization."""
-
+class TestPublishedRecorders:
     POINTS = [(i, 50) for i in range(6)]
 
-    def _baseline(self):
-        recorders = []
+    def test_jobs2_recorders_match_serial(self):
+        """Recorders rebuilt from pool workers carry sample-for-sample
+        the distribution a serial run keeps in-process."""
+        serial_recs = []
         rows = sweep(self.POINTS, _publishing_row, jobs=1,
-                     recorders=recorders)
-        return rows, [list(rec.samples) for rec in recorders]
-
-    def test_rows_and_samples_identical_shm_on_off(self):
-        rows, samples = self._baseline()
-        for shm, expected in ((True, "shm"), (False, "pickle")):
-            recorders = []
-            got = sweep(self.POINTS, _publishing_row, jobs=3,
-                        recorders=recorders, samples_hint=64,
-                        sweep_options=SweepOptions(shm=shm))
-            stats = last_stats()
-            assert got == rows
-            assert [list(rec.samples) for rec in recorders] == samples
-            if stats.transport != "serial":  # pool actually started
-                assert stats.transport == expected
-                assert (stats.shm_deposits == 6) == shm
-                assert (stats.raw_deposits == 6) == (not shm)
-
-    def test_slab_overflow_falls_back_per_point(self):
-        rows, samples = self._baseline()
-        recorders = []
+                     recorders=serial_recs)
+        pool_recs = []
         got = sweep(self.POINTS, _publishing_row, jobs=2,
-                    recorders=recorders, samples_hint=8,
-                    sweep_options=SweepOptions(shm=True))
+                    recorders=pool_recs)
         assert got == rows
-        assert [list(rec.samples) for rec in recorders] == samples
-        if last_stats().transport != "serial":
+        assert [(rec.name, list(rec.samples)) for rec in pool_recs] == \
+            [(rec.name, list(rec.samples)) for rec in serial_recs]
+        assert [rec.summary_us() for rec in pool_recs] == \
+            [rec.summary_us() for rec in serial_recs]
+        if last_stats().transport != "serial":  # pool actually started
             assert last_stats().raw_deposits == 6
-
-    def test_shm_create_failure_falls_back_to_pickle(self, monkeypatch,
-                                                     capsys):
-        def boom(slots, capacity):
-            raise OSError("no shared memory here")
-
-        monkeypatch.setattr(transport.ShmArena, "create", staticmethod(boom))
-        rows, samples = self._baseline()
-        recorders = []
-        got = sweep(self.POINTS, _publishing_row, jobs=2,
-                    recorders=recorders, samples_hint=64,
-                    sweep_options=SweepOptions(shm=True))
-        assert got == rows
-        assert [list(rec.samples) for rec in recorders] == samples
-        assert "falling back to pickled results" in capsys.readouterr().err
-        assert last_stats().shm_deposits == 0
-
-    def test_no_shm_ambient_option(self, monkeypatch):
-        monkeypatch.setattr(engine, "_options", SweepOptions())
-        assert engine.configure(shm=False).shm is False  # --no-shm path
-        rows, samples = self._baseline()
-        recorders = []
-        got = sweep(self.POINTS, _publishing_row, jobs=2,
-                    recorders=recorders, samples_hint=64)
-        assert got == rows
-        assert [list(rec.samples) for rec in recorders] == samples
-        assert last_stats().shm_deposits == 0
 
     def test_publish_outside_sweep_is_noop(self):
         recorder = LatencyRecorder("standalone")
         recorder.record(5)
         publish_recorder(recorder)  # must not raise
 
-    def test_arena_roundtrip_overflow_and_teardown(self):
-        try:
-            arena = transport.ShmArena.create(2, 16)
-        except OSError:
-            pytest.skip("no usable shared memory in this environment")
-        try:
-            from array import array
-            payload = array("q", range(10))
-            assert arena.write(1, payload)
-            assert arena.count(1) == 10
-            assert arena.count(0) == 0  # unwritten slab reads empty
-            recorder = arena.recorder(1, name="slab")
-            assert recorder.is_shared
-            assert list(recorder.samples) == list(range(10))
-            assert not arena.write(0, array("q", range(17)))  # over capacity
-            with pytest.raises(IndexError):
-                arena.write(2, payload)
-            # Mutation copies out of the mapping, so teardown is safe.
-            recorder.record(99)
-            assert not recorder.is_shared
-        finally:
-            arena.retire(keep_mapped=False)
-        assert list(recorder.samples) == list(range(10)) + [99]
+    def test_retired_knobs_are_gone_or_ignored(self, monkeypatch):
+        """The scheduler and transport selectors are removed: passing
+        them fails loudly, and the two retired environment variables,
+        if still set, change nothing."""
+        baseline_recs = []
+        baseline = sweep(self.POINTS, _publishing_row, jobs=2,
+                         recorders=baseline_recs)
+        monkeypatch.setenv("REPRO_SCHEDULER", "wheel")
+        monkeypatch.setenv("REPRO_SWEEP_SHM", "0")
+        assert Simulator().scheduler == "heap"
+        assert not hasattr(SweepOptions.from_env(), "shm")
+        recs = []
+        assert sweep(self.POINTS, _publishing_row, jobs=2,
+                     recorders=recs) == baseline
+        assert [list(rec.samples) for rec in recs] == \
+            [list(rec.samples) for rec in baseline_recs]
+        with pytest.raises(TypeError):
+            Simulator(scheduler="wheel")
+        with pytest.raises(TypeError):
+            SweepOptions(shm=False)
 
 
 class TestFig8Parallel:
@@ -308,13 +261,12 @@ class TestFig8Parallel:
 
     def test_row_matrix_byte_identical(self, tmp_path, monkeypatch):
         """The full engine-mode matrix on a real figure sweep: jobs x
-        shm x cache state all reproduce the jobs=1 rows exactly."""
+        cache state all reproduce the jobs=1 rows exactly."""
         kwargs = dict(op="gwrite", sizes=[256], count=60, seed=3)
         baseline = fig8.run(jobs=1, **kwargs)
         cache_dir = str(tmp_path / "cache")
         matrix = [
-            SweepOptions(shm=True),
-            SweepOptions(shm=False),
+            SweepOptions(),
             SweepOptions(cache_dir=cache_dir, resume=True),  # cold
             SweepOptions(cache_dir=cache_dir, resume=True),  # warm
         ]

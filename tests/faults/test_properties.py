@@ -1,11 +1,9 @@
 """Property tests: fault plans replay bit-identically, everywhere.
 
-The fault layer's determinism contract has three axes:
+The fault layer's determinism contract has two axes:
 
 * **run-to-run** — the same plan on a fresh cluster produces the same
   injector log, byte for byte;
-* **scheduler** — the timing-wheel and pure-heap simulators dispatch
-  identically, so the log cannot depend on ``REPRO_SCHEDULER``;
 * **process boundary** — replaying the plan inside ``sweep(..., jobs=2)``
   worker processes yields the same log as a serial run.
 
@@ -16,8 +14,6 @@ replay worker.
 """
 
 from __future__ import annotations
-
-import os
 
 from hypothesis import given, settings, strategies as st
 
@@ -87,22 +83,12 @@ def _compile(spec):
     raise ValueError(f"unknown spec {spec!r}")
 
 
-def _replay(point):
+def _replay(plan_spec):
     """Run one plan on a fresh cluster; returns the normalized log.
 
     Top-level (not nested) so ``sweep(..., jobs=2)`` can pickle it.
-    ``point`` is ``(plan_spec, scheduler)``.
     """
-    plan_spec, scheduler = point
-    previous = os.environ.get("REPRO_SCHEDULER")
-    os.environ["REPRO_SCHEDULER"] = scheduler
-    try:
-        cluster = Cluster(seed=17)
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_SCHEDULER", None)
-        else:
-            os.environ["REPRO_SCHEDULER"] = previous
+    cluster = Cluster(seed=17)
     for index in range(_HOSTS):
         cluster.add_host(_host_name(index))
     plan = FaultPlan([_compile(spec) for spec in plan_spec])
@@ -117,21 +103,15 @@ class TestReplayIdentity:
     @settings(max_examples=25, deadline=None)
     @given(_plan_spec)
     def test_run_to_run_identical(self, plan_spec):
-        first = _replay((plan_spec, "wheel"))
-        second = _replay((plan_spec, "wheel"))
+        first = _replay(plan_spec)
+        second = _replay(plan_spec)
         assert first == second
-
-    @settings(max_examples=25, deadline=None)
-    @given(_plan_spec)
-    def test_wheel_and_heap_schedulers_identical(self, plan_spec):
-        assert _replay((plan_spec, "wheel")) == _replay((plan_spec, "heap"))
 
     @settings(max_examples=5, deadline=None)
     @given(st.lists(_plan_spec, min_size=2, max_size=3))
     def test_serial_equals_jobs2(self, plan_specs):
-        points = [(spec, "wheel") for spec in plan_specs]
-        serial = sweep(points, _replay, jobs=1, samples_hint=0)
-        parallel = sweep(points, _replay, jobs=2, samples_hint=0)
+        serial = sweep(plan_specs, _replay, jobs=1)
+        parallel = sweep(plan_specs, _replay, jobs=2)
         assert serial == parallel
 
 
@@ -139,7 +119,7 @@ class TestOrderingInvariants:
     @settings(max_examples=40, deadline=None)
     @given(_plan_spec)
     def test_events_never_fire_early_or_out_of_order(self, plan_spec):
-        log = _replay((plan_spec, "wheel"))
+        log = _replay(plan_spec)
         fired = [(scheduled, fired_ns) for scheduled, fired_ns, skipped, _d
                  in log if fired_ns >= 0]
         # Never before the trigger time...
@@ -152,6 +132,6 @@ class TestOrderingInvariants:
     @settings(max_examples=40, deadline=None)
     @given(_plan_spec)
     def test_every_predicate_free_event_fires(self, plan_spec):
-        log = _replay((plan_spec, "wheel"))
+        log = _replay(plan_spec)
         assert all(fired_ns >= 0 and not skipped
                    for _s, fired_ns, skipped, _d in log)

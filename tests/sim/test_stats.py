@@ -161,65 +161,6 @@ class TestNumpyParity:
         assert isinstance(recorder._sorted, numpy.ndarray)
 
 
-class TestAttachShared:
-    """Zero-copy attachment to a foreign int64 buffer (the sweep
-    transport's arena slabs) with copy-on-write mutation."""
-
-    @staticmethod
-    def _attached(values, **kwargs):
-        backing = array("q", values)
-        return backing, LatencyRecorder.attach_shared(
-            memoryview(backing), **kwargs)
-
-    def test_reads_are_zero_copy_and_identical(self):
-        values = [13, 5, 7, 99, 1]
-        _backing, attached = self._attached(values, name="slab")
-        owned = LatencyRecorder("owned")
-        for value in values:
-            owned.record(value)
-        assert attached.is_shared
-        assert attached.count == 5
-        assert _summary_tuple(attached) == _summary_tuple(owned)
-        assert attached.summary_us() == owned.summary_us()
-
-    def test_record_copies_on_write(self):
-        backing, attached = self._attached([1, 2, 3])
-        attached.record(4)
-        assert not attached.is_shared
-        assert list(attached.samples) == [1, 2, 3, 4]
-        assert list(backing) == [1, 2, 3]  # the foreign buffer is untouched
-
-    def test_merge_copies_on_write(self):
-        backing, attached = self._attached([10, 20])
-        other = LatencyRecorder()
-        other.record(30)
-        attached.merge(other)
-        assert not attached.is_shared
-        assert list(attached.samples) == [10, 20, 30]
-        assert list(backing) == [10, 20]
-
-    def test_merge_from_attached_source(self):
-        _backing, attached = self._attached([10, 20])
-        target = LatencyRecorder()
-        target.record(5)
-        target.merge(attached)
-        assert list(target.samples) == [5, 10, 20]
-        assert attached.is_shared  # reading never converts
-
-    def test_source_dropped_after_ownership(self):
-        sentinel = object()
-        backing = array("q", [1, 2])
-        attached = LatencyRecorder.attach_shared(memoryview(backing),
-                                                 source=sentinel)
-        assert attached._source is sentinel
-        attached.record(3)
-        assert attached._source is None
-
-    def test_rejects_non_int64_views(self):
-        with pytest.raises(ValueError, match="int64"):
-            LatencyRecorder.attach_shared(memoryview(b"\x00" * 8))
-
-
 class TestCounter:
     def test_increment(self):
         counter = Counter("c")
