@@ -53,7 +53,7 @@ _PROCESS_YIELD_MARKERS = {
 
 _ADDRESS_HELPERS = ("slot_address", "field_address")
 _WRITE_METHODS = ("write", "dma_write")
-_CONSUMER_METHODS = ("peek_head", "advance_head", "kick_all", "grant")
+_CONSUMER_METHODS = ("peek_head", "advance_head", "wake_written", "grant")
 _MUTATING_METHODS = {
     "append", "add", "pop", "popleft", "appendleft", "update", "clear",
     "extend", "remove", "discard", "insert", "setdefault",

@@ -16,7 +16,7 @@ index:
 
 * **WQ12** guards the layer boundary itself: a private (``_``-prefixed)
   function or method of the ``repro/rdma/`` layer that performs consumer
-  operations (``peek_head``/``advance_head``/``kick_all``/``grant``) may
+  operations (``peek_head``/``advance_head``/``wake_written``/``grant``) may
   not be called from outside the layer.  The sanctioned surface is the
   public verbs/driver API only.
 """
@@ -159,7 +159,7 @@ class RdmaInternalLeak(FlowRule):
     name = "rdma-internal-leak"
     family = "wqe-ownership"
     description = ("Calling a _private rdma-layer function that consumes "
-                   "descriptors (peek_head/advance_head/kick_all/grant) "
+                   "descriptors (peek_head/advance_head/wake_written/grant) "
                    "from core/backends simulates NIC behaviour in software "
                    "through one level of indirection — the whole-program "
                    "form of WQ01/WQ03.")

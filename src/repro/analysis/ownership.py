@@ -37,7 +37,7 @@ _POKE_ALLOWED = ("repro/rdma/driver.py", "repro/rdma/nic.py")
 _OWNED_FLAG_ALLOWED_PREFIX = "repro/rdma/"
 
 #: The NIC-consumer half of the WorkQueue interface.
-_CONSUMER_METHODS = ("peek_head", "advance_head", "kick_all")
+_CONSUMER_METHODS = ("peek_head", "advance_head", "wake_written")
 
 _ADDRESS_HELPERS = ("slot_address", "field_address")
 
@@ -121,7 +121,7 @@ class NICConsumerAPI(Rule):
     name = "nic-consumer-api"
     family = "wqe-ownership"
     description = ("peek_head()/advance_head() consume descriptors and "
-                   "kick_all() re-evaluates stalled queues; calling them "
+                   "wake_written() re-evaluates stalled queues; calling them "
                    "from core/backends simulates hardware behaviour in "
                    "software and invalidates the offload measurements.")
     fixit = ("Drive the NIC through verbs (post_send/post_recv, doorbells, "

@@ -72,6 +72,14 @@ class SparsePages:
         if not data:
             return
         page_size = self.page_size
+        index = address // page_size
+        offset = address - index * page_size
+        if offset + len(data) <= page_size:
+            page = self._pages.get(index)
+            if page is None:
+                page = self._pages[index] = bytearray(page_size)
+            page[offset:offset + len(data)] = data
+            return
         cursor = address
         view = memoryview(data)
         consumed = 0
@@ -86,6 +94,30 @@ class SparsePages:
             page[offset:offset + chunk] = view[consumed:consumed + chunk]
             cursor += chunk
             consumed += chunk
+
+    def zero(self, address: int, size: int) -> None:
+        """Make ``[address, address + size)`` read as zeros by dropping the
+        pages it covers; a page shared with a neighbour is blanked in place
+        and dropped once nothing but zeros is left on it."""
+        if size <= 0:
+            return
+        page_size = self.page_size
+        pages = self._pages
+        end = address + size
+        first = address // page_size
+        last = (end - 1) // page_size
+        inner = range(first + 1, last)
+        for index in (inner if len(inner) < len(pages)
+                      else [i for i in pages if i in inner]):
+            pages.pop(index, None)
+        for index in (first, last):
+            page = pages.get(index)
+            if page is not None:
+                start = max(address - index * page_size, 0)
+                stop = min(end - index * page_size, page_size)
+                page[start:stop] = bytes(stop - start)
+                if not any(page):
+                    del pages[index]
 
     def clear(self) -> None:
         self._pages.clear()
@@ -187,8 +219,7 @@ class MemoryDevice:
         if recorded is not allocation:
             raise ValueError(
                 f"{self.name}: {allocation.name!r} is not live here")
-        self._data.write(allocation.address, bytes(allocation.size))
-        self.persist(allocation.address, allocation.size)
+        self._data.zero(allocation.address, allocation.size)
         self._free_list.append((allocation.address, allocation.size))
         self._free_list.sort()
         # Coalesce adjacent holes (and fold the last hole into the break).
@@ -281,6 +312,10 @@ class NVM(MemoryDevice):
     def __init__(self, size: int, name: str = "nvm"):
         super().__init__(size, name)
         self._durable_data = SparsePages()
+
+    def free(self, allocation: Allocation) -> None:
+        super().free(allocation)
+        self._durable_data.zero(allocation.address, allocation.size)
 
     def persist(self, address: int, size: int) -> None:
         """Copy a visible range into the durable image."""

@@ -24,7 +24,7 @@ changes are:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from ..nvm.memory import Allocation, MemoryDevice
 from .wqe import (
@@ -38,6 +38,17 @@ from .wqe import (
 )
 
 __all__ = ["WorkQueue", "RingFullError"]
+
+#: Parses of the distinct descriptor images the NIC has seen, keyed by the
+#: raw bytes — so there is nothing to invalidate: a changed byte is a
+#: different key.  Bounded by a constant; the oldest image is evicted.
+_PARSE_MEMO_ENTRIES = 512
+_parse_memo: Dict[bytes, DecodedWQE] = {}
+
+# Plain ints, for comparing against raw ring bytes.
+_OWNED = int(WQEFlags.OWNED)
+_STATIC = int(WQEFlags.STATIC)
+_STAYS_ARMED = (int(Opcode.WAIT), int(Opcode.RECV))
 
 
 class RingFullError(Exception):
@@ -112,7 +123,7 @@ class WorkQueue:
         """Set the ownership bit of a previously posted descriptor."""
         addr = self.field_address(index, 1)  # OFF_FLAGS
         flags = self.memory.read(addr, 1)[0]
-        self.memory.write(addr, bytes([flags | WQEFlags.OWNED]))
+        self.memory.write(addr, bytes([flags | _OWNED]))
 
     # ------------------------------------------------------------------
     # NIC side
@@ -121,12 +132,18 @@ class WorkQueue:
         """Parse the descriptor at the consumer head, or None if empty.
 
         The NIC re-reads ring memory on every peek, so descriptor bytes
-        patched by an incoming scatter DMA genuinely take effect.
+        patched by an incoming scatter DMA genuinely take effect; only the
+        parse of an image already seen is reused.
         """
         if self.head >= self.tail:
             return None
         raw = self.memory.read(self.slot_address(self.head), WQE_SIZE)
-        return decode_wqe(raw)
+        wqe = _parse_memo.get(raw)
+        if wqe is None:
+            if len(_parse_memo) >= _PARSE_MEMO_ENTRIES:
+                del _parse_memo[next(iter(_parse_memo))]
+            wqe = _parse_memo[raw] = decode_wqe(raw)
+        return wqe
 
     def advance_head(self) -> None:
         if self.head >= self.tail:
@@ -137,13 +154,9 @@ class WorkQueue:
             # RECV descriptors, and anything marked STATIC, stay armed —
             # they serve every reuse of their slot unchanged.
             addr = self.slot_address(self.head)
-            opcode = self.memory.read(addr, 1)[0]
-            flags_addr = addr + 1  # OFF_FLAGS
-            flags = self.memory.read(flags_addr, 1)[0]
-            if opcode not in (Opcode.WAIT, Opcode.RECV) \
-                    and not flags & WQEFlags.STATIC:
-                self.memory.write(flags_addr,
-                                  bytes([flags & ~WQEFlags.OWNED]))
+            opcode, flags = self.memory.read(addr, 2)  # OFF_OPCODE, OFF_FLAGS
+            if opcode not in _STAYS_ARMED and not flags & _STATIC:
+                self.memory.write(addr + 1, bytes([flags & ~_OWNED]))
             self.tail += 1  # Re-arm the slot at the ring tail.
         self.head += 1
 

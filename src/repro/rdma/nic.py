@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..nvm.cache import NICWriteCache
 from ..nvm.memory import MemoryDevice
@@ -292,16 +292,27 @@ class RNIC:
         if kick is not None and not kick.triggered:
             kick.succeed()
 
-    def kick_all(self) -> None:
-        """Re-evaluate every stalled send queue.
+    def wake_written(self, written: Sequence[Tuple[int, int]]) -> None:
+        """Re-evaluate the stalled send queues whose head descriptor
+        overlaps one of the ``(address, size)`` ranges inbound DMA just
+        wrote — the write may have patched its fields or ownership bit.
 
-        Called after inbound DMA lands, because the write may have patched
-        descriptor bytes (ownership bits) in some ring.
+        Every other stall has its own waker: an empty ring the doorbell
+        from ``post_send``/``grant_send``, an unmet WAIT its CQ
+        subscription, a fence ``_drain_waiters``, ERROR/destroy the
+        doorbell in :meth:`destroy_qp`.
         """
-        for qp_num in list(self._kicks):
-            kick = self._kicks.get(qp_num)
-            if kick is not None and not kick.triggered:
-                kick.succeed()
+        for qp_num, kick in self._kicks.items():
+            if kick.triggered:
+                continue
+            sq = self.qps[qp_num].sq
+            if sq.head >= sq.tail:
+                continue
+            head = sq.slot_address(sq.head)
+            for address, size in written:
+                if address < head + WQE_SIZE and head < address + size:
+                    kick.succeed()
+                    break
 
     def _sq_service(self, qp: QueuePair) -> ProcessGenerator:
         """Per-QP send-queue processor (one NIC execution context per QP)."""
@@ -370,7 +381,7 @@ class RNIC:
     # ------------------------------------------------------------------
     # Operation initiation (sender side)
     # ------------------------------------------------------------------
-    def _gather(self, sg_list: List[Sge]) -> bytes:
+    def _gather(self, sg_list: Sequence[Sge]) -> bytes:
         parts = [self.cache.dma_read(sge.addr, sge.length)
                  for sge in sg_list if sge.length]
         return b"".join(parts)
@@ -516,8 +527,10 @@ class RNIC:
         qp.rq.advance_head()
         return recv
 
-    def _scatter(self, qp: QueuePair, recv: DecodedWQE, payload: bytes) -> None:
-        """Scatter an inbound payload across a RECV WQE's SG list.
+    def _scatter(self, qp: QueuePair, recv: DecodedWQE,
+                 payload: bytes) -> List[Tuple[int, int]]:
+        """Scatter an inbound payload across a RECV WQE's SG list;
+        returns the ``(address, size)`` ranges written.
 
         When an SGE points into a registered ring region this is the remote
         work-request manipulation path: descriptor bytes (including
@@ -528,23 +541,26 @@ class RNIC:
             raise RemoteAccessError(
                 f"{qp.name}: inbound {len(payload)}B exceeds RECV capacity "
                 f"{capacity}B")
+        written = []
         offset = 0
         for sge in recv.sg_list:
             if offset >= len(payload):
                 break
             chunk = payload[offset:offset + sge.length]
             self.cache.dma_write(sge.addr, chunk)
+            written.append((sge.addr, len(chunk)))
             offset += len(chunk)
+        return written
 
     def _rx_send(self, qp: QueuePair, message: Message) -> None:
         recv = self._consume_recv(qp, message)
         if recv is None:
             return
-        self._scatter(qp, recv, message.payload)
+        written = self._scatter(qp, recv, message.payload)
         qp.recv_cq.push(WorkCompletion(
             wr_id=recv.wr_id, opcode=Opcode.RECV, status=WCStatus.SUCCESS,
             byte_len=len(message.payload), qp_num=qp.qp_num))
-        self.kick_all()
+        self.wake_written(written)
         self._ack(message)
 
     def _rx_write(self, qp: QueuePair, message: Message) -> None:
@@ -565,7 +581,7 @@ class RNIC:
                 qp_num=qp.qp_num))
         else:
             self.cache.dma_write(message.remote_addr, message.payload)
-        self.kick_all()
+        self.wake_written([(message.remote_addr, len(message.payload))])
         self._ack(message)
 
     def _rx_read(self, qp: QueuePair, message: Message) -> None:
@@ -596,7 +612,7 @@ class RNIC:
         if original == message.compare:
             self.cache.dma_write(message.remote_addr,
                                  message.swap.to_bytes(8, "little"))
-            self.kick_all()
+            self.wake_written([(message.remote_addr, 8)])
         self._respond(message, Message(
             kind="cas_resp", src_nic=self.name, src_qp=message.dst_qp,
             dst_qp=message.src_qp, req_id=message.req_id,
@@ -615,7 +631,7 @@ class RNIC:
         updated = (original + message.swap) % (1 << 64)
         self.cache.dma_write(message.remote_addr,
                              updated.to_bytes(8, "little"))
-        self.kick_all()
+        self.wake_written([(message.remote_addr, 8)])
         self._respond(message, Message(
             kind="cas_resp", src_nic=self.name, src_qp=message.dst_qp,
             dst_qp=message.src_qp, req_id=message.req_id,
@@ -635,20 +651,22 @@ class RNIC:
             return
         qp, wqe = pending.qp, pending.wqe
         if message.kind == "read_resp" and message.payload:
+            written = []
             offset = 0
             for sge in wqe.sg_list:
                 chunk = message.payload[offset:offset + sge.length]
                 if not chunk:
                     break
                 self.cache.dma_write(sge.addr, chunk)
+                written.append((sge.addr, len(chunk)))
                 offset += len(chunk)
-            self.kick_all()
+            self.wake_written(written)
         elif message.kind == "cas_resp":
             # The original value lands at the WQE's local address — for gCAS
             # that address is a result-map slot inside the metadata region.
             if wqe.sg_list:
                 self.cache.dma_write(wqe.sg_list[0].addr, message.payload[:8])
-                self.kick_all()
+                self.wake_written([(wqe.sg_list[0].addr, 8)])
         if wqe.signaled:
             qp.send_cq.push(WorkCompletion(
                 wr_id=wqe.wr_id, opcode=wqe.opcode, status=message.status,

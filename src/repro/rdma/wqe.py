@@ -39,7 +39,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import List
+from typing import List, Tuple
 
 __all__ = [
     "Opcode",
@@ -187,9 +187,13 @@ def encode_wqe(wr: WorkRequest, owned: bool) -> bytes:
     return bytes(buf)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class DecodedWQE:
-    """A descriptor parsed back out of ring memory by the NIC."""
+    """A descriptor parsed back out of ring memory by the NIC.
+
+    Immutable: the driver shares one parse between every ring slot that
+    holds the same bytes.
+    """
 
     opcode: Opcode
     owned: bool
@@ -204,7 +208,7 @@ class DecodedWQE:
     swap: int
     wait_cq: int
     wait_count: int
-    sg_list: List[Sge]
+    sg_list: Tuple[Sge, ...]
 
     @property
     def total_length(self) -> int:
@@ -238,5 +242,5 @@ def decode_wqe(data: bytes) -> DecodedWQE:
         swap=swap,
         wait_cq=wait_cq,
         wait_count=wait_count,
-        sg_list=sg_list,
+        sg_list=tuple(sg_list),
     )

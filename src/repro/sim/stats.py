@@ -24,16 +24,18 @@ before any float arithmetic), so both paths are **bit-identical** —
 
 from __future__ import annotations
 
+import importlib
 import math
 from array import array
 from typing import Any, Dict, Optional, Sequence
 
 from .units import to_us
 
-try:  # numpy is a declared dependency, but the fallback keeps the
-    import numpy as _numpy  # recorders usable in stripped environments.
-except ImportError:  # pragma: no cover - exercised via monkeypatch
-    _numpy = None  # type: ignore[assignment]
+#: numpy, imported by the first summary big enough to use it (the import
+#: is ~140 ms and most processes never get there); ``None`` when it is not
+#: installed — the fallback keeps the recorders usable regardless.
+_UNLOADED = object()
+_numpy: Any = _UNLOADED
 
 __all__ = [
     "LatencyRecorder",
@@ -103,7 +105,15 @@ class LatencyRecorder:
         return len(self.samples)
 
     def _use_numpy(self) -> bool:
-        return _numpy is not None and len(self.samples) >= NUMPY_MIN_SAMPLES
+        global _numpy
+        if len(self.samples) < NUMPY_MIN_SAMPLES:
+            return False
+        if _numpy is _UNLOADED:
+            try:
+                _numpy = importlib.import_module("numpy")
+            except ImportError:  # pragma: no cover - exercised via monkeypatch
+                _numpy = None
+        return _numpy is not None
 
     def _ensure_sorted(self) -> "Sequence[int]":
         if self._sorted is None:

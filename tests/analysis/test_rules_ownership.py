@@ -100,10 +100,10 @@ class TestNICConsumerAPI:
                 wq.advance_head()
             """)
 
-    def test_kick_all_outside_rdma(self):
+    def test_wake_written_outside_rdma(self):
         assert "WQ03" in codes("""
             def wake(nic):
-                nic.kick_all()
+                nic.wake_written([(0, 160)])
             """)
 
     def test_consumer_calls_inside_rdma_allowed(self):
@@ -112,7 +112,7 @@ class TestNICConsumerAPI:
                 wqe = qp.sq.peek_head()
                 if wqe is not None:
                     qp.sq.advance_head()
-                self.kick_all()
+                self.wake_written([(0, 160)])
             """, module="repro/rdma/nic.py") == []
 
     def test_verbs_surface_is_clean(self):

@@ -75,6 +75,30 @@ class TestGroupClose:
         for host, before in zip([client] + replicas, baseline):
             assert host.memory.bytes_free == before, host.name
 
+    @pytest.mark.parametrize("group_cls, config_cls", [
+        (HyperLoopGroup, GroupConfig), (NaiveGroup, NaiveConfig)])
+    def test_close_returns_resident_pages(self, cluster, group_cls,
+                                          config_cls):
+        """Host RSS follows ``resident_bytes``: a closed group's regions
+        and rings must stop costing real memory, not turn into zeros."""
+        client = cluster.add_host("tr-client")
+        replicas = cluster.add_hosts(3, prefix="tr-replica")
+        hosts = [client] + replicas
+        baseline = [host.memory._data.resident_bytes for host in hosts]
+        group = group_cls(client, replicas,
+                          config_cls(slots=16, region_size=1 << 20))
+
+        def proc():
+            group.write_local(4096, b"resident" * 1024)
+            yield group.gwrite(4096, 8192, durable=True)
+
+        run(cluster, proc())
+        assert all(host.memory._data.resident_bytes > before
+                   for host, before in zip(hosts, baseline))
+        group.close()
+        for host, before in zip(hosts, baseline):
+            assert host.memory._data.resident_bytes == before, host.name
+
     def test_close_is_idempotent(self, cluster):
         client = cluster.add_host("ti-client")
         replicas = cluster.add_hosts(3, prefix="ti-replica")

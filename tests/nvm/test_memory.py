@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.nvm.memory import DRAM, NVM, MemoryDevice, OutOfMemoryError
+from repro.nvm.power import PowerDomain
 
 
 class TestAllocation:
@@ -136,6 +137,47 @@ class TestDurability:
         survived = memory.read(0, len(persisted))
         expected = bytearray(persisted)
         assert survived == bytes(expected)
+
+
+class TestFree:
+    def test_unaligned_neighbours_on_both_edge_pages_survive(self):
+        memory = NVM(1 << 20)
+        left = memory.allocate(4096 + 104, "left")      # Ends mid-page 1.
+        middle = memory.allocate(3 * 4096, "middle")    # Mid-page 1 .. 4.
+        right = memory.allocate(512, "right")           # Shares page 4.
+        assert left.end % 4096 and middle.end % 4096
+        for allocation in (left, middle, right):
+            memory.write(allocation.address, b"\xAB" * allocation.size)
+            memory.persist(allocation.address, allocation.size)
+        memory.free(middle)
+        for image in (memory.read, memory.read_durable):
+            assert image(left.address, left.size) == b"\xAB" * left.size
+            assert image(right.address, right.size) == b"\xAB" * right.size
+            assert image(middle.address, middle.size) == bytes(middle.size)
+
+    def test_next_owner_reads_zeros_also_after_power_failure(self):
+        memory = NVM(1 << 20)
+        domain = PowerDomain()
+        domain.register(memory)
+        memory.allocate(100, "pad")                     # Unalign the victim.
+        first = memory.allocate(3 * 4096, "first")
+        memory.write(first.address, b"secret" * 2048)
+        memory.persist(first.address, first.size)
+        memory.free(first)
+        domain.fail()
+        again = memory.allocate(3 * 4096, "again")
+        assert again.address == first.address
+        assert memory.read(again.address, again.size) == bytes(again.size)
+        assert memory.read_durable(again.address, again.size) \
+            == bytes(again.size)
+
+    def test_free_materialises_nothing(self):
+        memory = NVM(1 << 30)
+        big = memory.allocate(256 << 20, "big")
+        memory.write(big.address + 12345, b"x")
+        memory.free(big)
+        assert memory._data.resident_bytes == 0
+        assert memory._durable_data.resident_bytes == 0
 
 
 def test_invalid_size():

@@ -38,6 +38,32 @@ class TestBasics:
         pages.write(4096 * 10, b"y")
         assert pages.resident_bytes == 2 * 4096
 
+    def test_zero_drops_covered_pages_and_blanks_the_edges(self):
+        pages = SparsePages(page_size=16)
+        pages.write(0, b"x" * 64)                    # Pages 0..3.
+        pages.zero(10, 40)                           # [10, 50)
+        assert pages.read(0, 64) == b"x" * 10 + bytes(40) + b"x" * 14
+        assert pages.resident_bytes == 2 * 16        # Pages 1, 2 are gone.
+
+    def test_zero_inside_one_page_and_over_absent_pages(self):
+        pages = SparsePages(page_size=16)
+        pages.write(16, b"y" * 16)
+        pages.zero(20, 4)
+        assert pages.read(16, 16) == b"yyyy" + bytes(4) + b"y" * 8
+        pages.zero(100, 1000)                        # Nothing resident there.
+        pages.zero(0, 0)
+        assert pages.resident_bytes == 16
+
+    def test_zero_drops_an_edge_page_once_it_is_blank(self):
+        """Two unaligned neighbours share page 1; freeing both must not
+        leave it resident as zeros."""
+        pages = SparsePages(page_size=16)
+        pages.write(0, b"z" * 48)
+        pages.zero(0, 24)
+        assert pages.resident_bytes == 2 * 16
+        pages.zero(24, 24)
+        assert pages.resident_bytes == 0
+
     def test_clear(self):
         pages = SparsePages()
         pages.write(0, b"gone")
@@ -90,3 +116,29 @@ class TestAgainstModel:
         dest = SparsePages(page_size=32)
         source.snapshot_into(dest)
         assert dest.read(0, 1200) == source.read(0, 1200)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("write"),
+                  st.integers(min_value=0, max_value=3000),
+                  st.binary(min_size=1, max_size=300)),
+        st.tuples(st.just("zero"),
+                  st.integers(min_value=0, max_value=3500),
+                  st.integers(min_value=0, max_value=600))), max_size=25))
+    def test_zero_matches_flat_model(self, operations):
+        """Range-zeroing at arbitrary unaligned offsets, over resident and
+        absent pages, reads back like zero-filling a flat bytearray — and
+        leaves no page resident that it fully covered."""
+        pages = SparsePages(page_size=64)
+        model = bytearray(4096)
+        for kind, address, arg in operations:
+            if kind == "write":
+                pages.write(address, arg)
+                model[address:address + len(arg)] = arg
+            else:
+                pages.zero(address, arg)
+                model[address:address + arg] = bytes(
+                    len(model[address:address + arg]))
+                covered = set(range(-(-address // 64), (address + arg) // 64))
+                assert not covered & set(pages._pages)
+        assert pages.read(0, 4096) == bytes(model)

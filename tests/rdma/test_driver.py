@@ -3,11 +3,14 @@
 # advance_head, grant, raw ring writes) from test code by design.
 # simlint: disable-file=WQ01,WQ02,WQ03
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.nvm.memory import NVM
+from repro.rdma import driver
 from repro.rdma.driver import RingFullError, WorkQueue
-from repro.rdma.wqe import WQE_SIZE, Opcode, Sge, WorkRequest
+from repro.rdma.wqe import WQE_SIZE, Opcode, Sge, WorkRequest, encode_wqe
 
 
 @pytest.fixture
@@ -144,3 +147,61 @@ def test_misaligned_ring_rejected():
     alloc = memory.allocate(WQE_SIZE + 1, "bad")
     with pytest.raises(ValueError):
         WorkQueue(memory, alloc)
+
+
+class TestParseMemo:
+    """``peek_head`` reads ring memory every time and reuses only the
+    *parse* of an image it has seen: whatever rewrites the bytes — a DMA
+    patch, a power failure, free + re-allocate — is a different key."""
+
+    def test_identical_slots_share_a_parse_until_one_is_patched(self, ring):
+        memory, wq = ring
+        wr = WorkRequest(Opcode.WRITE, [Sge(64, 8)], remote_addr=0x100)
+        wq.post(wr, owned=False)
+        wq.post(wr, owned=False)
+        original = wq.peek_head()
+        memory.write(wq.slot_address(0), encode_wqe(WorkRequest(
+            Opcode.WRITE, [Sge(64, 8)], remote_addr=0x200), owned=True))
+        head = wq.peek_head()
+        assert head.owned and head.remote_addr == 0x200
+        wq.advance_head()
+        sibling = wq.peek_head()  # The bytes slot 0 used to hold.
+        assert sibling is original
+        assert not sibling.owned and sibling.remote_addr == 0x100
+
+    def test_parses_are_immutable(self, ring):
+        _memory, wq = ring
+        wq.post(WorkRequest(Opcode.WRITE, [Sge(64, 8)]))
+        wqe = wq.peek_head()
+        with pytest.raises(FrozenInstanceError):
+            wqe.owned = False
+        assert isinstance(wqe.sg_list, tuple)
+
+    def test_power_failure_reverts_a_memoised_head(self, ring):
+        memory, wq = ring
+        index = wq.post(WorkRequest(Opcode.WRITE, [Sge(64, 8)]), owned=False)
+        memory.persist(wq.ring.address, wq.ring.size)
+        wq.grant(index)  # Visible, never persisted.
+        assert wq.peek_head().owned
+        memory.on_power_failure()
+        assert not wq.peek_head().owned
+
+    def test_free_and_reallocate_reads_a_blank_descriptor(self, ring):
+        memory, wq = ring
+        wq.post(WorkRequest(Opcode.WRITE, [Sge(64, 8)], wr_id=9))
+        assert wq.peek_head().wr_id == 9
+        memory.free(wq.ring)
+        again = WorkQueue(memory, memory.allocate(8 * WQE_SIZE, "ring2"))
+        assert again.ring.address == wq.ring.address
+        again.tail = 1  # Look at slot 0 without posting over it.
+        blank = again.peek_head()
+        assert blank.opcode is Opcode.NOP and not blank.owned
+        assert blank.wr_id == 0
+
+    def test_memo_is_bounded(self, ring):
+        _memory, wq = ring
+        for wr_id in range(driver._PARSE_MEMO_ENTRIES + 50):
+            wq.post(WorkRequest(Opcode.NOP, wr_id=wr_id))
+            assert wq.peek_head().wr_id == wr_id
+            wq.advance_head()
+        assert len(driver._parse_memo) <= driver._PARSE_MEMO_ENTRIES

@@ -1,0 +1,57 @@
+"""Work budget of the NIC model per executed descriptor.
+
+Counts, not timings: a fixed seed repeats them exactly.  The budget is the
+pair the two skip rules exist for — how often a send queue looks at its
+head for every descriptor it executes (targeted wake), and how many of
+those looks need a fresh parse (content-keyed memo).
+"""
+
+import pytest
+
+from repro.baseline.naive import NaiveConfig, NaiveGroup
+from repro.core.group import GroupConfig, HyperLoopGroup
+from repro.rdma import driver
+from repro.rdma.driver import WorkQueue
+
+from ..core.test_teardown import run
+
+OPS = 50
+
+
+@pytest.mark.parametrize("group_cls, config_cls, peeks_per_exec", [
+    (HyperLoopGroup, GroupConfig, 1.8),   # 3.0 with wake-everything.
+    (NaiveGroup, NaiveConfig, 2.0),       # 4.1
+])
+def test_peeks_and_parses_per_executed_wqe(cluster, monkeypatch, group_cls,
+                                           config_cls, peeks_per_exec):
+    counts = {"peeks": 0, "decodes": 0}
+    peek_head, decode_wqe = WorkQueue.peek_head, driver.decode_wqe
+
+    def counting_peek(queue):
+        counts["peeks"] += 1
+        return peek_head(queue)
+
+    def counting_decode(raw):
+        counts["decodes"] += 1
+        return decode_wqe(raw)
+
+    monkeypatch.setattr(WorkQueue, "peek_head", counting_peek)
+    monkeypatch.setattr(driver, "decode_wqe", counting_decode)
+    client = cluster.add_host("wb-client")
+    replicas = cluster.add_hosts(3, prefix="wb-replica")
+    group = group_cls(client, replicas,
+                      config_cls(slots=64, region_size=1 << 20))
+
+    def proc():
+        for op in range(OPS):
+            group.write_local(64, op.to_bytes(8, "little"))
+            yield group.gwrite(64, 8, durable=True)
+            yield group.gcas(0, op, op + 1, durable=True)
+
+    run(cluster, proc())
+    executed = sum(host.nic.wqes_executed.value
+                   for host in [client] + replicas)
+    assert executed > 0
+    assert counts["peeks"] / executed <= peeks_per_exec
+    assert counts["decodes"] <= 0.6 * counts["peeks"]
+    group.close()

@@ -1,0 +1,199 @@
+"""Adversarial tests of the two rules that let the NIC skip work:
+
+* a stalled send queue is re-evaluated only when inbound DMA overlaps its
+  *head descriptor* (``RNIC.wake_written``);
+* ``peek_head`` re-reads ring memory on every look but reuses the parse of
+  an image it has already seen (content-keyed, bounded memo).
+
+Each test is built to fail if the rule it aims at is wrong: a missed wake
+leaves the patched operation unexecuted, a stale parse executes the old
+parameters, a spurious wake shows up as an extra process step.
+"""
+
+import pytest
+
+from repro.rdma import driver
+from repro.rdma.verbs import Access, WCStatus, WorkCompletion
+from repro.rdma.wqe import (
+    OFF_WAIT_COUNT,
+    WQE_SIZE,
+    Opcode,
+    Sge,
+    WorkRequest,
+    encode_wqe,
+)
+from repro.sim.engine import Process
+from repro.sim.units import ms, us
+
+from .test_nic import Pair
+
+RING_ACCESS = Access.LOCAL_WRITE | Access.REMOTE_WRITE
+
+
+@pytest.fixture
+def pair(sim):
+    return Pair(sim)
+
+
+@pytest.fixture
+def steps(monkeypatch):
+    """Process steps taken so far, by process name."""
+    counts = {}
+    original = Process._step
+
+    def counting_step(process, ok, value):
+        counts[process.name] = counts.get(process.name, 0) + 1
+        original(process, ok, value)
+
+    monkeypatch.setattr(Process, "_step", counting_step)
+    return counts
+
+
+def loopback_qp(pair, srq=None):
+    """A self-connected QP on b — the kind HyperLoop pre-posts into."""
+    cq = pair.nic_b.create_cq()
+    qp = pair.nic_b.create_qp(cq, cq, sq_slots=16, rq_slots=16, srq=srq)
+    qp.connect(qp)
+    return qp
+
+
+def stalled_placeholder(pair):
+    """A loopback QP with one RECV (landing at buf_b + 1024) and an unowned
+    NOP placeholder at its send-queue head; returns (qp, slot address)."""
+    qp = loopback_qp(pair)
+    qp.post_recv(WorkRequest(
+        Opcode.RECV, [Sge(pair.buf_b.address + 1024, 64)]))
+    index = qp.post_send(WorkRequest(Opcode.NOP, signaled=False),
+                         owned=False)
+    return qp, qp.sq.slot_address(index)
+
+
+def send_image(pair, image, offset=0):
+    """a SENDs ``image``; b's next RECV decides where it scatters."""
+    pair.mem_a.write(pair.buf_a.address + offset, image)
+    pair.qp_a.post_send(WorkRequest(
+        Opcode.SEND, [Sge(pair.buf_a.address + offset, len(image))]))
+
+
+def loopback_send_image(pair, payload_at, size):
+    """Descriptor image of an owned loopback SEND of b's own bytes."""
+    return encode_wqe(WorkRequest(
+        Opcode.SEND, [Sge(pair.buf_b.address + payload_at, size)],
+        signaled=False), owned=True)
+
+
+class TestPatchedHeadExecutes:
+    def test_patch_after_peek(self, sim, pair):
+        """The queue has already stalled on — and memoised — the unowned
+        placeholder when the scatter rewrites it; the *patched* parameters
+        must execute, not the remembered NOP."""
+        qp_out, slot = stalled_placeholder(pair)
+        sim.run(until=us(50))
+        assert pair.mem_b.read(slot, WQE_SIZE) in driver._parse_memo
+        pair.qp_b.post_recv(WorkRequest(Opcode.RECV, [Sge(slot, WQE_SIZE)]))
+        pair.mem_b.write(pair.buf_b.address + 900, b"patched-op")
+        send_image(pair, loopback_send_image(pair, 900, 10))
+        sim.run(until=ms(2))
+        assert pair.mem_b.read(pair.buf_b.address + 1024, 10) == b"patched-op"
+
+    def test_two_step_patch(self, sim, pair, steps):
+        """Fields land first (the head wakes, is still unowned, stalls
+        again); opcode + ownership land in a later message."""
+        qp_out, slot = stalled_placeholder(pair)
+        pair.qp_b.post_recv(WorkRequest(
+            Opcode.RECV, [Sge(slot + 2, WQE_SIZE - 2)]))
+        pair.qp_b.post_recv(WorkRequest(Opcode.RECV, [Sge(slot, 2)]))
+        pair.mem_b.write(pair.buf_b.address + 900, b"two-step")
+        image = loopback_send_image(pair, 900, 8)
+        sim.run(until=us(50))
+        service = f"{qp_out.name}.sqsvc"
+        before = steps[service]
+        send_image(pair, image[2:])
+        sim.run(until=us(200))
+        assert steps[service] == before + 1  # Woken, re-stalled.
+        assert pair.mem_b.read(pair.buf_b.address + 1024, 8) == bytes(8)
+        send_image(pair, image[:2], offset=512)
+        sim.run(until=ms(2))
+        assert pair.mem_b.read(pair.buf_b.address + 1024, 8) == b"two-step"
+
+    def test_patched_wait_count_is_re_evaluated(self, sim, pair):
+        """A WAIT-stalled head whose ``wait_count`` is rewritten below the
+        CQ's count proceeds — no completion arrives to fire its CQ
+        subscription, only the DMA can wake it."""
+        qp_out = loopback_qp(pair)
+        watched = pair.nic_b.create_cq()
+        watched.push(WorkCompletion(wr_id=0, opcode=Opcode.NOP,
+                                    status=WCStatus.SUCCESS))
+        qp_out.post_recv(WorkRequest(
+            Opcode.RECV, [Sge(pair.buf_b.address + 1024, 64)]))
+        index = qp_out.post_send(WorkRequest(
+            Opcode.WAIT, wait_cq=watched.cq_id, wait_count=5, signaled=False))
+        pair.mem_b.write(pair.buf_b.address + 900, b"after-wait")
+        qp_out.post_send(WorkRequest(
+            Opcode.SEND, [Sge(pair.buf_b.address + 900, 10)], signaled=False))
+        ring = pair.nic_b.ring_mr(qp_out)
+        sim.run(until=us(50))
+        assert qp_out.sq.head == index  # Stalled on the WAIT.
+        pair.mem_a.write(pair.buf_a.address, (1).to_bytes(4, "little"))
+        pair.qp_a.post_send(WorkRequest(
+            Opcode.WRITE, [Sge(pair.buf_a.address, 4)],
+            remote_addr=qp_out.sq.field_address(index, OFF_WAIT_COUNT),
+            rkey=ring.rkey))
+        sim.run(until=ms(2))
+        assert pair.mem_b.read(pair.buf_b.address + 1024, 10) == b"after-wait"
+
+
+class TestWakeIsTargeted:
+    def _stalled_at_slot_one(self, sim, pair):
+        """A queue stalled on an unowned head in slot 1 (slot 0 consumed),
+        so a write can end exactly where the head begins."""
+        qp_out = loopback_qp(pair)
+        qp_out.post_send(WorkRequest(Opcode.NOP, signaled=False))
+        index = qp_out.post_send(WorkRequest(Opcode.NOP, signaled=False),
+                                 owned=False)
+        ring = pair.nic_b.ring_mr(qp_out)
+        sim.run(until=us(50))
+        assert qp_out.sq.head == index
+        return qp_out, qp_out.sq.slot_address(index), ring
+
+    def _write(self, sim, pair, remote_addr, size, rkey):
+        pair.qp_a.post_send(WorkRequest(
+            Opcode.WRITE, [Sge(pair.buf_a.address, size)],
+            remote_addr=remote_addr, rkey=rkey))
+        sim.run(until=sim.now + us(100))
+
+    def test_write_touching_last_byte_wakes(self, sim, pair, steps):
+        qp_out, head, ring = self._stalled_at_slot_one(sim, pair)
+        service = f"{qp_out.name}.sqsvc"
+        before = steps[service]
+        self._write(sim, pair, head + WQE_SIZE - 1, 2, ring.rkey)
+        assert steps[service] == before + 1
+
+    def test_write_ending_at_first_byte_does_not_wake(self, sim, pair, steps):
+        qp_out, head, ring = self._stalled_at_slot_one(sim, pair)
+        service = f"{qp_out.name}.sqsvc"
+        before = steps[service]
+        self._write(sim, pair, head - 8, 8, ring.rkey)
+        assert steps[service] == before
+        self._write(sim, pair, head + WQE_SIZE, 8, ring.rkey)  # Next slot.
+        assert steps[service] == before
+
+    def test_straddling_write_wakes_only_the_queue_whose_head_it_hit(
+            self, sim, pair, steps):
+        """Two rings adjacent in memory, both queues stalled on slot 0; a
+        write straddling the first ring's last slot and the second ring's
+        first wakes only the second queue."""
+        srq = pair.nic_b.create_srq(slots=16)
+        first, second = loopback_qp(pair, srq), loopback_qp(pair, srq)
+        assert first.sq.ring.end == second.sq.ring.address
+        for qp in (first, second):
+            qp.post_send(WorkRequest(Opcode.NOP, signaled=False), owned=False)
+        both = pair.nic_b.register_mr(
+            first.sq.ring.address, first.sq.ring.size + second.sq.ring.size,
+            RING_ACCESS)
+        sim.run(until=us(50))
+        before = dict(steps)
+        self._write(sim, pair, second.sq.ring.address - 4, 8, both.rkey)
+        assert steps[f"{second.name}.sqsvc"] == \
+            before[f"{second.name}.sqsvc"] + 1
+        assert steps[f"{first.name}.sqsvc"] == before[f"{first.name}.sqsvc"]

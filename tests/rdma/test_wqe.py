@@ -29,7 +29,7 @@ class TestEncodeDecode:
         assert decoded.wr_id == 42
         assert decoded.remote_addr == 0x2000
         assert decoded.rkey == 0xABCD
-        assert decoded.sg_list == [Sge(0x1000, 256)]
+        assert decoded.sg_list == (Sge(0x1000, 256),)
 
     def test_roundtrip_cas(self):
         wr = WorkRequest(Opcode.CAS, [Sge(8, 8)], compare=7, swap=99,
@@ -90,7 +90,7 @@ class TestEncodeDecode:
         assert decoded.remote_addr == remote_addr
         assert decoded.rkey == rkey
         assert decoded.imm == imm
-        assert decoded.sg_list == [Sge(a, l) for a, l in sges]
+        assert decoded.sg_list == tuple(Sge(a, l) for a, l in sges)
         assert decoded.total_length == sum(l for _a, l in sges)
 
 

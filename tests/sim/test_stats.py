@@ -1,5 +1,8 @@
 """Tests for latency recorders, counters and utilization tracking."""
 
+import os
+import subprocess
+import sys
 from array import array
 
 import numpy
@@ -159,6 +162,22 @@ class TestNumpyParity:
         assert recorder._use_numpy()
         assert recorder.percentile(50) == (stats.NUMPY_MIN_SAMPLES - 1) / 2
         assert isinstance(recorder._sorted, numpy.ndarray)
+
+
+def test_importing_repro_does_not_import_numpy():
+    """numpy is ~140 ms of import that only a >= NUMPY_MIN_SAMPLES summary
+    uses; a process that never makes one must not pay for it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.dirname(os.path.dirname(
+            os.path.dirname(stats.__file__))), env.get("PYTHONPATH", "")]))
+    snippet = ("import sys, repro\n"
+               "from repro.sim.stats import summarize_us\n"
+               "summarize_us(range(100))\n"
+               "print('numpy' in sys.modules)")
+    output = subprocess.run([sys.executable, "-c", snippet], env=env,
+                            capture_output=True, text=True, check=True)
+    assert output.stdout.strip() == "False"
 
 
 class TestCounter:
