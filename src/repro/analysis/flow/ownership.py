@@ -163,8 +163,9 @@ class RdmaInternalLeak(FlowRule):
                    "from core/backends simulates NIC behaviour in software "
                    "through one level of indirection — the whole-program "
                    "form of WQ01/WQ03.")
-    fixit = ("Stay on the public verbs surface (post_send/post_recv, "
-             "doorbells, grant_send, completions); private rdma internals "
+    fixit = ("Stay on the public verbs surface (post_send/post_recv and "
+             "their list forms post_send_list/post_recv_list, doorbells, "
+             "grant_send, completions); private rdma internals "
              "are the NIC's own machinery.")
 
     def check_project(self, project: ProjectIndex) -> Iterator[Violation]:

@@ -124,8 +124,9 @@ class NICConsumerAPI(Rule):
                    "wake_written() re-evaluates stalled queues; calling them "
                    "from core/backends simulates hardware behaviour in "
                    "software and invalidates the offload measurements.")
-    fixit = ("Drive the NIC through verbs (post_send/post_recv, doorbells, "
-             "completions) and let the rdma/ layer consume descriptors.")
+    fixit = ("Drive the NIC through verbs (post_send/post_recv and their list "
+             "forms, doorbells, completions) and let the rdma/ layer consume "
+             "descriptors.")
 
     def check(self, ctx: RuleContext) -> Iterator[Violation]:
         if ctx.module.startswith("repro/rdma/"):

@@ -38,7 +38,19 @@ from ..rdma.verbs import Access
 from ..rdma.wqe import WQE_SIZE, Opcode, Sge, WorkRequest
 from .metadata import NodeLayout, max_staging_len, staging_len
 
-__all__ = ["ReplicaEngine"]
+__all__ = ["ReplicaEngine", "prepost_gated"]
+
+
+def prepost_gated(qp, wait_cq, placeholders: int, count: int) -> int:
+    """List-post ``count`` slots of a WAIT on ``wait_cq`` gating
+    ``placeholders`` unowned NOPs for the metadata scatter to patch; returns
+    the first index.  The WAIT is consume-mode (``wait_count=0``) so a
+    cyclic ring re-serves it forever without count patching."""
+    wait = WorkRequest(Opcode.WAIT, wait_cq=wait_cq.cq_id, wait_count=0,
+                       signaled=False)
+    nop = WorkRequest(Opcode.NOP, signaled=False)
+    return qp.post_send_list([wait] + [nop] * placeholders,
+                             [True] + [False] * placeholders, times=count)
 
 
 class ReplicaEngine:
@@ -116,38 +128,23 @@ class ReplicaEngine:
     # ------------------------------------------------------------------
     # Slot pre-posting (control plane)
     # ------------------------------------------------------------------
-    def post_slot(self, slot: int) -> None:
-        """Pre-post the full WQE chain for pipeline slot ``slot``.
-
-        WAITs use consume-mode (``wait_count=0``) so the cyclic rings can
-        re-serve the same descriptors forever without count patching.
-        """
-        placeholder = WorkRequest(Opcode.NOP, signaled=False)
-        # Local queue: WAIT on the upstream RECV CQ, then the local op.
-        self.qp_local.post_send(WorkRequest(
-            Opcode.WAIT, wait_cq=self.up_recv_cq.cq_id, wait_count=0,
-            signaled=False))
-        local_idx = self.qp_local.post_send(placeholder, owned=False)
-        # Down queue: WAIT on the local op's CQE, then the three forwards.
-        self.qp_down.post_send(WorkRequest(
-            Opcode.WAIT, wait_cq=self.local_cq.cq_id, wait_count=0,
-            signaled=False))
-        fd_idx = self.qp_down.post_send(placeholder, owned=False)
-        ff_idx = self.qp_down.post_send(placeholder, owned=False)
-        fm_idx = self.qp_down.post_send(placeholder, owned=False)
-        # Upstream RECV: scatter the inbound metadata onto the four
-        # descriptors above, remainder into the staging buffer.
-        sg = [
-            Sge(self.qp_local.sq.slot_address(local_idx), WQE_SIZE),
-            Sge(self.qp_down.sq.slot_address(fd_idx), WQE_SIZE),
-            Sge(self.qp_down.sq.slot_address(ff_idx), WQE_SIZE),
-            Sge(self.qp_down.sq.slot_address(fm_idx), WQE_SIZE),
-            Sge(self.layout().staging_slot(slot),
-                staging_len(self.group_size, self.hop)),
-        ]
-        self.qp_up.post_recv(WorkRequest(Opcode.RECV, sg, wr_id=slot))
-        self.posted_slots += 1
-
     def prepost(self, count: int) -> None:
-        for slot in range(self.posted_slots, self.posted_slots + count):
-            self.post_slot(slot)
+        """Pre-post the WQE chains of the next ``count`` pipeline slots."""
+        # Local queue: WAIT on the upstream RECV CQ, then the local op.
+        local = prepost_gated(self.qp_local, self.up_recv_cq, 1, count)
+        # Down queue: WAIT on the local op's CQE, then the three forwards
+        # (data, flush, metadata).
+        down = prepost_gated(self.qp_down, self.local_cq, 3, count)
+        # Upstream RECVs: scatter the inbound metadata onto the slot's four
+        # placeholders, remainder into the staging buffer.
+        local_sq, down_sq = self.qp_local.sq, self.qp_down.sq
+        layout, first = self.layout(), self.posted_slots
+        meta_len = staging_len(self.group_size, self.hop)
+        self.qp_up.post_recv_list([WorkRequest(Opcode.RECV, [
+            Sge(local_sq.slot_address(local + 2 * k + 1), WQE_SIZE),
+            Sge(down_sq.slot_address(down + 4 * k + 1), WQE_SIZE),
+            Sge(down_sq.slot_address(down + 4 * k + 2), WQE_SIZE),
+            Sge(down_sq.slot_address(down + 4 * k + 3), WQE_SIZE),
+            Sge(layout.staging_slot(first + k), meta_len),
+        ], wr_id=first + k) for k in range(count)])
+        self.posted_slots += count

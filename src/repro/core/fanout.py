@@ -167,8 +167,8 @@ class FanoutGroup(GroupBase):
             for i in range(self.group_size)]
         for qp in self.ack_qps:
             qp.rq.cyclic = True
-            for _ in range(self.config.slots):
-                qp.post_recv(WorkRequest(Opcode.RECV, [], wr_id=0))
+            qp.post_recv_list([WorkRequest(Opcode.RECV, [], wr_id=0)],
+                              times=self.config.slots)
         self.submit_thread = self.client_host.spawn_thread(
             f"{self.name}.submit")
         self.poller = self.client_host.spawn_thread(f"{self.name}.poller")

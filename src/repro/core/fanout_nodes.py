@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from ..host import Host
 from ..rdma.verbs import Access
-from ..rdma.wqe import MAX_SGE, WQE_SIZE, Opcode, Sge, WorkRequest
+from ..rdma.wqe import WQE_SIZE, Opcode, Sge, WorkRequest
+from .chain import prepost_gated
 
 __all__ = ["_FanoutPrimary", "_FanoutBackup",
            "_PRIMARY_BLOCK_WQES", "_BACKUP_BLOCK_WQES", "_BACKUP_MSG_SIZE"]
@@ -68,6 +69,7 @@ class _FanoutPrimary:
         self.qp_ack.sq.cyclic = True
         for qp in self.qp_backups:
             qp.sq.cyclic = True
+        self.posted_slots = 0
 
     def staging_slot(self, slot: int, backup: int) -> int:
         config = self.group.config
@@ -76,42 +78,32 @@ class _FanoutPrimary:
                 + (slot % config.slots) * per_slot
                 + backup * _BACKUP_MSG_SIZE)
 
-    def post_slot(self, slot: int) -> None:
-        """Pre-post one op's WQE chain (consume-mode WAITs, cyclic rings)."""
-        placeholder = WorkRequest(Opcode.NOP, signaled=False)
-        # Local op: gated on the metadata RECV.
-        self.qp_local.post_send(WorkRequest(
-            Opcode.WAIT, wait_cq=self.up_cq.cq_id, wait_count=0,
-            signaled=False))
-        local_idx = self.qp_local.post_send(placeholder, owned=False)
-        # Primary ACK to client: gated on the local op's completion.
-        self.qp_ack.post_send(WorkRequest(
-            Opcode.WAIT, wait_cq=self.local_cq.cq_id, wait_count=0,
-            signaled=False))
-        ack_idx = self.qp_ack.post_send(placeholder, owned=False)
-        # Per-backup fan-out: data WRITE + metadata SEND, gated on the
-        # local op so gCAS/gMEMCPY results/ordering hold.
-        sg = [Sge(self.qp_local.sq.slot_address(local_idx), WQE_SIZE),
-              Sge(self.qp_ack.sq.slot_address(ack_idx), WQE_SIZE)]
-        for backup, qp in enumerate(self.qp_backups):
-            qp.post_send(WorkRequest(
-                Opcode.WAIT, wait_cq=self.local_cq.cq_id, wait_count=0,
-                signaled=False))
-            write_idx = qp.post_send(placeholder, owned=False)
-            flush_idx = qp.post_send(placeholder, owned=False)
-            send_idx = qp.post_send(placeholder, owned=False)
-            if send_idx != write_idx + 2 or flush_idx != write_idx + 1:
-                raise RuntimeError("fan-out block not contiguous")
-            sg.append(Sge(qp.sq.slot_address(write_idx),
-                          _PRIMARY_BLOCK_WQES * WQE_SIZE))
-            sg.append(Sge(self.staging_slot(slot, backup), _BACKUP_MSG_SIZE))
-        if len(sg) > MAX_SGE:
-            raise RuntimeError("too many backups for the scatter list")
-        self.qp_up.post_recv(WorkRequest(Opcode.RECV, sg, wr_id=slot))
-
     def prepost(self, count: int) -> None:
-        for slot in range(count):
-            self.post_slot(slot)
+        """Pre-post the next ``count`` ops' WQE chains, one list post per
+        ring."""
+        # Local op: gated on the metadata RECV.
+        local = prepost_gated(self.qp_local, self.up_cq, 1, count)
+        # Primary ACK to client: gated on the local op's completion.
+        ack = prepost_gated(self.qp_ack, self.local_cq, 1, count)
+        # Per-backup fan-out: data WRITE + flush READ + metadata SEND, gated
+        # on the local op so gCAS/gMEMCPY results/ordering hold.
+        outs = [prepost_gated(qp, self.local_cq, _PRIMARY_BLOCK_WQES, count)
+                for qp in self.qp_backups]
+        out_stride = 1 + _PRIMARY_BLOCK_WQES  # The WAIT, then the block.
+        recvs = []
+        for k in range(count):
+            slot = self.posted_slots + k
+            sg = [Sge(self.qp_local.sq.slot_address(local + 2 * k + 1),
+                      WQE_SIZE),
+                  Sge(self.qp_ack.sq.slot_address(ack + 2 * k + 1), WQE_SIZE)]
+            for backup, (qp, out) in enumerate(zip(self.qp_backups, outs)):
+                sg.append(Sge(qp.sq.slot_address(out + out_stride * k + 1),
+                              _PRIMARY_BLOCK_WQES * WQE_SIZE))
+                sg.append(Sge(self.staging_slot(slot, backup),
+                              _BACKUP_MSG_SIZE))
+            recvs.append(WorkRequest(Opcode.RECV, sg, wr_id=slot))
+        self.qp_up.post_recv_list(recvs)
+        self.posted_slots += count
 
 
 class _FanoutBackup:
@@ -144,22 +136,13 @@ class _FanoutBackup:
         self.qp_up.rq.cyclic = True
         self.qp_local.sq.cyclic = True
         self.qp_ack.sq.cyclic = True
-
-    def post_slot(self, slot: int) -> None:
-        placeholder = WorkRequest(Opcode.NOP, signaled=False)
-        self.qp_local.post_send(WorkRequest(
-            Opcode.WAIT, wait_cq=self.up_cq.cq_id, wait_count=0,
-            signaled=False))
-        local_idx = self.qp_local.post_send(placeholder, owned=False)
-        self.qp_ack.post_send(WorkRequest(
-            Opcode.WAIT, wait_cq=self.local_cq.cq_id, wait_count=0,
-            signaled=False))
-        ack_idx = self.qp_ack.post_send(placeholder, owned=False)
-        self.qp_up.post_recv(WorkRequest(Opcode.RECV, [
-            Sge(self.qp_local.sq.slot_address(local_idx), WQE_SIZE),
-            Sge(self.qp_ack.sq.slot_address(ack_idx), WQE_SIZE),
-        ], wr_id=slot))
+        self.posted_slots = 0
 
     def prepost(self, count: int) -> None:
-        for slot in range(count):
-            self.post_slot(slot)
+        local = prepost_gated(self.qp_local, self.up_cq, 1, count)
+        ack = prepost_gated(self.qp_ack, self.local_cq, 1, count)
+        self.qp_up.post_recv_list([WorkRequest(Opcode.RECV, [
+            Sge(self.qp_local.sq.slot_address(local + 2 * k + 1), WQE_SIZE),
+            Sge(self.qp_ack.sq.slot_address(ack + 2 * k + 1), WQE_SIZE),
+        ], wr_id=self.posted_slots + k) for k in range(count)])
+        self.posted_slots += count

@@ -128,8 +128,8 @@ class HyperLoopGroup(GroupBase):
         self.replicas[-1].qp_down.connect(self.qp_ack)
 
     def _post_ack_recvs(self, count: int) -> None:
-        for _ in range(count):
-            self.qp_ack.post_recv(WorkRequest(Opcode.RECV, [], wr_id=0))
+        self.qp_ack.post_recv_list([WorkRequest(Opcode.RECV, [], wr_id=0)],
+                                   times=count)
 
     def _start_client_processes(self) -> None:
         self.submit_thread = self.client_host.spawn_thread(f"{self.name}.submit")

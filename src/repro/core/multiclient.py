@@ -40,6 +40,7 @@ from ..host import Host
 from ..rdma.verbs import Access
 from ..rdma.wqe import WQE_SIZE, Opcode, Sge, WorkRequest, encode_wqe
 from ..sim.engine import Event
+from .chain import prepost_gated
 from .group import GroupConfig, OpResult
 from .metadata import OpKind, OpSpec
 
@@ -100,54 +101,53 @@ class _SharedReplica:
                                      sq_slots=4 * config.slots, rq_slots=8,
                                      name=f"{self.name}.down")
         self.qp_down.sq.cyclic = True
+        self.posted_slots = 0
 
     def staging_slot(self, slot: int) -> int:
         return self.staging.address \
             + (slot % self.chain.config.slots) * self.staging_stride
 
-    def receive_queue(self):
-        return self.srq if self.srq is not None else self.qp_up.rq
-
-    def post_slot(self, slot: int) -> None:
+    def prepost(self, count: int) -> None:
+        """Pre-post the next ``count`` slots: one list post per ring."""
         chain = self.chain
+        slots = range(self.posted_slots, self.posted_slots + count)
         placeholder = WorkRequest(Opcode.NOP, signaled=False)
-        self.qp_local.post_send(WorkRequest(
-            Opcode.WAIT, wait_cq=self.up_cq.cq_id, wait_count=0,
-            signaled=False))
-        local_idx = self.qp_local.post_send(placeholder, owned=False)
-        self.qp_down.post_send(WorkRequest(
-            Opcode.WAIT, wait_cq=self.local_cq.cq_id, wait_count=0,
-            signaled=False))
-        fd_idx = self.qp_down.post_send(placeholder, owned=False)
-        ff_idx = self.qp_down.post_send(placeholder, owned=False)
-        # The metadata forward / tail ACK is STATIC: fully pre-posted and
-        # owned, so it needs nothing from the (slot-oblivious) client.
-        if self.is_tail:
-            self.qp_down.post_send(WorkRequest(
-                Opcode.WRITE_WITH_IMM,
-                [Sge(self.staging_slot(slot), TAG_SIZE)],
-                remote_addr=chain.ack_slot_addr(slot),
-                rkey=chain.ack_mr.rkey,
-                imm=slot % chain.config.slots, signaled=False,
-                static=True))
-        else:
-            self.qp_down.post_send(WorkRequest(
-                Opcode.SEND,
-                [Sge(self.staging_slot(slot),
-                     _meta_len(chain.group_size, self.hop + 1))],
-                signaled=False, static=True))
-        receive_queue = self.receive_queue()
-        receive_queue.post(WorkRequest(Opcode.RECV, [
-            Sge(self.qp_local.sq.slot_address(local_idx), WQE_SIZE),
-            Sge(self.qp_down.sq.slot_address(fd_idx), WQE_SIZE),
-            Sge(self.qp_down.sq.slot_address(ff_idx), WQE_SIZE),
+        local = prepost_gated(self.qp_local, self.up_cq, 1, count)
+        wait = WorkRequest(Opcode.WAIT, wait_cq=self.local_cq.cq_id,
+                           wait_count=0, signaled=False)
+        down_wrs = []
+        for slot in slots:
+            # The metadata forward / tail ACK is STATIC: fully pre-posted
+            # and owned, so it needs nothing from the (slot-oblivious)
+            # client.
+            if self.is_tail:
+                static = WorkRequest(
+                    Opcode.WRITE_WITH_IMM,
+                    [Sge(self.staging_slot(slot), TAG_SIZE)],
+                    remote_addr=chain.ack_slot_addr(slot),
+                    rkey=chain.ack_mr.rkey,
+                    imm=slot % chain.config.slots, signaled=False,
+                    static=True)
+            else:
+                static = WorkRequest(
+                    Opcode.SEND,
+                    [Sge(self.staging_slot(slot),
+                         _meta_len(chain.group_size, self.hop + 1))],
+                    signaled=False, static=True)
+            down_wrs += [wait, placeholder, placeholder, static]
+        down = self.qp_down.post_send_list(
+            down_wrs, [True, False, False, True] * count)
+        local_sq, down_sq = self.qp_local.sq, self.qp_down.sq
+        recvs = [WorkRequest(Opcode.RECV, [
+            Sge(local_sq.slot_address(local + 2 * k + 1), WQE_SIZE),
+            Sge(down_sq.slot_address(down + 4 * k + 1), WQE_SIZE),
+            Sge(down_sq.slot_address(down + 4 * k + 2), WQE_SIZE),
             Sge(self.staging_slot(slot),
                 _meta_len(chain.group_size, self.hop) - _ENTRY_SIZE),
-        ], wr_id=slot))
-
-    def prepost(self, count: int) -> None:
-        for slot in range(count):
-            self.post_slot(slot)
+        ], wr_id=slot) for k, slot in enumerate(slots)]
+        receive_queue = self.srq if self.srq is not None else self.qp_up.rq
+        receive_queue.post_list(recvs, [True] * count)
+        self.posted_slots += count
 
 
 class SharedChain:
@@ -197,8 +197,8 @@ class SharedChain:
                                     rq_slots=config.slots,
                                     name=f"{self.name}.ackqp")
         self.qp_ack.rq.cyclic = True
-        for _ in range(config.slots):
-            self.qp_ack.post_recv(WorkRequest(Opcode.RECV, [], wr_id=0))
+        self.qp_ack.post_recv_list([WorkRequest(Opcode.RECV, [], wr_id=0)],
+                                   times=config.slots)
         self.ack_thread = self.owner_host.spawn_thread(f"{self.name}.ackhub")
 
     def _wire_chain(self) -> None:

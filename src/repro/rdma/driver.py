@@ -24,16 +24,18 @@ changes are:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from ..nvm.memory import Allocation, MemoryDevice
 from .wqe import (
+    OFF_IMM,
     WQE_SIZE,
     DecodedWQE,
     Opcode,
     WorkRequest,
     WQEFlags,
     decode_wqe,
+    decode_wqe_header,
     encode_wqe,
 )
 
@@ -44,6 +46,10 @@ __all__ = ["WorkQueue", "RingFullError"]
 #: different key.  Bounded by a constant; the oldest image is evicted.
 _PARSE_MEMO_ENTRIES = 512
 _parse_memo: Dict[bytes, DecodedWQE] = {}
+
+#: Most descriptors a list post repeats into one serialized run, or a flush
+#: reads in one go: a whole 4096-slot ring (655 KB) showed in peak RSS.
+_CHUNK_WQES = 128
 
 # Plain ints, for comparing against raw ring bytes.
 _OWNED = int(WQEFlags.OWNED)
@@ -119,6 +125,45 @@ class WorkQueue:
         self.tail += 1
         return index
 
+    def post_list(self, wrs: Sequence[WorkRequest], owned: Sequence[bool],
+                  times: int = 1) -> int:
+        """List post (``ibv_post_send`` with a WR chain): ``wrs``, entry ``i``
+        with ownership ``owned[i]``, ``times`` over; returns the first index.
+
+        Ring bytes and ``tail`` end up as after one :meth:`post` per
+        descriptor, but each distinct WR object is encoded once and each
+        contiguous run of slots written once.  All-or-nothing: a list that
+        does not fit or does not encode changes neither bytes nor ``tail``.
+        """
+        if times < 0:
+            raise ValueError("times must be non-negative")
+        first, end = self.tail, self.tail + len(wrs) * times
+        if end - self.head > self.num_slots:
+            raise RingFullError(f"{self.name}: {end - first} descriptors "
+                                f"into {self.free_slots} free slots")
+        images: Dict[Tuple[int, bool], bytes] = {}
+        block = []
+        for wr, own in zip(wrs, owned, strict=True):
+            image = images.get((id(wr), own))
+            if image is None:
+                image = images[id(wr), own] = encode_wqe(wr, owned=own)
+            block.append(image)
+        # Serialized once per call, in whole blocks: a temporary per write
+        # fragments the heap between the ring pages it makes resident.
+        repeats = max(1, min(times, _CHUNK_WQES // max(1, len(block))))
+        run = b"".join(block) * repeats
+        run_wqes = len(block) * repeats
+        index = first
+        while index < end:
+            slot = index % self.num_slots
+            at = (index - first) % run_wqes
+            count = min(run_wqes - at, end - index, self.num_slots - slot)
+            self.memory.write(self.ring.address + slot * WQE_SIZE,
+                              run[at * WQE_SIZE:(at + count) * WQE_SIZE])
+            index += count
+        self.tail = end
+        return first
+
     def grant(self, index: int) -> None:
         """Set the ownership bit of a previously posted descriptor."""
         addr = self.field_address(index, 1)  # OFF_FLAGS
@@ -159,6 +204,28 @@ class WorkQueue:
                 self.memory.write(addr + 1, bytes([flags & ~_OWNED]))
             self.tail += 1  # Re-arm the slot at the ring tail.
         self.head += 1
+
+    def flush(self) -> Iterator[Tuple[Opcode, int]]:
+        """Error flush: consume every outstanding descriptor unexecuted,
+        yielding its ``(opcode, wr_id)`` in ring order — one tuple per
+        distinct header, so a consumer can key on it.  A corrupt descriptor
+        raises as :func:`decode_wqe` would, with ``head`` left on it."""
+        seen: Dict[bytes, Tuple[Opcode, int]] = {}
+        while self.head < self.tail:
+            slot = self.head % self.num_slots
+            run = min(_CHUNK_WQES, self.tail - self.head,
+                      self.num_slots - slot)
+            raw = self.memory.read(self.ring.address + slot * WQE_SIZE,
+                                   run * WQE_SIZE)
+            for offset in range(0, len(raw), WQE_SIZE):
+                header = raw[offset:offset + OFF_IMM]
+                flushed = seen.get(header)
+                if flushed is None:
+                    opcode, _flags, _num_sge, wr_id, _imm, _rkey = \
+                        decode_wqe_header(raw, offset)
+                    flushed = seen[header] = (opcode, wr_id)
+                self.head += 1
+                yield flushed
 
     def reset(self) -> None:
         """Drop all outstanding descriptors (QP teardown / error flush)."""

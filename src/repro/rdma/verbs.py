@@ -17,7 +17,8 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum, IntFlag
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, Deque, Dict, List, Optional,
+                    Sequence, Tuple)
 
 from ..sim.engine import Event, Simulator
 from .driver import WorkQueue
@@ -281,10 +282,29 @@ class QueuePair:
         self.nic.doorbell(self)
         return index
 
+    def post_send_list(self, wrs: Sequence[WorkRequest],
+                       owned: Sequence[bool], times: int = 1) -> int:
+        """List form of :meth:`post_send`: the block ``wrs`` ``times`` over,
+        checked as a whole, one doorbell (:meth:`WorkQueue.post_list`)."""
+        if self.state is not QPState.RTS:
+            raise RuntimeError(f"{self.name}: not connected (state={self.state})")
+        if any(wr.opcode is Opcode.RECV for wr in wrs):
+            raise ValueError("RECV work requests go to post_recv")
+        index = self.sq.post_list(wrs, owned, times)
+        if self.sq.tail > index:
+            self.nic.doorbell(self)
+        return index
+
     def post_recv(self, wr: WorkRequest) -> int:
         if wr.opcode is not Opcode.RECV:
             raise ValueError(f"post_recv requires RECV, got {wr.opcode}")
         return self.rq.post(wr, owned=True)
+
+    def post_recv_list(self, wrs: Sequence[WorkRequest], times: int = 1) -> int:
+        """List form of :meth:`post_recv`."""
+        if any(wr.opcode is not Opcode.RECV for wr in wrs):
+            raise ValueError("post_recv_list requires RECV work requests")
+        return self.rq.post_list(wrs, (True,) * len(wrs), times)
 
     def grant_send(self, index: int) -> None:
         """Grant NIC ownership of a deferred send WQE, then doorbell."""
@@ -299,13 +319,16 @@ class QueuePair:
         self.sq.cyclic = False
         if not self.uses_srq:
             self.rq.cyclic = False
-        while True:
-            wqe = self.sq.peek_head()
-            if wqe is None:
-                break
-            self.sq.advance_head()
-            self.send_cq.push(WorkCompletion(
-                wr_id=wqe.wr_id, opcode=wqe.opcode, status=WCStatus.FLUSHED,
-                qp_num=self.qp_num))
+        # A pre-posted ring flushes thousands of identical descriptors; the
+        # completions are immutable, so equal ones are one shared object.
+        completions: Dict[Tuple[Opcode, int], WorkCompletion] = {}
+        for flushed in self.sq.flush():
+            wc = completions.get(flushed)
+            if wc is None:
+                opcode, wr_id = flushed
+                wc = completions[flushed] = WorkCompletion(
+                    wr_id=wr_id, opcode=opcode, status=WCStatus.FLUSHED,
+                    qp_num=self.qp_num)
+            self.send_cq.push(wc)
         if not self.uses_srq:
             self.rq.reset()

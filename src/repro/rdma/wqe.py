@@ -62,6 +62,7 @@ __all__ = [
     "sge_offset",
     "encode_wqe",
     "decode_wqe",
+    "decode_wqe_header",
 ]
 
 WQE_SIZE = 160
@@ -215,21 +216,30 @@ class DecodedWQE:
         return sum(sge.length for sge in self.sg_list)
 
 
+def decode_wqe_header(data: bytes, offset: int = 0) -> Tuple[
+        Opcode, int, int, int, int, int]:
+    """``(opcode, flags, num_sge, wr_id, imm, rkey)`` of the descriptor at
+    ``data[offset:]``; a corrupt ``num_sge`` or unknown opcode raises."""
+    opcode_raw, flags, num_sge, wr_id, imm, rkey = \
+        _HEADER.unpack_from(data, offset)
+    if num_sge > MAX_SGE:
+        raise ValueError(f"corrupt descriptor: num_sge={num_sge}")
+    return Opcode(opcode_raw), flags, num_sge, wr_id, imm, rkey
+
+
 def decode_wqe(data: bytes) -> DecodedWQE:
     """Parse a WQE_SIZE-byte descriptor as the NIC sees it."""
     if len(data) != WQE_SIZE:
         raise ValueError(f"descriptor must be {WQE_SIZE} bytes, got {len(data)}")
-    opcode_raw, flags, num_sge, wr_id, imm, rkey = _HEADER.unpack_from(data, 0)
+    opcode, flags, num_sge, wr_id, imm, rkey = decode_wqe_header(data)
     remote_addr, compare, swap, wait_cq, wait_count = \
         _EXT.unpack_from(data, OFF_REMOTE_ADDR)
-    if num_sge > MAX_SGE:
-        raise ValueError(f"corrupt descriptor: num_sge={num_sge}")
     sg_list = []
     for i in range(num_sge):
         addr, length, _pad = _SGE.unpack_from(data, OFF_SGE0 + i * SGE_SIZE)
         sg_list.append(Sge(addr, length))
     return DecodedWQE(
-        opcode=Opcode(opcode_raw),
+        opcode=opcode,
         owned=bool(flags & WQEFlags.OWNED),
         signaled=bool(flags & WQEFlags.SIGNALED),
         fence=bool(flags & WQEFlags.FENCE),

@@ -6,11 +6,20 @@
 from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.nvm.memory import NVM
 from repro.rdma import driver
 from repro.rdma.driver import RingFullError, WorkQueue
-from repro.rdma.wqe import WQE_SIZE, Opcode, Sge, WorkRequest, encode_wqe
+from repro.rdma.wqe import (
+    OFF_NUM_SGE,
+    OFF_OPCODE,
+    WQE_SIZE,
+    Opcode,
+    Sge,
+    WorkRequest,
+    encode_wqe,
+)
 
 
 @pytest.fixture
@@ -205,3 +214,148 @@ class TestParseMemo:
             assert wq.peek_head().wr_id == wr_id
             wq.advance_head()
         assert len(driver._parse_memo) <= driver._PARSE_MEMO_ENTRIES
+
+
+def _wr_pool():
+    """A few WR objects to draw lists from — repeats share identity, the
+    way a pre-posted pattern repeats one WAIT and one placeholder."""
+    return [
+        WorkRequest(Opcode.NOP, signaled=False),
+        WorkRequest(Opcode.WAIT, wait_cq=3, wait_count=0, signaled=False),
+        WorkRequest(Opcode.WRITE, [Sge(64, 8)], remote_addr=0x100, rkey=7),
+        WorkRequest(Opcode.SEND, [Sge(8 * i, i) for i in range(6)],
+                    wr_id=11, static=True),
+        WorkRequest(Opcode.RECV, [Sge(512, 32)], wr_id=5),
+    ]
+
+
+def _twin_rings(slots, offset):
+    """Two identical empty rings whose next slot is ``offset``."""
+    twins = []
+    for _ in range(2):
+        memory = NVM(slots * WQE_SIZE + 4096)
+        wq = WorkQueue(memory, memory.allocate(slots * WQE_SIZE, "ring"))
+        wq.head = wq.tail = offset
+        twins.append((memory, wq))
+    return twins
+
+
+def _ring_bytes(memory, wq):
+    return memory.read(wq.ring.address, wq.ring.size)
+
+
+class TestListPost:
+    """``post_list`` is ``post`` in a loop, minus the repeated work."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(picks=st.lists(st.tuples(st.integers(0, 4), st.booleans()),
+                          max_size=6),
+           times=st.integers(0, 5), slots=st.integers(1, 12),
+           offset=st.integers(0, 40), taken=st.integers(0, 3))
+    def test_same_ring_as_one_post_per_descriptor(self, picks, times, slots,
+                                                  offset, taken):
+        pool = _wr_pool()
+        wrs = [pool[i] for i, _own in picks]
+        owned = [own for _i, own in picks]
+        (mem_list, wq_list), (mem_each, wq_each) = _twin_rings(slots, offset)
+        for memory, wq in ((mem_list, wq_list), (mem_each, wq_each)):
+            for _ in range(min(taken, slots)):  # Outstanding, not ours.
+                wq.post(WorkRequest(Opcode.NOP, wr_id=99))
+        before = _ring_bytes(mem_list, wq_list), wq_list.tail
+        if len(wrs) * times > wq_each.free_slots:
+            with pytest.raises(RingFullError):
+                wq_list.post_list(wrs, owned, times)
+            assert (_ring_bytes(mem_list, wq_list), wq_list.tail) == before
+            return
+        first = wq_each.tail
+        for _ in range(times):
+            for wr, own in zip(wrs, owned):
+                wq_each.post(wr, owned=own)
+        assert wq_list.post_list(wrs, owned, times) == first
+        assert wq_list.tail == wq_each.tail
+        assert _ring_bytes(mem_list, wq_list) == _ring_bytes(mem_each, wq_each)
+
+    def test_a_list_that_does_not_fit_changes_nothing(self, ring):
+        memory, wq = ring
+        wq.post(WorkRequest(Opcode.NOP, wr_id=1))
+        before = _ring_bytes(memory, wq)
+        with pytest.raises(RingFullError):
+            wq.post_list([WorkRequest(Opcode.NOP)] * 2, [True, False],
+                         times=4)  # 8 into 7 free slots.
+        assert (_ring_bytes(memory, wq), wq.tail) == (before, 1)
+        wq.post_list([WorkRequest(Opcode.NOP)], [True], times=7)  # Just fits.
+        assert wq.free_slots == 0
+
+    def test_a_list_that_does_not_encode_changes_nothing(self, ring):
+        memory, wq = ring
+        too_wide = WorkRequest(Opcode.SEND, [Sge(0, 1)] * 7)
+        with pytest.raises(ValueError):
+            wq.post_list([WorkRequest(Opcode.NOP, wr_id=4), too_wide],
+                         [True, True])
+        assert _ring_bytes(memory, wq) == bytes(wq.ring.size)
+        assert wq.tail == 0
+        with pytest.raises(ValueError):  # Mask and list must pair up.
+            wq.post_list([WorkRequest(Opcode.NOP)] * 2, [True])
+        with pytest.raises(ValueError):
+            wq.post_list([WorkRequest(Opcode.NOP)], [True], times=-1)
+
+    def test_each_distinct_wr_is_encoded_once_and_each_run_written_once(
+            self, monkeypatch):
+        (memory, wq), _ = _twin_rings(slots=1024, offset=1000)
+        calls = {"encode": 0, "write": 0}
+        encode, write = driver.encode_wqe, memory.write
+
+        def counting_encode(wr, owned):
+            calls["encode"] += 1
+            return encode(wr, owned)
+
+        def counting_write(address, data):
+            calls["write"] += 1
+            write(address, data)
+
+        monkeypatch.setattr(driver, "encode_wqe", counting_encode)
+        monkeypatch.setattr(memory, "write", counting_write)
+        wait, nop = _wr_pool()[1], _wr_pool()[0]
+        wq.post_list([wait, nop, nop, nop], [True, False, False, False],
+                     times=256)
+        # WAIT and the unowned placeholder; the run up to the ring end (24
+        # slots), then ceil(1000 / _CHUNK_WQES) runs from slot 0.
+        assert calls["encode"] == 2
+        assert calls["write"] == 1 + -(-1000 // driver._CHUNK_WQES)
+        assert wq.outstanding == 1024
+        # The same WR posted owned and unowned is two images.
+        wq.head = wq.tail
+        wq.post_list([nop, nop], [True, False])
+        assert calls["encode"] == 4
+
+
+class TestFlush:
+    def test_wrapped_ring_flushes_in_ring_order(self, ring):
+        _memory, wq = ring
+        wq.head = wq.tail = 5
+        for wr_id in range(8):
+            wq.post(WorkRequest(Opcode.SEND if wr_id % 2 else Opcode.WAIT,
+                                wr_id=wr_id), owned=bool(wr_id % 3))
+        assert list(wq.flush()) == [
+            (Opcode.SEND if wr_id % 2 else Opcode.WAIT, wr_id)
+            for wr_id in range(8)]
+        assert wq.head == wq.tail == 13
+
+    @pytest.mark.parametrize("field_offset, value", [
+        (OFF_NUM_SGE, 7),     # More SGEs than a descriptor holds.
+        (OFF_OPCODE, 99),     # No such opcode.
+    ])
+    def test_corrupt_descriptor_stops_the_flush_where_peek_would(
+            self, ring, field_offset, value):
+        memory, wq = ring
+        for wr_id in range(4):
+            wq.post(WorkRequest(Opcode.NOP, wr_id=wr_id))
+        memory.write(wq.field_address(2, field_offset), bytes([value]))
+        flushed = []
+        with pytest.raises(ValueError):
+            for entry in wq.flush():
+                flushed.append(entry)
+        assert flushed == [(Opcode.NOP, 0), (Opcode.NOP, 1)]
+        assert wq.head == 2
+        with pytest.raises(ValueError):  # What the NIC would have hit.
+            wq.peek_head()

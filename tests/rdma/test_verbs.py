@@ -191,3 +191,45 @@ class TestQueuePair:
         completions = cq_a.poll()
         assert len(completions) == 1
         assert completions[0].status is WCStatus.FLUSHED
+
+    def test_to_error_flushes_a_wrapped_cyclic_ring_in_ring_order(
+            self, nics, sim):
+        """Three owned NOPs execute and re-arm at the tail, so the eight
+        outstanding descriptors start mid-ring and wrap its end."""
+        nic_a, _nic_b = nics
+        cq = nic_a.create_cq()
+        qp = nic_a.create_qp(cq, cq, sq_slots=8, rq_slots=8)
+        qp.connect(qp)
+        qp.sq.cyclic = True
+        for wr_id in range(8):
+            qp.post_send(WorkRequest(
+                Opcode.NOP if wr_id < 3 else Opcode.WRITE, wr_id=wr_id,
+                signaled=False), owned=wr_id < 3)
+        sim.run(until=1_000_000)
+        assert (qp.sq.head, qp.sq.tail) == (3, 11)
+        qp.to_error()
+        flushed = cq.poll(16)
+        assert all(wc.status is WCStatus.FLUSHED and wc.qp_num == qp.qp_num
+                   for wc in flushed)
+        assert [wc.wr_id for wc in flushed] == [3, 4, 5, 6, 7, 0, 1, 2]
+        assert [wc.opcode for wc in flushed] == \
+            [Opcode.WRITE] * 5 + [Opcode.NOP] * 3
+        assert qp.sq.outstanding == 0 and not qp.sq.cyclic
+
+    def test_list_forms_run_the_single_post_checks(self, nics):
+        nic_a, nic_b = nics
+        cq_a, cq_b = nic_a.create_cq(), nic_b.create_cq()
+        qp_a = nic_a.create_qp(cq_a, cq_a, sq_slots=8, rq_slots=8)
+        qp_b = nic_b.create_qp(cq_b, cq_b, sq_slots=8, rq_slots=8)
+        nop, recv = WorkRequest(Opcode.NOP), WorkRequest(Opcode.RECV)
+        with pytest.raises(RuntimeError):  # Not connected yet.
+            qp_a.post_send_list([nop], [True])
+        qp_a.connect(qp_b)
+        with pytest.raises(ValueError):
+            qp_a.post_send_list([nop, recv], [True, True])
+        with pytest.raises(ValueError):
+            qp_a.post_recv_list([recv, nop])
+        assert qp_a.sq.tail == qp_a.rq.tail == 0
+        assert qp_a.post_send_list([nop], [False], times=3) == 0
+        assert qp_a.post_recv_list([recv], times=2) == 0
+        assert (qp_a.sq.tail, qp_a.rq.tail) == (3, 2)

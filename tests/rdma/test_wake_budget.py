@@ -3,13 +3,15 @@
 Counts, not timings: a fixed seed repeats them exactly.  The budget is the
 pair the two skip rules exist for — how often a send queue looks at its
 head for every descriptor it executes (targeted wake), and how many of
-those looks need a fresh parse (content-keyed memo).
+those looks need a fresh parse (content-keyed memo) — and, for the control
+plane, what building and flushing one group's pre-posted rings may cost.
 """
 
 import pytest
 
 from repro.baseline.naive import NaiveConfig, NaiveGroup
 from repro.core.group import GroupConfig, HyperLoopGroup
+from repro.nvm.memory import SparsePages
 from repro.rdma import driver
 from repro.rdma.driver import WorkQueue
 
@@ -55,3 +57,35 @@ def test_peeks_and_parses_per_executed_wqe(cluster, monkeypatch, group_cls,
     assert counts["peeks"] / executed <= peeks_per_exec
     assert counts["decodes"] <= 0.6 * counts["peeks"]
     group.close()
+
+
+def test_build_and_flush_work_per_preposted_slot(cluster, monkeypatch):
+    """22 descriptors per slot are pre-posted (3 replicas x 7, plus the ACK
+    RECV); only the 3 RECVs differ from slot to slot.  One encode and one
+    ring write per descriptor was 22 x 64 = 1408 of each."""
+    slots = 64
+    counts = {"encodes": 0, "writes": 0, "peeks": 0}
+
+    def counted(key, function):
+        def counting(*args, **kwargs):
+            counts[key] += 1
+            return function(*args, **kwargs)
+        return counting
+
+    monkeypatch.setattr(driver, "encode_wqe",
+                        counted("encodes", driver.encode_wqe))
+    monkeypatch.setattr(SparsePages, "write",
+                        counted("writes", SparsePages.write))
+    monkeypatch.setattr(WorkQueue, "peek_head",
+                        counted("peeks", WorkQueue.peek_head))
+    client = cluster.add_host("pb-client")
+    group = HyperLoopGroup(client, cluster.add_hosts(3, prefix="pb-replica"),
+                           GroupConfig(slots=slots, region_size=1 << 20))
+    assert counts["encodes"] <= 3 * slots + 16
+    assert counts["writes"] <= 3 * slots + 64
+    assert counts["peeks"] == 0
+    flushed = sum(qp.sq.outstanding for host in cluster.hosts.values()
+                  for qp in host.nic.qps.values())
+    assert flushed == 3 * 6 * slots
+    group.close()
+    assert counts["peeks"] == 0

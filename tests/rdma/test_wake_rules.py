@@ -12,6 +12,7 @@ parameters, a spurious wake shows up as an extra process step.
 
 import pytest
 
+from repro.nvm.power import PowerDomain
 from repro.rdma import driver
 from repro.rdma.verbs import Access, WCStatus, WorkCompletion
 from repro.rdma.wqe import (
@@ -197,3 +198,102 @@ class TestWakeIsTargeted:
         assert steps[f"{second.name}.sqsvc"] == \
             before[f"{second.name}.sqsvc"] + 1
         assert steps[f"{first.name}.sqsvc"] == before[f"{first.name}.sqsvc"]
+
+
+class TestListPostedDescriptors:
+    """A list post writes one image into many slots; each slot is still its
+    own bytes in ring memory, patched and invalidated on its own."""
+
+    SLOTS = 1024
+
+    def _blitted(self, pair, slots=SLOTS, cyclic=False):
+        """A loopback QP whose whole send ring is one list post of unowned
+        NOP placeholders."""
+        cq = pair.nic_b.create_cq()
+        qp = pair.nic_b.create_qp(cq, cq, sq_slots=slots, rq_slots=16)
+        qp.connect(qp)
+        qp.sq.cyclic = cyclic
+        qp.post_send_list([WorkRequest(Opcode.NOP, signaled=False)], [False],
+                          times=slots)
+        return qp
+
+    def test_patching_one_blitted_slot_changes_that_slot_only(self, sim, pair):
+        qp_out = self._blitted(pair)
+        placeholder = encode_wqe(WorkRequest(Opcode.NOP, signaled=False),
+                                 owned=False)
+        patched = 700
+        slot = qp_out.sq.slot_address(patched)
+        pair.qp_b.post_recv(WorkRequest(Opcode.RECV, [Sge(slot, WQE_SIZE)]))
+        image = loopback_send_image(pair, 900, 10)
+        send_image(pair, image)
+        sim.run(until=ms(2))
+        # Every look goes through ring memory and the parse memo, as the
+        # NIC's would; the real queue's indices stay untouched.
+        view = driver.WorkQueue(pair.mem_b, qp_out.sq.ring)
+        view.tail = self.SLOTS
+        for index in range(self.SLOTS):
+            view.head = index
+            raw = pair.mem_b.read(view.slot_address(index), WQE_SIZE)
+            wqe = view.peek_head()  # simlint: disable=WQ03 (the NIC's look, on a shadow queue)
+            if index == patched:
+                assert raw == image
+                assert wqe.owned and wqe.opcode is Opcode.SEND
+            else:
+                assert raw == placeholder
+                assert not wqe.owned and wqe.opcode is Opcode.NOP
+        assert qp_out.sq.head == 0  # Slot 0 is still an unowned head.
+
+    def test_patch_execute_rearm_and_patch_the_same_slot_again(self, sim, pair):
+        """A one-slot cyclic ring: the write-back after the first patched op
+        re-arms the blitted slot unowned; a second patch runs a second op."""
+        qp_out = self._blitted(pair, slots=1, cyclic=True)
+        slot = qp_out.sq.slot_address(0)
+        for op, payload in enumerate((b"first-op", b"second-op")):
+            landing = pair.buf_b.address + 1024 + 64 * op
+            qp_out.post_recv(WorkRequest(Opcode.RECV, [Sge(landing, 64)]))
+            pair.qp_b.post_recv(WorkRequest(
+                Opcode.RECV, [Sge(slot, WQE_SIZE)]))
+            pair.mem_b.write(pair.buf_b.address + 900, payload)
+            send_image(pair, loopback_send_image(pair, 900, len(payload)))
+            sim.run(until=sim.now + ms(2))
+            assert pair.mem_b.read(landing, len(payload)) == payload
+            # Consumed, re-armed at the tail, ownership cleared again.
+            assert (qp_out.sq.head, qp_out.sq.tail) == (op + 1, op + 2)
+            assert qp_out.sq.slot_address(qp_out.sq.head) == slot
+            assert not driver.decode_wqe(
+                pair.mem_b.read(slot, WQE_SIZE)).owned
+
+    def test_power_failure_after_a_list_post_reverts_like_single_posts(
+            self, sim):
+        """Both rings hold a persisted first half; the second half — one
+        list post vs one post per descriptor — is visible only, and power
+        loss takes it back identically."""
+        wait = WorkRequest(Opcode.WAIT, wait_cq=7, signaled=False)
+        nop = WorkRequest(Opcode.NOP, signaled=False)
+        outcomes = []
+        for as_list in (True, False):
+            each = Pair(sim)
+            domain = PowerDomain("b")
+            domain.register(each.mem_b)
+            cq = each.nic_b.create_cq()
+            qp = each.nic_b.create_qp(cq, cq, sq_slots=8, rq_slots=8)
+            qp.connect(qp)
+            ring = qp.sq.ring
+            qp.post_send_list([wait, nop], [True, False], times=2)
+            each.mem_b.persist(ring.address, ring.size)
+            if as_list:
+                qp.post_send_list([wait, nop], [True, False], times=2)
+            else:
+                for _ in range(2):
+                    qp.post_send(wait)
+                    qp.post_send(nop, owned=False)
+            visible = each.mem_b.read(ring.address, ring.size)
+            domain.fail()
+            outcomes.append((visible, each.mem_b.read(ring.address, ring.size),
+                             qp.sq.head, qp.sq.tail))
+        assert outcomes[0] == outcomes[1]
+        visible, reverted, head, tail = outcomes[0]
+        half = 4 * WQE_SIZE
+        assert visible[half:] == visible[:half] != bytes(half)
+        assert reverted == visible[:half] + bytes(half)
+        assert (head, tail) == (0, 8)
