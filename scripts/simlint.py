@@ -3,15 +3,12 @@
 
 Usage::
 
-    python scripts/simlint.py src/repro              # lint the live tree
-    python scripts/simlint.py src --output json      # machine-readable
-    python scripts/simlint.py src --output sarif     # code-scanning upload
+    python scripts/simlint.py src tests              # lint the live tree
+    python scripts/simlint.py src --json             # machine-readable
     python scripts/simlint.py --list-rules           # what is enforced
     python scripts/simlint.py src --select DET01,DET03
     python scripts/simlint.py src --disable slots-required
-    python scripts/simlint.py src --jobs 4 --cache-dir .simlint_cache
     python scripts/simlint.py src --fix              # apply safe autofixes
-    python scripts/simlint.py src --baseline simlint-baseline.json
 
 Exit status: 0 clean, 1 violations found, 2 usage error.
 
@@ -39,13 +36,7 @@ from repro.analysis import (  # noqa: E402
     all_rules,
     format_human,
     format_json,
-    format_sarif,
     lint_paths,
-)
-from repro.analysis.baseline import (  # noqa: E402
-    apply_baseline,
-    load_baseline,
-    write_baseline,
 )
 from repro.analysis.fixes import fix_text, fixable_violations  # noqa: E402
 
@@ -95,10 +86,8 @@ def main(argv=None) -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("paths", nargs="*",
                         help="files or directories to lint")
-    parser.add_argument("--output", choices=("text", "json", "sarif"),
-                        default="text", help="report format")
     parser.add_argument("--json", action="store_true",
-                        help="shorthand for --output json")
+                        help="print the report as JSON")
     parser.add_argument("--select", action="append", default=[],
                         metavar="RULES",
                         help="only run these rules (codes or names, "
@@ -107,20 +96,9 @@ def main(argv=None) -> int:
                         metavar="RULES",
                         help="skip these rules (codes or names, "
                              "comma-separated; repeatable)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="analyze files with N worker processes "
-                             "(output is byte-identical to serial)")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="content-hash incremental cache directory; "
-                             "warm runs re-analyze only changed files")
     parser.add_argument("--fix", action="store_true",
                         help="apply machine-safe fixes in place, then "
                              "report what remains")
-    parser.add_argument("--baseline", default=None, metavar="FILE",
-                        help="subtract violations recorded in FILE")
-    parser.add_argument("--write-baseline", default=None, metavar="FILE",
-                        help="snapshot the current report into FILE "
-                             "and exit 0")
     parser.add_argument("--list-rules", action="store_true",
                         help="describe every registered rule and exit")
     parser.add_argument("--no-fixits", action="store_true",
@@ -138,51 +116,24 @@ def main(argv=None) -> int:
         if not Path(path).exists():
             print(f"simlint: no such path: {path}", file=sys.stderr)
             return 2
-    if args.jobs < 1:
-        print("simlint: --jobs must be >= 1", file=sys.stderr)
-        return 2
-    output = "json" if args.json else args.output
 
     def run() -> LintReport:
         return lint_paths(args.paths,
                           select=_split_codes(args.select) or None,
-                          disable=_split_codes(args.disable) or None,
-                          jobs=args.jobs,
-                          cache_dir=args.cache_dir)
+                          disable=_split_codes(args.disable) or None)
 
     try:
         report = run()
         if args.fix and fixable_violations(report.violations):
             _apply_fixes(report)
-            # Fixed files changed on disk: re-lint for the final report
-            # (the cache makes this cheap — untouched files stay hits).
+            # Fixed files changed on disk: re-lint for the final report.
             report = run()
     except ValueError as exc:
         print(f"simlint: {exc}", file=sys.stderr)
         return 2
 
-    if args.write_baseline is not None:
-        count = write_baseline(args.write_baseline, report.violations)
-        print(f"simlint: wrote {count} baseline entr"
-              f"{'y' if count == 1 else 'ies'} to {args.write_baseline}",
-              file=sys.stderr)
-        return 0
-    if args.baseline is not None:
-        try:
-            budget = load_baseline(args.baseline)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"simlint: cannot read baseline {args.baseline}: {exc}",
-                  file=sys.stderr)
-            return 2
-        kept, suppressed = apply_baseline(report.violations, budget)
-        report = LintReport(kept, files_checked=report.files_checked,
-                            files_analyzed=report.files_analyzed,
-                            baseline_suppressed=suppressed)
-
-    if output == "json":
+    if args.json:
         print(format_json(report))
-    elif output == "sarif":
-        print(format_sarif(report))
     else:
         print(format_human(report, verbose_fixits=not args.no_fixits))
     return 1 if report.violations else 0

@@ -18,10 +18,8 @@ invisible to the type checker and too structural for generic linters:
 On top of the per-file rules, :mod:`repro.analysis.flow` (simflow) adds
 whole-program analyses — static race detection (RC0x), interprocedural
 ownership taint (WQ1x) and yield-protocol propagation (KP1x) — backed by a
-picklable project index that also powers the content-hash incremental
-cache (:mod:`.cache`), the multiprocess runner, the ``--fix`` engine
-(:mod:`.fixes`), baselines (:mod:`.baseline`) and SARIF output
-(:mod:`.sarif`).
+project index built from one summary per file.  :mod:`.fixes` is the
+``--fix`` engine.
 
 ``scripts/simlint.py`` is the CLI; ``tests/analysis`` pins every rule with
 positive/negative fixtures and asserts the live tree stays clean.
@@ -53,7 +51,6 @@ from .runner import (
     lint_sources,
 )
 from .fixes import FixResult, apply_edits, fix_text
-from .sarif import format_sarif
 
 # Importing the rule modules registers their rules (flow registers the
 # interprocedural RC/WQ1x/KP1x families).
@@ -75,7 +72,6 @@ __all__ = [
     "lint_sources",
     "format_human",
     "format_json",
-    "format_sarif",
     "FixResult",
     "apply_edits",
     "fix_text",

@@ -7,11 +7,7 @@ the project-wide layer:
 * :mod:`.index` — a :class:`ModuleSummary` per file (symbol table, call
   sites, ``yield from`` edges, process registrations, shared-state access
   facts, descriptor-taint facts) aggregated into a :class:`ProjectIndex`
-  with a resolved call graph and process-context reachability.  Summaries
-  are plain picklable data: the incremental cache stores them and the
-  multiprocess runner ships them between workers, so warm runs re-analyze
-  only changed files while the interprocedural rules still see the whole
-  program.
+  with a resolved call graph and process-context reachability.
 
 * :mod:`.races` — **RC0x**, the static race detector.  In a cooperative
   discrete-event kernel code between yields is atomic; races live exactly

@@ -1,10 +1,9 @@
 """The simflow project index: module summaries, call graph, process contexts.
 
 One :class:`ModuleSummary` is extracted per file in a single AST walk.  A
-summary is *plain picklable data* — everything the interprocedural rules
-need and nothing they don't (no AST nodes, no file handles) — so the
-incremental cache can persist it and warm runs can feed the whole-program
-analyses without re-parsing unchanged files.
+summary holds everything the interprocedural rules need and nothing they
+don't (no AST nodes), so the tree of one file can be dropped before the
+next is parsed.
 
 :class:`ProjectIndex` aggregates summaries and answers the questions the
 RC/WQ1x/KP1x rules ask:
@@ -141,7 +140,7 @@ class FuncFact:
 
 @dataclass(slots=True)
 class ModuleSummary:
-    """The per-file slice of the project index (picklable, cacheable)."""
+    """The per-file slice of the project index."""
 
     path: str                      # Path as given to the runner.
     module: str                    # Canonical repro/... path.

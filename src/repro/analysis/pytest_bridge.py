@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from .runner import LintReport, format_human, lint_paths
 
-__all__ = ["repro_src_root", "assert_tree_clean", "run_lint"]
+__all__ = ["repro_src_root", "assert_tree_clean"]
 
 
 def repro_src_root() -> Path:
@@ -21,27 +21,18 @@ def repro_src_root() -> Path:
     return Path(__file__).resolve().parent.parent
 
 
-def run_lint(paths: Optional[Sequence[str]] = None,
-             select: Optional[Sequence[str]] = None,
-             disable: Optional[Sequence[str]] = None,
-             jobs: int = 1,
-             cache_dir: Optional[str] = None) -> LintReport:
-    """Lint the given paths (default: the whole live ``repro`` package).
-
-    Runs per-file *and* whole-program (simflow) rules, exactly like the
-    CLI; ``jobs``/``cache_dir`` pass through to the runner.
-    """
-    if paths is None:
-        paths = [str(repro_src_root())]
-    return lint_paths(paths, select=select, disable=disable,
-                      jobs=jobs, cache_dir=cache_dir)
-
-
 def assert_tree_clean(paths: Optional[Sequence[str]] = None,
                       select: Optional[Sequence[str]] = None,
                       disable: Optional[Sequence[str]] = None) -> LintReport:
-    """Fail the calling test if any simlint rule fires on ``paths``."""
-    report = run_lint(paths, select=select, disable=disable)
+    """Fail the calling test if any simlint rule fires on ``paths``.
+
+    ``paths`` defaults to the live ``repro`` package; per-file *and*
+    whole-program (simflow) rules run over them as one program, exactly
+    like the CLI.
+    """
+    if paths is None:
+        paths = [str(repro_src_root())]
+    report = lint_paths(paths, select=select, disable=disable)
     if not report.clean:
         raise AssertionError(
             "simlint found violations:\n" + format_human(report))

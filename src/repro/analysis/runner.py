@@ -5,21 +5,13 @@ tests use); ``lint_sources`` checks a set of in-memory modules *together*
 so the whole-program flow rules see cross-file effects; ``lint_paths``
 walks the filesystem and is what the CLI calls.
 
-``lint_paths`` layers production machinery on the same per-file core:
-
-* **flow rules** — every file also yields a picklable
-  :class:`~repro.analysis.flow.index.ModuleSummary`; the summaries are
-  aggregated into a :class:`~repro.analysis.flow.index.ProjectIndex` and
-  the registered :class:`~repro.analysis.core.FlowRule` subclasses run
-  over it.  Interprocedural findings honour pragmas at the sink line and
-  at the source function's ``def`` line.
-* **incremental cache** — with ``cache_dir`` set, per-file results
-  (violations + summary) are keyed by content hash; a warm run re-analyzes
-  zero unchanged files (``LintReport.files_analyzed``) while flow rules
-  recompute from cached summaries.
-* **parallel analysis** — ``jobs > 1`` fans per-file analysis out to a
-  process pool.  Results are merged in input order and sorted, so output
-  is byte-identical to a serial run.
+Every file yields its per-file violations plus a
+:class:`~repro.analysis.flow.index.ModuleSummary`; the summaries are
+aggregated into a :class:`~repro.analysis.flow.index.ProjectIndex` and the
+registered :class:`~repro.analysis.core.FlowRule` subclasses run over it.
+Interprocedural findings honour pragmas at the sink line and at the source
+function's ``def`` line.  Files are read and analyzed serially, once per
+run: ``src tests`` lints cold in about five seconds.
 
 All paths honour ``# simlint:`` pragmas and return violations sorted by
 (path, line, col, code) so output is stable and diffable.
@@ -28,7 +20,9 @@ All paths honour ``# simlint:`` pragmas and return violations sorted by
 from __future__ import annotations
 
 import ast
+import io
 import json
+import tokenize
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -60,19 +54,11 @@ PARSE_ERROR_CODE = "E000"
 class LintReport:
     """Violations plus bookkeeping for a whole run."""
 
-    __slots__ = ("violations", "files_checked", "files_analyzed",
-                 "baseline_suppressed")
+    __slots__ = ("violations", "files_checked")
 
-    def __init__(self, violations: List[Violation], files_checked: int,
-                 files_analyzed: Optional[int] = None,
-                 baseline_suppressed: int = 0):
+    def __init__(self, violations: List[Violation], files_checked: int):
         self.violations = violations
         self.files_checked = files_checked
-        #: Files actually parsed this run (cache misses); equals
-        #: ``files_checked`` when no cache is in play.
-        self.files_analyzed = files_checked if files_analyzed is None \
-            else files_analyzed
-        self.baseline_suppressed = baseline_suppressed
 
     @property
     def clean(self) -> bool:
@@ -115,6 +101,12 @@ def lint_source(source: str, path: str = "<string>",
     return violations
 
 
+def _parse_error(path: str, message: str, line: int = 1,
+                 col: int = 0) -> Violation:
+    return Violation(code=PARSE_ERROR_CODE, name="parse-error", path=path,
+                     line=line, col=col, message=message)
+
+
 def _analyze_module(source: str, path: str, module: Optional[str],
                     rules: Optional[Sequence[Rule]]) \
         -> Tuple[List[Violation], Optional[ModuleSummary]]:
@@ -124,10 +116,10 @@ def _analyze_module(source: str, path: str, module: Optional[str],
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
-        return [Violation(
-            code=PARSE_ERROR_CODE, name="parse-error", path=path,
-            line=exc.lineno or 1, col=(exc.offset or 1) - 1,
-            message=f"cannot parse: {exc.msg}")], None
+        return [_parse_error(path, f"cannot parse: {exc.msg}",
+                             exc.lineno or 1, (exc.offset or 1) - 1)], None
+    except ValueError as exc:  # Older Pythons: NUL bytes in the source.
+        return [_parse_error(path, f"cannot parse: {exc}")], None
     ctx = RuleContext(path=path, module=module, source=source, tree=tree)
     pragmas = parse_pragmas(source)
     found: List[Violation] = []
@@ -199,77 +191,37 @@ def _python_files(paths: Iterable[str]) -> List[Path]:
     return unique
 
 
-def _worker_analyze(task: Tuple[str, str, Optional[Tuple[str, ...]]]) \
-        -> Tuple[List[Violation], Optional[ModuleSummary]]:
-    """Process-pool entry point: analyze one file from its text."""
-    path, source, codes = task
-    rules = all_rules() if codes is None else \
-        [rule for rule in all_rules() if rule.code in codes]
-    return _analyze_module(source, path, module=None, rules=rules)
+def _decode(raw: bytes) -> str:
+    """Source text as the interpreter reads it: BOM or PEP 263 coding
+    cookie, else UTF-8."""
+    encoding, _ = tokenize.detect_encoding(io.BytesIO(raw).readline)
+    return raw.decode(encoding)
 
 
 def lint_paths(paths: Iterable[str],
                select: Optional[Sequence[str]] = None,
-               disable: Optional[Sequence[str]] = None,
-               jobs: int = 1,
-               cache_dir: Optional[str] = None) -> LintReport:
+               disable: Optional[Sequence[str]] = None) -> LintReport:
     """Lint files and directory trees; directories are walked recursively.
 
-    ``jobs > 1`` parallelizes per-file analysis over a process pool;
-    ``cache_dir`` enables the content-hash incremental cache.  Neither
-    changes the report: output is byte-identical to a serial, cold run.
+    A file that cannot be decoded is an ``E000`` at its own path, like a
+    syntax error; the other files are still linted.
     """
     rules = _select_rules(select, disable)
-    codes: Optional[Tuple[str, ...]] = None
-    if select or disable:
-        codes = tuple(rule.code for rule in rules)
     files = _python_files(paths)
-
-    cache = None
-    if cache_dir is not None:
-        from .cache import LintCache
-        cache = LintCache(cache_dir)
-
-    results: List[Optional[
-        Tuple[List[Violation], Optional[ModuleSummary]]]] = [None] * len(files)
-    pending: List[Tuple[int, str, str]] = []
-    raw_bytes: List[bytes] = []
-    for position, path in enumerate(files):
-        raw = path.read_bytes()
-        source = raw.decode("utf-8")
-        if cache is not None:
-            hit = cache.get(str(path), raw)
-            if hit is not None:
-                results[position] = hit
-                continue
-        pending.append((position, str(path), source))
-        raw_bytes.append(raw)
-
-    if pending:
-        tasks = [(path, source, codes) for _, path, source in pending]
-        if jobs > 1 and len(tasks) > 1:
-            import multiprocessing
-            with multiprocessing.Pool(processes=min(jobs, len(tasks))) \
-                    as pool:
-                analyzed = pool.map(_worker_analyze, tasks)
-        else:
-            analyzed = [_worker_analyze(task) for task in tasks]
-        for (position, path, _source), raw, outcome in zip(
-                pending, raw_bytes, analyzed):
-            results[position] = outcome
-            if cache is not None:
-                cache.put(path, raw, outcome[0], outcome[1])
-
     violations: List[Violation] = []
     summaries: List[Optional[ModuleSummary]] = []
-    for outcome in results:
-        assert outcome is not None
-        violations.extend(outcome[0])
-        summaries.append(outcome[1])
+    for path in files:
+        try:
+            source = _decode(path.read_bytes())
+        except (SyntaxError, UnicodeDecodeError) as exc:
+            violations.append(_parse_error(str(path), f"cannot decode: {exc}"))
+            continue
+        found, summary = _analyze_module(source, str(path), None, rules)
+        violations.extend(found)
+        summaries.append(summary)
     violations.extend(_run_flow_rules(summaries, rules))
     violations.sort(key=Violation.key)
-    return LintReport(violations, files_checked=len(files),
-                      files_analyzed=len(pending))
+    return LintReport(violations, files_checked=len(files))
 
 
 def format_human(report: LintReport, verbose_fixits: bool = True) -> str:
@@ -292,13 +244,8 @@ def format_human(report: LintReport, verbose_fixits: bool = True) -> str:
     summary = (
         f"simlint: {report.files_checked} file(s) checked, "
         + (f"{tally} violation(s)" if tally else "clean"))
-    if report.files_analyzed != report.files_checked:
-        summary += (f" ({report.files_analyzed} analyzed, "
-                    f"{report.files_checked - report.files_analyzed} cached)")
     if fixable:
         summary += f"; {fixable} fixable with --fix"
-    if report.baseline_suppressed:
-        summary += f"; {report.baseline_suppressed} baselined"
     lines.append(summary)
     return "\n".join(lines)
 
@@ -306,7 +253,6 @@ def format_human(report: LintReport, verbose_fixits: bool = True) -> str:
 def format_json(report: LintReport) -> str:
     payload = {
         "files_checked": report.files_checked,
-        "files_analyzed": report.files_analyzed,
         "violation_count": len(report.violations),
         "violations": [
             {

@@ -26,11 +26,10 @@ point is the baseline itself (fig2) ignore the flag.
 worker processes (fig8/fig9/fig10/fig12/fig_shards); every point owns its
 simulator and seed, so rows are identical to a serial run.
 
-``--cache-dir DIR`` (or ``REPRO_SWEEP_CACHE=DIR``) journals every
-completed sweep point to a per-experiment JSONL file under ``DIR``, keyed
-by a config hash; ``--resume`` additionally *replays* journaled rows, so
-a grown grid — or a rerun CI shard — only computes points it has never
-seen.
+``--cache-dir DIR`` journals every completed sweep point to a
+per-experiment JSONL file under ``DIR``, keyed by a config hash;
+``--resume`` additionally *replays* journaled rows, so a grown grid — or
+a rerun CI shard — only computes points it has never seen.
 """
 
 from __future__ import annotations
@@ -135,8 +134,8 @@ def main(argv) -> int:
         print(f"--jobs expects an integer, got {jobs!r}", file=sys.stderr)
         return 2
     if resume and cache_dir is None and parallel.options().cache_dir is None:
-        print("--resume needs a journal: pass --cache-dir DIR or set "
-              "REPRO_SWEEP_CACHE", file=sys.stderr)
+        print("--resume needs a journal: pass --cache-dir DIR",
+              file=sys.stderr)
         return 2
     overrides = {}
     if cache_dir is not None:

@@ -8,9 +8,9 @@ points durable:
   same PYTHONHASHSEED-independent hash the simulator seeds streams
   with) over the *canonicalized* point tuple plus a salt.  The salt
   folds in the cache schema, a code-version tag
-  (:data:`CODE_VERSION`), the worker's identity, and any user salt —
-  so a changed point grid, a changed worker, or a bumped code version
-  all miss cleanly instead of resurrecting stale rows.
+  (:data:`CODE_VERSION`) and the worker's identity — so a changed point
+  grid, a changed worker, or a bumped code version all miss cleanly
+  instead of resurrecting stale rows.
 * **Journal** — one JSON line per completed point, appended (and
   flushed) the moment the row arrives, so a sweep interrupted at point
   k keeps its first k results.  Loading tolerates truncated or
@@ -78,15 +78,15 @@ def point_key(point: Any, salt: str) -> str:
     return f"{fnv_hash_str(keyed):016x}"
 
 
-def worker_salt(worker: Callable[..., Any], extra: str = "") -> str:
+def worker_salt(worker: Callable[..., Any]) -> str:
     """Compose the full salt for a sweep worker's cache.
 
-    Includes schema, code version, the worker's import identity and the
-    caller-provided salt — change any one and every key misses.
+    Includes schema, code version and the worker's import identity —
+    change any one and every key misses.
     """
     identity = f"{getattr(worker, '__module__', '?')}." \
                f"{getattr(worker, '__qualname__', repr(worker))}"
-    return f"{CACHE_SCHEMA}:{CODE_VERSION}:{identity}:{extra}"
+    return f"{CACHE_SCHEMA}:{CODE_VERSION}:{identity}"
 
 
 def cache_filename(worker: Callable[..., Any]) -> str:
@@ -175,11 +175,11 @@ class SweepCache:
         return True
 
     @classmethod
-    def for_worker(cls, cache_dir: str, worker: Callable[..., Any],
-                   extra_salt: str = "") -> "SweepCache":
+    def for_worker(cls, cache_dir: str,
+                   worker: Callable[..., Any]) -> "SweepCache":
         """The journal for ``worker`` inside ``cache_dir``."""
         identity = f"{getattr(worker, '__module__', 'worker')}" \
                    f".{getattr(worker, '__qualname__', 'point')}"
         label = identity.rsplit("repro.experiments.", 1)[-1]
         return cls(Path(cache_dir) / cache_filename(worker),
-                   worker_salt(worker, extra_salt), label=label)
+                   worker_salt(worker), label=label)

@@ -17,8 +17,8 @@ result pipe back to the parent as one packed int64 ``bytes`` blob, and
 callers who pass ``recorders=[...]`` get reconstructed
 :class:`~repro.sim.stats.LatencyRecorder`\\ s, one per point.
 
-With a cache directory configured (:func:`configure`, the CLI's
-``--cache-dir``, or ``REPRO_SWEEP_CACHE``), every completed row is
+With a cache directory configured (:func:`configure` or the CLI's
+``--cache-dir``), every completed row is
 journaled under a config hash (:mod:`.cache`); with ``resume`` on, hits
 are replayed instead of recomputed, so a grown grid only pays for its
 new points.
@@ -62,7 +62,7 @@ def default_jobs() -> int:
 
 
 # ----------------------------------------------------------------------
-# Ambient options (CLI flags / environment)
+# Ambient options (CLI flags)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SweepOptions:
@@ -75,19 +75,9 @@ class SweepOptions:
     #: Replay journaled rows instead of recomputing them.  Off by
     #: default: ``--cache-dir`` alone records without skipping.
     resume: bool = False
-    #: Extra user salt folded into every cache key.
-    salt: str = ""
-
-    @classmethod
-    def from_env(cls) -> "SweepOptions":
-        return cls(
-            cache_dir=os.environ.get("REPRO_SWEEP_CACHE") or None,
-            resume=os.environ.get("REPRO_SWEEP_RESUME", "") == "1",
-            salt=os.environ.get("REPRO_SWEEP_SALT", ""),
-        )
 
 
-_options: SweepOptions = SweepOptions.from_env()
+_options: SweepOptions = SweepOptions()
 
 
 def configure(**kwargs: Any) -> SweepOptions:
@@ -307,8 +297,7 @@ def _open_cache(opts: SweepOptions,
                 worker: Callable[..., Any]) -> Optional[SweepCache]:
     if opts.cache_dir is None:
         return None
-    return SweepCache.for_worker(opts.cache_dir, worker,
-                                 extra_salt=opts.salt)
+    return SweepCache.for_worker(opts.cache_dir, worker)
 
 
 def _report(cache: Optional[SweepCache], stats: SweepStats) -> None:

@@ -5,6 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from repro.analysis import lint_paths
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SIMLINT = REPO_ROOT / "scripts" / "simlint.py"
 
@@ -17,10 +21,10 @@ DIRTY_SOURCE = (
 )
 
 
-def run_cli(*args):
+def run_cli(*args, cwd=REPO_ROOT):
     return subprocess.run(
         [sys.executable, str(SIMLINT), *args],
-        capture_output=True, text=True, cwd=REPO_ROOT)
+        capture_output=True, text=True, cwd=cwd)
 
 
 def test_clean_file_exits_zero(tmp_path):
@@ -105,9 +109,12 @@ def test_list_rules():
 def test_syntax_error_reported_as_violation(tmp_path):
     target = tmp_path / "broken.py"
     target.write_text("def broken(:\n")
-    result = run_cli(str(target))
+    nul = tmp_path / "nul.py"     # ValueError, not SyntaxError, on 3.10
+    nul.write_bytes(b"X = 1\x00\n")
+    result = run_cli(str(target), str(nul))
     assert result.returncode == 1
-    assert "E000" in result.stdout
+    assert f"{target}:1:" in result.stdout
+    assert f"{nul}:1:1: E000[parse-error]" in result.stdout
 
 
 HASH_ORDER_SOURCE = "for x in {3, 1, 2}:\n    print(x)\n"
@@ -126,70 +133,59 @@ def test_fix_applies_and_exits_clean(tmp_path):
     assert "fixed" not in again.stderr
 
 
-def test_sarif_output(tmp_path):
-    target = tmp_path / "dirty.py"
-    target.write_text(DIRTY_SOURCE)
-    result = run_cli(str(target), "--output", "sarif")
-    assert result.returncode == 1
-    payload = json.loads(result.stdout)
-    assert payload["version"] == "2.1.0"
-    [run] = payload["runs"]
-    assert run["tool"]["driver"]["name"] == "simlint"
-    [finding] = run["results"]
-    assert finding["ruleId"] == "DET02"
-    assert finding["locations"][0]["physicalLocation"]["region"][
-        "startLine"] == 4
-    rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-    assert {"RC01", "WQ11", "KP11"} <= rule_ids
-
-
-def test_baseline_roundtrip(tmp_path):
-    target = tmp_path / "dirty.py"
-    target.write_text(DIRTY_SOURCE)
-    baseline = tmp_path / "baseline.json"
-    wrote = run_cli(str(target), "--write-baseline", str(baseline))
-    assert wrote.returncode == 0
-    assert "wrote 1 baseline entry" in wrote.stderr
-    # With the baseline the same tree is green…
-    masked = run_cli(str(target), "--baseline", str(baseline))
-    assert masked.returncode == 0
-    assert "1 baselined" in masked.stdout
-    # …but a *new* violation still fails.
-    target.write_text(DIRTY_SOURCE + "\nimport os\nseed = os.urandom(4)\n")
-    fresh = run_cli(str(target), "--baseline", str(baseline))
-    assert fresh.returncode == 1
-    assert "DET02" in fresh.stdout
-
-
-def test_repo_baseline_is_checked_in_and_empty():
-    baseline = REPO_ROOT / "simlint-baseline.json"
-    payload = json.loads(baseline.read_text())
-    assert payload["violations"] == []
-
-
-def test_cache_warm_run_reports_cached_files(tmp_path):
-    target = tmp_path / "dirty.py"
-    target.write_text(DIRTY_SOURCE)
-    cache = tmp_path / "cache"
-    run_cli(str(target), "--cache-dir", str(cache))
-    warm = run_cli(str(target), "--cache-dir", str(cache))
-    assert "(0 analyzed, 1 cached)" in warm.stdout
-
-
-def test_jobs_flag_matches_serial(tmp_path):
-    target = tmp_path / "dirty.py"
-    target.write_text(DIRTY_SOURCE)
-    serial = run_cli(str(target))
-    parallel = run_cli(str(target), "--jobs", "2")
-    assert serial.stdout == parallel.stdout
-    assert "--jobs" not in serial.stdout
-
-
-def test_bad_jobs_is_usage_error(tmp_path):
+@pytest.mark.parametrize("flag", [
+    ["--jobs", "2"], ["--cache-dir", "d"], ["--baseline", "f"],
+    ["--write-baseline", "f"], ["--output", "json"]],
+    ids=lambda flag: flag[0])
+def test_retired_flag_is_usage_error(tmp_path, flag):
     target = tmp_path / "clean.py"
     target.write_text(CLEAN_SOURCE)
-    result = run_cli(str(target), "--jobs", "0")
+    result = run_cli(str(target), *flag, cwd=tmp_path)
     assert result.returncode == 2
+    assert "unrecognized arguments" in result.stderr
+    assert sorted(tmp_path.iterdir()) == [target]   # nothing written
+
+
+@pytest.mark.parametrize("kwarg", [{"jobs": 2}, {"cache_dir": "d"}],
+                         ids=lambda kwarg: next(iter(kwarg)))
+def test_retired_lint_paths_kwarg_raises(tmp_path, kwarg):
+    target = tmp_path / "clean.py"
+    target.write_text(CLEAN_SOURCE)
+    with pytest.raises(TypeError):
+        lint_paths([str(target)], **kwarg)
+
+
+def test_coding_cookie_file_is_linted(tmp_path):
+    # PEP 263: the interpreter runs this latin-1 file, so simlint lints it.
+    target = tmp_path / "cookie.py"
+    target.write_bytes(b"# -*- coding: latin-1 -*-\nX = '\xe9'\n")
+    dirty = tmp_path / "dirty.py"
+    dirty.write_text(DIRTY_SOURCE)
+    assert subprocess.run([sys.executable, str(target)]).returncode == 0
+    result = run_cli(str(target), str(dirty))
+    assert result.returncode == 1, result.stderr
+    assert result.stderr == ""
+    assert f"{dirty}:4:" in result.stdout
+    assert "cookie.py" not in result.stdout
+    assert "2 file(s) checked, 1 violation(s)" in result.stdout
+
+
+def test_undecodable_file_is_a_parse_error_at_its_path(tmp_path):
+    # Non-ASCII bytes under an ascii cookie, and invalid UTF-8 without one.
+    ascii_cookie = tmp_path / "ascii_cookie.py"
+    ascii_cookie.write_bytes(b"# -*- coding: ascii -*-\nX = '\xe9'\n")
+    no_cookie = tmp_path / "no_cookie.py"
+    no_cookie.write_bytes(b"X = 1\nY = 2\nZ = '\xe9'\n")
+    dirty = tmp_path / "dirty.py"
+    dirty.write_text(DIRTY_SOURCE)
+    result = run_cli(str(ascii_cookie), str(no_cookie), str(dirty))
+    assert result.returncode == 1, result.stderr
+    assert f"{ascii_cookie}:1:1: E000[parse-error] cannot decode:" \
+        in result.stdout
+    assert f"{no_cookie}:1:1: E000[parse-error] cannot decode:" \
+        in result.stdout
+    assert f"{dirty}:4:" in result.stdout
+    assert "3 file(s) checked, 3 violation(s)" in result.stdout
 
 
 def test_cross_file_finding_via_cli(tmp_path):

@@ -1,4 +1,4 @@
-"""Meta-test: the live ``src/repro`` tree is simlint-clean.
+"""Meta-test: the live ``src/repro`` and ``tests`` trees are simlint-clean.
 
 This is the enforcement point for the repo's invariants — a change that
 reintroduces an unseeded RNG, a hash-ordered loop feeding the schedule, a
@@ -11,9 +11,15 @@ from repro.analysis.pytest_bridge import assert_tree_clean, repro_src_root
 
 
 def test_live_tree_is_clean():
-    report = assert_tree_clean()
-    # Sanity: the walk actually covered the package.
-    assert report.files_checked > 50
+    # ``src/repro`` and ``tests`` lint as one program, as
+    # ``scripts/simlint.py src tests`` does: cross-file flow findings
+    # between them count, and a deliberate-misuse test without its
+    # justifying pragma fails here.
+    tests_root = repro_src_root().parent.parent / "tests"
+    assert tests_root.is_dir()
+    report = assert_tree_clean([str(repro_src_root()), str(tests_root)])
+    # Sanity: the walk actually covered the package and the tests.
+    assert report.files_checked > 150
 
 
 def test_src_root_points_at_repro_package():
@@ -30,8 +36,9 @@ def test_all_rule_families_registered():
 
 
 def test_tests_tree_is_clean_too():
-    # The CI lint gate runs ``simlint src tests``; pin both halves here so
-    # a deliberate-misuse test without its justifying pragma fails fast.
+    # The tests tree also lints clean on its own (``simlint tests``), so a
+    # deliberate-misuse test without its justifying pragma fails fast even
+    # when the flow index does not see ``src/repro``.
     tests_root = repro_src_root().parent.parent / "tests"
     assert tests_root.is_dir()
     assert_tree_clean([str(tests_root)])

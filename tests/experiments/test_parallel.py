@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,7 @@ from repro.experiments import fig8, fig_shards
 from repro.experiments.parallel import (SweepOptions, default_jobs,
                                         last_stats, publish_recorder, sweep)
 from repro.experiments.parallel import engine
+from repro.experiments.parallel.cache import CODE_VERSION
 from repro.sim.engine import Simulator
 from repro.sim.stats import LatencyRecorder
 
@@ -148,15 +151,18 @@ class TestSweepCache:
         assert last_stats().cache_hits == 0
         assert last_stats().computed == 4
 
-    def test_changed_salt_invalidates(self, tmp_path):
+    def test_changed_salt_invalidates(self, tmp_path, monkeypatch):
         marks, points, opts = self._setup(tmp_path)
         sweep(points, _marking_row, jobs=1, sweep_options=opts)
-        salted = SweepOptions(cache_dir=opts.cache_dir, resume=True,
-                              salt="v2")
-        sweep(points, _marking_row, jobs=1, sweep_options=salted)
+        monkeypatch.setattr(
+            "repro.experiments.parallel.cache.CODE_VERSION",
+            CODE_VERSION + "+bump")
+        sweep(points, _marking_row, jobs=1, sweep_options=opts)
         assert last_stats().cache_hits == 0
         assert last_stats().computed == 4
-        # ... and the original salt still hits.
+        # ... and the original code version still hits.
+        monkeypatch.setattr(
+            "repro.experiments.parallel.cache.CODE_VERSION", CODE_VERSION)
         sweep(points, _marking_row, jobs=1, sweep_options=opts)
         assert last_stats().cache_hits == 4
 
@@ -228,26 +234,43 @@ class TestPublishedRecorders:
         recorder.record(5)
         publish_recorder(recorder)  # must not raise
 
-    def test_retired_knobs_are_gone_or_ignored(self, monkeypatch):
-        """The scheduler and transport selectors are removed: passing
-        them fails loudly, and the two retired environment variables,
-        if still set, change nothing."""
+    def test_retired_knobs_are_gone_or_ignored(self, monkeypatch, tmp_path):
+        """The scheduler and transport selectors and the sweep salt are
+        removed: passing them fails loudly, and the retired environment
+        variables, if still set, change nothing."""
         baseline_recs = []
         baseline = sweep(self.POINTS, _publishing_row, jobs=2,
                          recorders=baseline_recs)
+        journal_dir = tmp_path / "journal"
         monkeypatch.setenv("REPRO_SCHEDULER", "wheel")
         monkeypatch.setenv("REPRO_SWEEP_SHM", "0")
+        monkeypatch.setenv("REPRO_SWEEP_CACHE", str(journal_dir))
+        monkeypatch.setenv("REPRO_SWEEP_RESUME", "1")
+        monkeypatch.setenv("REPRO_SWEEP_SALT", "v2")
         assert Simulator().scheduler == "heap"
-        assert not hasattr(SweepOptions.from_env(), "shm")
+        assert not hasattr(SweepOptions, "from_env")
         recs = []
         assert sweep(self.POINTS, _publishing_row, jobs=2,
                      recorders=recs) == baseline
         assert [list(rec.samples) for rec in recs] == \
             [list(rec.samples) for rec in baseline_recs]
+        assert not journal_dir.exists()
+        # The ambient options are built at import: a fresh interpreter
+        # started with the variables set still gets the defaults.
+        src_root = Path(engine.__file__).resolve().parents[3]
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "from repro.experiments.parallel import SweepOptions, options; "
+             "print(options() == SweepOptions())"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src_root)})
+        assert probe.stdout.strip() == "True", probe.stderr
         with pytest.raises(TypeError):
             Simulator(scheduler="wheel")
         with pytest.raises(TypeError):
             SweepOptions(shm=False)
+        with pytest.raises(TypeError):
+            SweepOptions(salt="v2")
 
 
 class TestFig8Parallel:
