@@ -22,10 +22,11 @@ The per-node engines (QPs, cyclic pre-posted slot patterns, the MAX_SGE
 fan-out-width bound) live in :mod:`repro.core.fanout_nodes`; this module
 holds the client-side handle.
 
-Trade-off vs the chain (the paper's §7 load-balancing point, quantified in
-``benchmarks/bench_ablation_fanout.py``): fan-out has fewer sequential
-hops, but the primary's egress port serializes ``backups`` copies of every
-payload, while the chain spreads transmission across all nodes.
+Trade-off vs the chain (the paper's §7 load-balancing point, checked by the
+``fanout.*`` rows of :mod:`repro.experiments.claims`): fan-out has fewer
+sequential hops, but the primary's egress port serializes ``backups``
+copies of every payload, while the chain spreads transmission across all
+nodes.
 """
 
 from __future__ import annotations

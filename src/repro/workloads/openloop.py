@@ -4,9 +4,9 @@ The paper's microbenchmarks are closed-loop; systems evaluation also
 needs the open-loop view — fire operations at a Poisson arrival rate
 regardless of completions, and watch the latency curve bend as offered
 load approaches the service capacity.  This module provides that
-generator plus a sweep helper used by
-``benchmarks/bench_appendix_load.py`` (an extension figure, clearly
-labeled as beyond the paper's tables).
+generator plus a sweep helper used by the ``load`` figure of
+:mod:`repro.experiments.claims` (an extension, clearly labeled as beyond
+the paper's tables).
 """
 
 from __future__ import annotations

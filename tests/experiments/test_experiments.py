@@ -1,7 +1,8 @@
 """Smoke tests for the experiment harness (tiny parameterizations).
 
-The full-size runs live in ``benchmarks/``; these verify that every
-experiment module executes end to end and emits sane rows.
+The full-size runs and their shape bounds live in
+:mod:`repro.experiments.claims`; these verify that every experiment
+module executes end to end and emits sane rows.
 """
 
 import pytest
