@@ -51,7 +51,7 @@ _PROCESS_YIELD_MARKERS = {
 }
 
 _ADDRESS_HELPERS = ("slot_address", "field_address")
-_WRITE_METHODS = ("write", "dma_write")
+_WRITE_METHODS = ("write", "dma_write", "modify")
 _CONSUMER_METHODS = ("peek_head", "advance_head", "wake_written", "grant")
 _MUTATING_METHODS = {
     "append", "add", "pop", "popleft", "appendleft", "update", "clear",

@@ -77,7 +77,7 @@ class DescriptorPoke(Rule):
     code = "WQ02"
     name = "descriptor-poke"
     family = "wqe-ownership"
-    description = ("memory.write()/dma_write() at slot_address()/"
+    description = ("memory.write()/modify()/dma_write() at slot_address()/"
                    "field_address() targets — or WQEFlags.OWNED bit "
                    "arithmetic — outside rdma/ rewrites NIC-owned "
                    "descriptors without the NIC noticing.")
@@ -92,7 +92,7 @@ class DescriptorPoke(Rule):
         for node in ast.walk(ctx.tree):
             if not poke_allowed and isinstance(node, ast.Call) \
                     and isinstance(node.func, ast.Attribute) \
-                    and node.func.attr in ("write", "dma_write"):
+                    and node.func.attr in ("write", "dma_write", "modify"):
                 helper = None
                 for argument in list(node.args) \
                         + [kw.value for kw in node.keywords]:

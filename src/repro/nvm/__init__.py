@@ -1,7 +1,7 @@
 """Non-volatile memory substrate: devices, NIC write cache, power failure."""
 
 from .memory import DRAM, NVM, Allocation, MemoryDevice, OutOfMemoryError
-from .cache import CacheEntry, NICWriteCache
+from .cache import NICWriteCache
 from .power import PowerDomain
 
 __all__ = [
@@ -10,7 +10,6 @@ __all__ = [
     "Allocation",
     "MemoryDevice",
     "OutOfMemoryError",
-    "CacheEntry",
     "NICWriteCache",
     "PowerDomain",
 ]

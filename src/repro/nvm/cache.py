@@ -17,22 +17,13 @@ to the pre-write durable contents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 from ..sim.engine import Simulator
 from ..sim.units import us
 from .memory import MemoryDevice
 
-__all__ = ["NICWriteCache", "CacheEntry"]
-
-
-@dataclass
-class CacheEntry:
-    """A visible-but-not-yet-durable write."""
-
-    address: int
-    size: int
+__all__ = ["NICWriteCache"]
 
 
 class NICWriteCache:
@@ -45,7 +36,8 @@ class NICWriteCache:
         self.backing = backing
         self.writeback_delay_ns = writeback_delay_ns
         self.capacity_bytes = capacity_bytes
-        self._entries: List[CacheEntry] = []
+        #: Visible-but-not-yet-durable writes, as ``(address, end)``.
+        self._pending: List[Tuple[int, int]] = []
         self._dirty_bytes = 0
         self._writeback_scheduled = False
         self.flushes = 0
@@ -64,7 +56,7 @@ class NICWriteCache:
         if not data:
             return
         self.backing.write(address, data)
-        self._entries.append(CacheEntry(address, len(data)))
+        self._pending.append((address, address + len(data)))
         self._dirty_bytes += len(data)
         if self._dirty_bytes > self.capacity_bytes:
             # Capacity pressure forces a synchronous drain.
@@ -98,15 +90,24 @@ class NICWriteCache:
 
     def _writeback(self) -> None:
         self._writeback_scheduled = False
-        if self._entries:
+        if self._pending:
             self.writebacks += 1
             self._persist_all()
 
     def _persist_all(self) -> None:
-        for entry in self._entries:
-            self.backing.persist(entry.address, entry.size)
-        self._entries = []
+        """One ``persist`` per run of overlapping or adjacent pending ranges:
+        it copies the bytes visible *now*, so the union is exact.  Never
+        merged across a gap — the bytes there are not pending."""
+        runs: List[List[int]] = []
+        for address, end in sorted(self._pending):
+            if runs and address <= runs[-1][1]:
+                runs[-1][1] = max(runs[-1][1], end)
+            else:
+                runs.append([address, end])
+        self._pending = []
         self._dirty_bytes = 0
+        for address, end in runs:
+            self.backing.persist(address, end - address)
 
     @property
     def dirty_bytes(self) -> int:
@@ -118,5 +119,5 @@ class NICWriteCache:
     def on_power_failure(self) -> None:
         """Pending entries are lost: they never reached the durable image."""
         self.bytes_lost_on_power_failure += self._dirty_bytes
-        self._entries = []
+        self._pending = []
         self._dirty_bytes = 0

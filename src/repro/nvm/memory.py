@@ -17,7 +17,7 @@ is modelled in :mod:`repro.rdma.verbs`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 __all__ = ["MemoryDevice", "DRAM", "NVM", "Allocation", "OutOfMemoryError"]
 
@@ -54,18 +54,14 @@ class SparsePages:
                 return bytes(size)
             return bytes(page[offset:offset + size])
         parts = []
-        cursor = address
-        remaining = size
+        end = address + size
         for index in range(first, last + 1):
-            offset = cursor - index * page_size
-            chunk = min(remaining, page_size - offset)
+            base = index * page_size
+            start = address - base if address > base else 0
+            stop = end - base if end - base < page_size else page_size
             page = self._pages.get(index)
-            if page is None:
-                parts.append(bytes(chunk))
-            else:
-                parts.append(bytes(page[offset:offset + chunk]))
-            cursor += chunk
-            remaining -= chunk
+            parts.append(bytes(stop - start) if page is None
+                         else memoryview(page)[start:stop])  # One copy.
         return b"".join(parts)
 
     def write(self, address: int, data: bytes) -> None:
@@ -80,20 +76,17 @@ class SparsePages:
                 page = self._pages[index] = bytearray(page_size)
             page[offset:offset + len(data)] = data
             return
-        cursor = address
         view = memoryview(data)
-        consumed = 0
-        while consumed < len(data):
-            index = cursor // page_size
-            offset = cursor - index * page_size
-            chunk = min(len(data) - consumed, page_size - offset)
+        end = address + len(data)
+        for index in range(address // page_size, (end - 1) // page_size + 1):
+            base = index * page_size
+            start = address - base if address > base else 0
+            stop = end - base if end - base < page_size else page_size
             page = self._pages.get(index)
             if page is None:
-                page = bytearray(page_size)
-                self._pages[index] = page
-            page[offset:offset + chunk] = view[consumed:consumed + chunk]
-            cursor += chunk
-            consumed += chunk
+                page = self._pages[index] = bytearray(page_size)
+            at = base + start - address
+            page[start:stop] = view[at:at + stop - start]
 
     def zero(self, address: int, size: int) -> None:
         """Make ``[address, address + size)`` read as zeros by dropping the
@@ -118,6 +111,40 @@ class SparsePages:
                 page[start:stop] = bytes(stop - start)
                 if not any(page):
                     del pages[index]
+
+    def modify(self, address: int, size: int,
+               change: Callable[[bytearray, int], None]) -> None:
+        """``change(buffer, offset)`` edits ``[address, address + size)`` as
+        ``buffer[offset:offset + size]``: in its page, else in a copy."""
+        index, offset = divmod(address, self.page_size)
+        page = self._pages.get(index)
+        if page is not None and offset + size <= self.page_size:
+            change(page, offset)
+        else:
+            image = bytearray(self.read(address, size))
+            change(image, 0)
+            self.write(address, image)
+
+    def copy_from(self, source: "SparsePages", address: int,
+                  size: int) -> None:
+        """Make ``[address, address + size)`` read as in ``source``, page by
+        page; where ``source`` has no page, zero rather than materialize."""
+        if size <= 0:
+            return
+        page_size = self.page_size
+        end = address + size
+        for index in range(address // page_size, (end - 1) // page_size + 1):
+            base = index * page_size
+            start = address - base if address > base else 0
+            stop = end - base if end - base < page_size else page_size
+            page = source._pages.get(index)
+            if page is None:
+                self.zero(base + start, stop - start)
+                continue
+            mine = self._pages.get(index)
+            if mine is None:
+                mine = self._pages[index] = bytearray(page_size)
+            mine[start:stop] = memoryview(page)[start:stop]
 
     def clear(self) -> None:
         self._pages.clear()
@@ -258,6 +285,13 @@ class MemoryDevice:
         self._check(address, len(data))
         self._data.write(address, data)
 
+    def modify(self, address: int, size: int,
+               change: Callable[[bytearray, int], None]) -> None:
+        """Read-modify-write in place (a descriptor's flags byte):
+        ``change(buffer, offset)`` edits ``buffer[offset:offset + size]``."""
+        self._check(address, size)
+        self._data.modify(address, size, change)
+
     def fill(self, address: int, size: int, byte: int = 0) -> None:
         self._check(address, size)
         self._data.write(address, bytes([byte]) * size)
@@ -320,7 +354,7 @@ class NVM(MemoryDevice):
     def persist(self, address: int, size: int) -> None:
         """Copy a visible range into the durable image."""
         self._check(address, size)
-        self._durable_data.write(address, self._data.read(address, size))
+        self._durable_data.copy_from(self._data, address, size)
 
     def read_durable(self, address: int, size: int) -> bytes:
         """What a post-crash reader would see for this range."""

@@ -57,6 +57,16 @@ _STATIC = int(WQEFlags.STATIC)
 _STAYS_ARMED = (int(Opcode.WAIT), int(Opcode.RECV))
 
 
+def _grant(image: bytearray, at: int) -> None:
+    image[at] |= _OWNED  # OFF_FLAGS
+
+
+def _write_back(image: bytearray, at: int) -> None:
+    # OFF_OPCODE, OFF_FLAGS of a consumed cyclic-ring descriptor.
+    if image[at] not in _STAYS_ARMED and not image[at + 1] & _STATIC:
+        image[at + 1] &= ~_OWNED
+
+
 class RingFullError(Exception):
     """Posting would overwrite a descriptor the NIC has not consumed yet."""
 
@@ -166,9 +176,7 @@ class WorkQueue:
 
     def grant(self, index: int) -> None:
         """Set the ownership bit of a previously posted descriptor."""
-        addr = self.field_address(index, 1)  # OFF_FLAGS
-        flags = self.memory.read(addr, 1)[0]
-        self.memory.write(addr, bytes([flags | _OWNED]))
+        self.memory.modify(self.field_address(index, 1), 1, _grant)
 
     # ------------------------------------------------------------------
     # NIC side
@@ -198,10 +206,7 @@ class WorkQueue:
             # the queue until the next scatter re-activates it.  WAIT and
             # RECV descriptors, and anything marked STATIC, stay armed —
             # they serve every reuse of their slot unchanged.
-            addr = self.slot_address(self.head)
-            opcode, flags = self.memory.read(addr, 2)  # OFF_OPCODE, OFF_FLAGS
-            if opcode not in _STAYS_ARMED and not flags & _STATIC:
-                self.memory.write(addr + 1, bytes([flags & ~_OWNED]))
+            self.memory.modify(self.slot_address(self.head), 2, _write_back)
             self.tail += 1  # Re-arm the slot at the ring tail.
         self.head += 1
 

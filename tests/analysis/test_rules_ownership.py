@@ -50,6 +50,12 @@ class TestDescriptorPoke:
                 cache.dma_write(wq.field_address(0, 1), b"\\x01")
             """)
 
+    def test_in_place_modify_at_field_address(self):
+        assert "WQ02" in codes("""
+            def poke(memory, wq, change):
+                memory.modify(wq.field_address(0, 1), 1, change)
+            """)
+
     def test_poke_from_nic_allowed(self):
         assert codes("""
             def writeback(self, wq):

@@ -142,3 +142,60 @@ class TestAgainstModel:
                 covered = set(range(-(-address // 64), (address + arg) // 64))
                 assert not covered & set(pages._pages)
         assert pages.read(0, 4096) == bytes(model)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("write"), st.booleans(),
+                  st.integers(min_value=0, max_value=3000),
+                  st.binary(min_size=1, max_size=300)),
+        st.tuples(st.just("zero"), st.booleans(),
+                  st.integers(min_value=0, max_value=3500),
+                  st.integers(min_value=0, max_value=600)),
+        st.tuples(st.just("copy"), st.just(True),
+                  st.integers(min_value=0, max_value=3500),
+                  st.integers(min_value=0, max_value=600))), max_size=25))
+    def test_copy_from_matches_flat_model(self, operations):
+        """``copy_from`` makes a destination range read as the source does,
+        over pages absent on either side, and makes no page resident that
+        the source lacks."""
+        stores = {False: SparsePages(page_size=64),
+                  True: SparsePages(page_size=64)}
+        models = {False: bytearray(4096), True: bytearray(4096)}
+        for kind, into_dest, address, arg in operations:
+            pages, model = stores[into_dest], models[into_dest]
+            if kind == "write":
+                pages.write(address, arg)
+                model[address:address + len(arg)] = arg
+            elif kind == "zero":
+                pages.zero(address, arg)
+                model[address:address + arg] = bytes(
+                    len(model[address:address + arg]))
+            else:
+                before = set(pages._pages) | set(stores[False]._pages)
+                pages.copy_from(stores[False], address, arg)
+                model[address:address + arg] = \
+                    models[False][address:address + arg]
+                assert set(pages._pages) <= before
+        for into_dest in (False, True):
+            assert stores[into_dest].read(0, 4096) == bytes(models[into_dest])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.binary(min_size=1, max_size=200),
+           st.integers(min_value=0, max_value=300),
+           st.integers(min_value=1, max_value=40))
+    def test_modify_edits_in_place_across_pages(self, data, address, size):
+        """``modify`` reads and writes the bytes it is given, whether they
+        sit in one page, straddle two, or are not resident yet."""
+        pages = SparsePages(page_size=64)
+        pages.write(0, data)
+        model = bytearray(512)
+        model[:len(data)] = data
+
+        def invert(buffer, offset):
+            for at in range(offset, offset + size):
+                buffer[at] ^= 0xFF
+
+        pages.modify(address, size, invert)
+        for at in range(address, address + size):
+            model[at] ^= 0xFF
+        assert pages.read(0, 512) == bytes(model)

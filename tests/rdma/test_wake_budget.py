@@ -3,15 +3,18 @@
 Counts, not timings: a fixed seed repeats them exactly.  The budget is the
 pair the two skip rules exist for — how often a send queue looks at its
 head for every descriptor it executes (targeted wake), and how many of
-those looks need a fresh parse (content-keyed memo) — and, for the control
-plane, what building and flushing one group's pre-posted rings may cost.
+those looks need a fresh parse (content-keyed memo) — for the control
+plane, what building and flushing one group's pre-posted rings may cost,
+and for durability, what draining the NIC write cache into NVM may cost.
 """
 
 import pytest
 
 from repro.baseline.naive import NaiveConfig, NaiveGroup
 from repro.core.group import GroupConfig, HyperLoopGroup
-from repro.nvm.memory import SparsePages
+from repro.experiments.common import throughput_run
+from repro.nvm.cache import NICWriteCache
+from repro.nvm.memory import NVM, SparsePages
 from repro.rdma import driver
 from repro.rdma.driver import WorkQueue
 
@@ -89,3 +92,64 @@ def test_build_and_flush_work_per_preposted_slot(cluster, monkeypatch):
     assert flushed == 3 * 6 * slots
     group.close()
     assert counts["peeks"] == 0
+
+
+def test_drain_persists_each_merged_range_once(cluster, monkeypatch):
+    """Pipelined 64 KB gWRITEs dirty the same region range op after op, so
+    a drain finds overlapping pending writes: it makes at most one
+    ``NVM.persist`` per disjoint range, and ``persist`` copies pages
+    without going through ``SparsePages.read``."""
+    pending = {}                   # cache -> [(address, end)] since drained
+    drains = []                    # (writes, disjoint ranges, persists)
+    counts = {"persists": 0, "reads_in_persist": 0}
+    inside_persist = []
+    dma_write = NICWriteCache.dma_write
+    persist_all = NICWriteCache._persist_all
+    persist, read = NVM.persist, SparsePages.read
+
+    def recording_dma_write(cache, address, data):
+        if data:  # Recorded first: the write itself may force a drain.
+            pending.setdefault(cache, []).append(
+                (address, address + len(data)))
+        dma_write(cache, address, data)
+
+    def counting_persist_all(cache):
+        writes = sorted(pending.pop(cache, []))
+        disjoint, stop = 0, None
+        for address, end in writes:
+            if stop is None or address > stop:
+                disjoint += 1
+                stop = end
+            stop = max(stop, end)
+        before = counts["persists"]
+        persist_all(cache)
+        drains.append((len(writes), disjoint, counts["persists"] - before))
+
+    def counting_persist(memory, address, size):
+        counts["persists"] += 1
+        inside_persist.append(True)
+        try:
+            persist(memory, address, size)
+        finally:
+            inside_persist.pop()
+
+    def counting_read(pages, address, size):
+        if inside_persist:
+            counts["reads_in_persist"] += 1
+        return read(pages, address, size)
+
+    monkeypatch.setattr(NICWriteCache, "dma_write", recording_dma_write)
+    monkeypatch.setattr(NICWriteCache, "_persist_all", counting_persist_all)
+    monkeypatch.setattr(NVM, "persist", counting_persist)
+    monkeypatch.setattr(SparsePages, "read", counting_read)
+    client = cluster.add_host("pp-client")
+    group = HyperLoopGroup(client, cluster.add_hosts(3, prefix="pp-replica"),
+                           GroupConfig(slots=64, region_size=1 << 20))
+    size = 64 * 1024
+    throughput_run(group, size, 32 * size, window=8)
+    group.close()
+    assert counts["persists"] > 0
+    assert any(writes > disjoint for writes, disjoint, _ in drains)
+    for writes, disjoint, persists in drains:
+        assert persists <= disjoint
+    assert counts["reads_in_persist"] == 0

@@ -1,9 +1,11 @@
-"""Adversarial tests of the two rules that let the NIC skip work:
+"""Adversarial tests of the rules that let the NIC and driver skip work:
 
 * a stalled send queue is re-evaluated only when inbound DMA overlaps its
   *head descriptor* (``RNIC.wake_written``);
 * ``peek_head`` re-reads ring memory on every look but reuses the parse of
-  an image it has already seen (content-keyed, bounded memo).
+  an image it has already seen (content-keyed, bounded memo);
+* the cyclic write-back and ``grant`` flip the OWNED bit in place instead
+  of re-writing the flags byte.
 
 Each test is built to fail if the rule it aims at is wrong: a missed wake
 leaves the patched operation unexecuted, a stale parse executes the old
@@ -12,6 +14,7 @@ parameters, a spurious wake shows up as an extra process step.
 
 import pytest
 
+from repro.nvm.memory import NVM
 from repro.nvm.power import PowerDomain
 from repro.rdma import driver
 from repro.rdma.verbs import Access, WCStatus, WorkCompletion
@@ -297,3 +300,55 @@ class TestListPostedDescriptors:
         assert visible[half:] == visible[:half] != bytes(half)
         assert reverted == visible[:half] + bytes(half)
         assert (head, tail) == (0, 8)
+
+
+class TestFlagFlipInPlace:
+    """One lap of a cyclic ring: the NIC's write-back clears OWNED on the
+    plain descriptors only, and touches no other byte — also in slot 1,
+    whose opcode and flags bytes sit on two pages."""
+
+    WRS = (WorkRequest(Opcode.WAIT, wait_cq=3, wait_count=2),
+           WorkRequest(Opcode.SEND, [Sge(64, 8)], wr_id=11),
+           WorkRequest(Opcode.RECV, [Sge(128, 16)], wr_id=12),
+           WorkRequest(Opcode.WRITE, [Sge(64, 8)], remote_addr=4096,
+                       static=True),
+           WorkRequest(Opcode.NOP, wr_id=13))
+    PLAIN = (1, 4)
+
+    def test_write_back_grant_and_power_failure(self):
+        memory = NVM(1 << 16)
+        domain = PowerDomain()
+        domain.register(memory)
+        memory.allocate(4095 - WQE_SIZE, "pad", align=1)
+        ring = memory.allocate(len(self.WRS) * WQE_SIZE, "ring", align=1)
+        wq = driver.WorkQueue(memory, ring, cyclic=True)
+        assert wq.slot_address(1) == 4095
+        wq.post_list(self.WRS, [True] * len(self.WRS))
+        memory.persist(ring.address, ring.size)
+        posted = [encode_wqe(wr, owned=True) for wr in self.WRS]
+        armed = [encode_wqe(wr, owned=index not in self.PLAIN)
+                 for index, wr in enumerate(self.WRS)]
+        for index in self.PLAIN:  # The flags byte, nothing else.
+            assert [at for at in range(WQE_SIZE)
+                    if armed[index][at] != posted[index][at]] == [1]
+
+        def slot(index):
+            return memory.read(wq.slot_address(index), WQE_SIZE)
+
+        for index in range(len(self.WRS)):  # Parse every owned image first.
+            assert wq.peek_head().owned  # simlint: disable=WQ03 (the NIC's look)
+            wq.advance_head()  # simlint: disable=WQ03 (the NIC's write-back)
+            assert slot(index) == armed[index]
+        assert (wq.head, wq.tail) == (len(self.WRS), 2 * len(self.WRS))
+        for index in range(len(self.WRS)):
+            wqe = wq.peek_head()  # simlint: disable=WQ03 (the NIC's look)
+            assert wqe.owned is (index not in self.PLAIN)
+            assert driver._parse_memo[slot(index)] == wqe
+            if index in self.PLAIN:
+                wq.grant(wq.head)  # simlint: disable=WQ01 (the driver's grant)
+                assert slot(index) == posted[index]
+                assert wq.peek_head().owned  # simlint: disable=WQ03 (the NIC's look)
+            wq.advance_head()  # simlint: disable=WQ03 (the NIC's write-back)
+        assert b"".join(map(slot, range(len(self.WRS)))) == b"".join(armed)
+        domain.fail()
+        assert memory.read(ring.address, ring.size) == b"".join(posted)
