@@ -35,7 +35,6 @@ from .core.fanout import FanoutGroup
 from .core.multiclient import SharedChain, SharedChainClient
 from .core.group import GroupConfig, HyperLoopGroup, OpResult
 from .core.client import ReplicatedStore, StoreConfig, initialize, recover
-from .core.recovery import ChainFailure, ChainSupervisor, RecoveryConfig
 from .baseline.naive import NaiveConfig, NaiveGroup
 from .apps.logqueue import QueueConfig, ReplicatedQueue
 from .apps.rediscache import CacheConfig, ReplicatedCache
@@ -66,9 +65,6 @@ __all__ = [
     "StoreConfig",
     "initialize",
     "recover",
-    "ChainFailure",
-    "ChainSupervisor",
-    "RecoveryConfig",
     "NaiveConfig",
     "NaiveGroup",
     "QueueConfig",

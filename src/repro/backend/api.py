@@ -64,7 +64,7 @@ class ReplicationBackend(Protocol):
     Recovery hooks: :meth:`abort_in_flight` fails every pending op when a
     chain failure is declared, and :meth:`close` returns every carved
     resource so a supervisor can rebuild (see
-    :class:`repro.core.recovery.ChainSupervisor`).
+    :class:`repro.faults.reconfig.ReplicaSetManager`).
 
     Membership hooks: :attr:`group_size`, :attr:`replicas` (per-node
     engine objects, each exposing ``.host`` and ``.region``) and

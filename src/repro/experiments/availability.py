@@ -1,28 +1,28 @@
 """Availability timeline: throughput through a crash and repair.
 
 An extension experiment (the paper defers control-path evaluation, §5):
-drive a steady gWRITE load, crash a replica mid-run, and bucket completed
-operations per interval.  The timeline shows the three phases the §5
-recovery design implies:
+drive a steady durable gWRITE load, crash a replica mid-run, and bucket
+completed operations per interval.  The timeline shows the three phases
+the §5 recovery design implies:
 
 1. steady state at the offered rate;
 2. an outage window = heartbeat detection (miss_threshold × period) plus
-   chain rebuild and catch-up copy;
-3. full-rate resumption on the repaired chain, with every pre-crash ACKed
-   write intact.
+   drain grace, election, rebuild and the stalled catch-up copy;
+3. full-rate resumption on the repaired group, with every ACKed write
+   intact.
+
+The run is the crash cell of the fault grid (:mod:`.fig_faults`) at a
+longer horizon: the same writer, :class:`~repro.faults.ReplicaSetManager`
+supervisor, spare and :class:`~repro.faults.AckOracle`.  This module only
+projects that row onto the timeline's summary.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
-from .. import backend as backend_registry
-from ..core.recovery import ChainFailure, ChainSupervisor, RecoveryConfig
-from ..faults import CrashProcess, FaultInjector, FaultPlan
-from ..host import Cluster
-from ..sim.units import ms
-from .common import bucket_of, count_outage_buckets, format_table, \
-    phase_timings
+from . import fig_faults
+from .common import count_outage_buckets, format_table
 
 __all__ = ["run", "main"]
 
@@ -31,88 +31,20 @@ def run(bucket_ms: int = 10, buckets: int = 60, crash_bucket: int = 15,
         ops_per_bucket_target: int = 200, seed: int = 90,
         backend: str = "hyperloop") -> Dict:
     """Returns the timeline plus outage statistics."""
-    cluster = Cluster(seed=seed)
-    client = cluster.add_host("av-client")
-    replicas = cluster.add_hosts(3, prefix="av-replica")
-    spare = cluster.add_host("av-spare")
-
-    def factory(client_host, replica_hosts):
-        return backend_registry.create(backend, client_host, replica_hosts,
-                                       slots=64, region_size=4 << 20)
-
-    supervisor = ChainSupervisor(
-        client, replicas, factory,
-        RecoveryConfig(heartbeat_period_ns=ms(5), miss_threshold=3))
-    supervisor.start_monitoring()
-    sim = cluster.sim
-    completed: List[int] = [0] * buckets
-    state = {"stop": False, "detected_at": None, "repaired_at": None,
-             "lost_acked_writes": 0}
-    gap_ns = ms(bucket_ms) // ops_per_bucket_target
-    acked_payloads: Dict[int, bytes] = {}
-
-    def writer():
-        sequence = 0
-        while not state["stop"]:
-            yield sim.timeout(gap_ns)
-            group = supervisor.group
-            if not supervisor.healthy:
-                if state["detected_at"] is None:
-                    state["detected_at"] = sim.now
-                new_group = yield from supervisor.repair(replacement=spare)
-                state["repaired_at"] = sim.now
-                group = new_group
-            offset = (sequence % 1000) * 16
-            payload = sequence.to_bytes(8, "little")
-            group.write_local(offset, payload)
-            try:
-                yield group.gwrite(offset, 8, durable=True)
-            except ChainFailure:
-                continue  # Unacked — the retry loop covers it.
-            acked_payloads[offset] = payload
-            bucket = bucket_of(sim.now, bucket_ms, buckets)
-            if bucket >= 0:
-                completed[bucket] += 1
-            sequence += 1
-
-    def stopper():
-        yield sim.timeout(ms(bucket_ms) * buckets)
-        state["stop"] = True
-
-    # The crash is a declarative fault plan, not a bespoke process: the
-    # injector fires CrashProcess at the scheduled time and logs the
-    # exact fire timestamp the phase report reads back.
-    plan = FaultPlan([CrashProcess(ms(bucket_ms) * crash_bucket,
-                                   host=replicas[1].name)],
-                     name="availability.crash")
-    injector = FaultInjector(cluster, plan, name="av.crasher")
-    sim.process(writer(), name="av.writer")
-    injector.start()
-    sim.process(stopper(), name="av.stopper")
-    cluster.run(until=ms(bucket_ms) * (buckets + 2))
-
-    # Verify no ACKed write was lost across the repair.
-    final_group = supervisor.group
-    for offset, payload in acked_payloads.items():
-        for hop in range(final_group.group_size):
-            if final_group.read_replica(hop, offset, 8) != payload:
-                state["lost_acked_writes"] += 1
-    crashed_at = injector.first_fired(CrashProcess)
-    # Detection latency (heartbeat misses until the supervisor notices)
-    # reported separately from the total outage: the remainder is
-    # rebuild + catch-up, and the two respond to different knobs.
-    phases = phase_timings(crashed_at, state["detected_at"],
-                           state["repaired_at"])
+    row = fig_faults.run(kinds=["crash"], backends=[backend], jobs=1,
+                         bucket_ms=bucket_ms, buckets=buckets,
+                         fault_bucket=crash_bucket,
+                         ops_per_bucket=ops_per_bucket_target, seed=seed)[0]
     return {
-        "timeline": completed,
+        "timeline": row["timeline"],
         "bucket_ms": bucket_ms,
         "crash_bucket": crash_bucket,
-        "outage_ms": phases["outage_ms"],
-        "detection_ms": phases["detection_ms"],
+        "outage_ms": row["outage_ms"],
+        "detection_ms": row["detection_ms"],
         "outage_buckets": count_outage_buckets(
-            completed, crash_bucket, ops_per_bucket_target // 2),
-        "repairs": supervisor.repairs_completed,
-        "lost_acked_writes": state["lost_acked_writes"],
+            row["timeline"], crash_bucket, ops_per_bucket_target // 2),
+        "repairs": row["reconfigs"],
+        "lost_acked_writes": row["lost_acked_writes"],
     }
 
 

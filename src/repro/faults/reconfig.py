@@ -230,8 +230,7 @@ class ReplicaSetManager:
         self.watchdog.clear(failed_name)
         self.replica_hosts = members
         self.group = new_group
-        if hasattr(old_group, "close"):
-            old_group.close()
+        old_group.close()
         self.reconfigs.append(ReconfigRecord(
             failed_host=failed_name, suspected_ns=suspected_ns,
             started_ns=started_ns, election=result, drained=drained,

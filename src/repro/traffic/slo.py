@@ -22,8 +22,8 @@ Two bucketing conventions coexist, deliberately:
   its SLO", which is what time-in-violation means contractually.
 
 Samples landing after the configured horizon are **dropped, not
-clamped** — clamping would silently inflate the final bucket (the exact
-bug fixed in :mod:`repro.experiments.availability` in this change).
+clamped** — clamping would silently inflate the final bucket (the rule
+:func:`repro.experiments.common.bucket_of` applies to fault timelines).
 """
 
 from __future__ import annotations

@@ -1,71 +1,53 @@
-"""Tests for heartbeat failure detection and chain repair."""
+"""Heartbeat failure detection and group repair through ReplicaSetManager."""
 
-import pytest
-
-from repro.core.group import GroupConfig, HyperLoopGroup
-from repro.core.recovery import ChainFailure, ChainSupervisor, RecoveryConfig
+from repro import backend as backend_registry
+from repro.faults import HeartbeatConfig, ReplicaFault, ReplicaSetManager
 from repro.sim.units import ms
 
+from .test_teardown import run
 
-def make_supervisor(cluster, replicas=3, **recovery):
+
+def make_supervisor(cluster, backend="hyperloop", spares=0, heartbeat=None):
     client = cluster.add_host("rc-client")
-    hosts = cluster.add_hosts(replicas, prefix="rc-replica")
+    hosts = cluster.add_hosts(3, prefix="rc-replica")
+    spare_hosts = cluster.add_hosts(spares, prefix="rc-spare")
+    manager = ReplicaSetManager(
+        client, hosts,
+        lambda c, m: backend_registry.create(backend, c, m, slots=16,
+                                             region_size=1 << 20),
+        spares=spare_hosts, heartbeat=heartbeat)
+    manager.start()
+    return manager, hosts, spare_hosts
 
-    def factory(client_host, replica_hosts):
-        return HyperLoopGroup(client_host, replica_hosts,
-                              GroupConfig(slots=16, region_size=1 << 20))
 
-    supervisor = ChainSupervisor(
-        client, hosts, factory,
-        RecoveryConfig(**recovery) if recovery else RecoveryConfig())
-    return supervisor, client, hosts
-
-
-def run(cluster, generator, deadline_ms=20_000):
-    process = cluster.sim.process(generator)
-    deadline = cluster.sim.now + ms(deadline_ms)
-    while not process.triggered and cluster.sim.peek() is not None \
-            and cluster.sim.peek() <= deadline:
-        cluster.sim.step()
-    assert process.triggered, "recovery workload did not finish"
-    if not process.ok:
-        raise process.value
-    return process.value
+def wait_for_repair(manager, count=1):
+    """Yield until ``count`` reconfigurations have completed."""
+    while manager.repairs_completed < count:
+        yield manager.sim.timeout(ms(1))
 
 
 class TestHealthyOperation:
     def test_no_false_positives_idle(self, cluster):
-        supervisor, _c, _hosts = make_supervisor(cluster)
-        supervisor.start_monitoring()
+        """The default heartbeat never suspects an idle, healthy group."""
+        manager, _hosts, _spares = make_supervisor(cluster)
         cluster.run(until=ms(200))
-        assert supervisor.healthy
-        assert supervisor.failures_detected == 0
-
-    def test_monitoring_idempotent(self, cluster):
-        supervisor, _c, _hosts = make_supervisor(cluster)
-        supervisor.start_monitoring()
-        supervisor.start_monitoring()  # Must not double-start.
-        cluster.run(until=ms(100))
-        assert supervisor.healthy
+        assert manager.healthy
+        assert manager.detections == []
+        assert manager.repairs_completed == 0
 
 
 class TestDetection:
     def test_crash_detected(self, cluster):
-        supervisor, _c, hosts = make_supervisor(cluster)
-        supervisor.start_monitoring()
-        seen = []
-        supervisor.on_failure(lambda hop, host: seen.append((hop, host.name)))
+        manager, hosts, _spares = make_supervisor(cluster)
         cluster.run(until=ms(20))
         hosts[1].crash()
         cluster.run(until=ms(100))
-        assert not supervisor.healthy
-        assert seen == [(1, hosts[1].name)]
-        assert supervisor.failures_detected == 1
+        assert [name for name, _at in manager.detections] == [hosts[1].name]
+        assert [r.failed_host for r in manager.reconfigs] == [hosts[1].name]
 
     def test_pending_ops_aborted_on_detection(self, cluster):
-        supervisor, _c, hosts = make_supervisor(cluster)
-        supervisor.start_monitoring()
-        group = supervisor.group
+        manager, hosts, _spares = make_supervisor(cluster)
+        group = manager.group
         outcome = []
 
         def proc():
@@ -76,99 +58,65 @@ class TestDetection:
             try:
                 yield event
                 outcome.append("acked")
-            except ChainFailure as exc:
+            except ReplicaFault as exc:
                 outcome.append(("aborted", exc.hop))
 
         run(cluster, proc(), deadline_ms=500)
         assert outcome == [("aborted", 2)]
 
     def test_detection_latency_bounded(self, cluster):
-        supervisor, _c, hosts = make_supervisor(
-            cluster, heartbeat_period_ns=ms(2), miss_threshold=2)
-        supervisor.start_monitoring()
-        detected_at = []
-        supervisor.on_failure(
-            lambda hop, host: detected_at.append(cluster.sim.now))
+        manager, hosts, _spares = make_supervisor(
+            cluster, heartbeat=HeartbeatConfig(period_ns=ms(2),
+                                               miss_threshold=2))
         cluster.run(until=ms(10))
         crash_time = cluster.sim.now
         hosts[0].crash()
         cluster.run(until=ms(60))
-        assert detected_at
+        assert manager.detections
         # Detected within a few periods of the threshold.
-        assert detected_at[0] - crash_time < ms(2) * 6
+        assert manager.detections[0][1] - crash_time < ms(2) * 6
+        assert manager.reconfigs[0].suspected_ns == manager.detections[0][1]
 
 
 class TestRepair:
     def test_repair_drops_failed_replica(self, cluster):
-        supervisor, _c, hosts = make_supervisor(cluster)
-        supervisor.start_monitoring()
+        manager, hosts, _spares = make_supervisor(cluster)
 
         def proc():
-            group = supervisor.group
+            group = manager.group
             group.write_local(0, b"pre-crash!")
             yield group.gwrite(0, 10, durable=True)
             hosts[1].crash()
-            while supervisor.healthy:
-                yield cluster.sim.timeout(ms(5))
-            new_group = yield from supervisor.repair()
-            return new_group
+            yield from wait_for_repair(manager)
+            return manager.group
 
         new_group = run(cluster, proc())
         assert new_group.group_size == 2
-        assert supervisor.repairs_completed == 1
-        assert supervisor.healthy
+        assert manager.repairs_completed == 1
+        assert manager.healthy
+        assert hosts[1] not in manager.replica_hosts
         # State survived onto the new chain.
         for hop in range(2):
             assert new_group.read_replica(hop, 0, 10) == b"pre-crash!"
 
     def test_repair_with_replacement(self, cluster):
-        supervisor, _c, hosts = make_supervisor(cluster)
-        spare = cluster.add_host("rc-spare")
-        supervisor.start_monitoring()
+        manager, hosts, (spare,) = make_supervisor(cluster, spares=1)
 
         def proc():
-            group = supervisor.group
+            group = manager.group
             group.write_local(64, b"carried")
             yield group.gwrite(64, 7, durable=True)
             hosts[0].crash()
-            while supervisor.healthy:
-                yield cluster.sim.timeout(ms(5))
-            new_group = yield from supervisor.repair(replacement=spare)
+            yield from wait_for_repair(manager)
             # New chain fully functional, including the replacement tail.
+            new_group = manager.group
             new_group.write_local(128, b"fresh")
             yield new_group.gwrite(128, 5, durable=True)
             return new_group
 
         new_group = run(cluster, proc())
         assert new_group.group_size == 3
-        assert spare in supervisor.replica_hosts
+        assert manager.replica_hosts[-1] is spare
+        assert manager.reconfigs[0].replacement == spare.name
         assert new_group.read_replica(2, 64, 7) == b"carried"
         assert new_group.read_replica(2, 128, 5) == b"fresh"
-
-    def test_repair_healthy_chain_rejected(self, cluster):
-        supervisor, _c, _hosts = make_supervisor(cluster)
-
-        def proc():
-            with pytest.raises(RuntimeError):
-                yield from supervisor.repair()
-
-        run(cluster, proc())
-
-    def test_double_failure_leaves_one(self, cluster):
-        supervisor, _c, hosts = make_supervisor(cluster)
-        supervisor.start_monitoring()
-
-        def proc():
-            hosts[0].crash()
-            while supervisor.healthy:
-                yield cluster.sim.timeout(ms(5))
-            yield from supervisor.repair()
-            hosts[1].crash()
-            while supervisor.healthy:
-                yield cluster.sim.timeout(ms(5))
-            new_group = yield from supervisor.repair()
-            return new_group
-
-        new_group = run(cluster, proc())
-        assert new_group.group_size == 1
-        assert supervisor.failures_detected == 2

@@ -1,161 +1,55 @@
-"""Recovery under adverse conditions: load, Naïve groups, repeated cycles."""
+"""Recovery under adverse conditions: Naïve groups, writes across repair."""
 
-from repro.baseline.naive import NaiveConfig, NaiveGroup
-from repro.core.group import GroupConfig, HyperLoopGroup
-from repro.core.recovery import ChainFailure, ChainSupervisor, RecoveryConfig
+from repro.faults import ReplicaFault
 from repro.sim.units import ms
 
-
-def run(cluster, generator, deadline_ms=60_000):
-    process = cluster.sim.process(generator)
-    deadline = cluster.sim.now + ms(deadline_ms)
-    while not process.triggered and cluster.sim.peek() is not None \
-            and cluster.sim.peek() <= deadline:
-        cluster.sim.step()
-    assert process.triggered, "recovery workload did not finish"
-    if not process.ok:
-        raise process.value
-    return process.value
-
-
-class TestUnderLoad:
-    def test_no_false_positives_with_tenants(self, cluster):
-        """Heartbeats ride the loaded CPU but within the miss threshold."""
-        client = cluster.add_host("rl-client")
-        hosts = cluster.add_hosts(3, prefix="rl-replica")
-        for host in hosts:
-            host.add_tenant_load(80, kind="bursty")
-
-        def factory(client_host, replica_hosts):
-            return HyperLoopGroup(client_host, replica_hosts,
-                                  GroupConfig(slots=16, region_size=1 << 20))
-
-        supervisor = ChainSupervisor(
-            client, hosts, factory,
-            RecoveryConfig(heartbeat_period_ns=ms(10), miss_threshold=4))
-        supervisor.start_monitoring()
-        cluster.run(until=ms(400))
-        assert supervisor.healthy
-        assert supervisor.failures_detected == 0
-
-    def test_detection_still_works_under_load(self, cluster):
-        client = cluster.add_host("rl2-client")
-        hosts = cluster.add_hosts(3, prefix="rl2-replica")
-        for host in hosts:
-            host.add_tenant_load(80, kind="bursty")
-
-        def factory(client_host, replica_hosts):
-            return HyperLoopGroup(client_host, replica_hosts,
-                                  GroupConfig(slots=16, region_size=1 << 20))
-
-        supervisor = ChainSupervisor(
-            client, hosts, factory,
-            RecoveryConfig(heartbeat_period_ns=ms(10), miss_threshold=4))
-        supervisor.start_monitoring()
-        cluster.run(until=ms(50))
-        hosts[2].crash()
-        cluster.run(until=ms(400))
-        assert not supervisor.healthy
-        assert supervisor.failed_host is hosts[2]
+from .test_recovery import make_supervisor, wait_for_repair
+from .test_teardown import run
 
 
 class TestNaiveChains:
     def test_supervisor_over_naive_group(self, cluster):
         """The control path is implementation-agnostic (§5)."""
-        client = cluster.add_host("rn-client")
-        hosts = cluster.add_hosts(3, prefix="rn-replica")
-
-        def factory(client_host, replica_hosts):
-            return NaiveGroup(client_host, replica_hosts,
-                              NaiveConfig(slots=16, region_size=1 << 20))
-
-        supervisor = ChainSupervisor(client, hosts, factory)
-        supervisor.start_monitoring()
+        manager, hosts, _spares = make_supervisor(cluster, backend="naive")
 
         def proc():
-            group = supervisor.group
+            group = manager.group
             group.write_local(0, b"naive-data")
             yield group.gwrite(0, 10, durable=True)
             hosts[0].crash()
-            while supervisor.healthy:
-                yield cluster.sim.timeout(ms(5))
-            new_group = yield from supervisor.repair()
+            yield from wait_for_repair(manager)
+            new_group = manager.group
             new_group.write_local(50, b"post-fix")
             yield new_group.gwrite(50, 8)
             return new_group
 
-        new_group = run(cluster, proc())
+        new_group = run(cluster, proc(), deadline_ms=60_000)
         assert new_group.group_size == 2
         assert new_group.read_replica(1, 0, 10) == b"naive-data"
         assert new_group.read_replica(1, 50, 8) == b"post-fix"
 
 
 class TestRepeatedCycles:
-    def test_crash_repair_crash_repair(self, cluster):
-        client = cluster.add_host("rr-client")
-        hosts = cluster.add_hosts(3, prefix="rr-replica")
-        spares = cluster.add_hosts(2, prefix="rr-spare")
-
-        def factory(client_host, replica_hosts):
-            return HyperLoopGroup(client_host, replica_hosts,
-                                  GroupConfig(slots=16, region_size=1 << 20))
-
-        supervisor = ChainSupervisor(client, hosts, factory)
-        supervisor.start_monitoring()
-
-        def proc():
-            for round_index, spare in enumerate(spares):
-                group = supervisor.group
-                payload = f"round-{round_index}".encode()
-                group.write_local(round_index * 64, payload)
-                yield group.gwrite(round_index * 64, len(payload),
-                                   durable=True)
-                supervisor.replica_hosts[0].crash()
-                while supervisor.healthy:
-                    yield cluster.sim.timeout(ms(5))
-                yield from supervisor.repair(replacement=spare)
-            return supervisor.group
-
-        final_group = run(cluster, proc())
-        assert supervisor.repairs_completed == 2
-        assert final_group.group_size == 3
-        # Both rounds' data survived two full crash/repair cycles.
-        assert final_group.read_replica(2, 0, 7) == b"round-0"
-        assert final_group.read_replica(2, 64, 7) == b"round-1"
-
     def test_writes_resume_after_each_repair(self, cluster):
-        client = cluster.add_host("rw-client")
-        hosts = cluster.add_hosts(3, prefix="rw-replica")
-
-        def factory(client_host, replica_hosts):
-            return HyperLoopGroup(client_host, replica_hosts,
-                                  GroupConfig(slots=16, region_size=1 << 20))
-
-        supervisor = ChainSupervisor(client, hosts, factory)
-        supervisor.start_monitoring()
+        manager, _hosts, _spares = make_supervisor(cluster)
 
         def proc():
             count = {"ok": 0, "aborted": 0}
-            crashed = False
             for i in range(30):
-                group = supervisor.group
-                if not supervisor.healthy:
-                    yield from supervisor.repair()
-                    group = supervisor.group
+                yield manager.wait_healthy()
+                group = manager.group
                 group.write_local(0, i.to_bytes(4, "little"))
                 try:
                     yield group.gwrite(0, 4)
                     count["ok"] += 1
-                except ChainFailure:
+                except ReplicaFault:
                     count["aborted"] += 1
-                if i == 10 and not crashed:
-                    crashed = True
-                    supervisor.replica_hosts[1].crash()
-                    # Wait out detection so the next loop iteration heals.
-                    while supervisor.healthy:
-                        yield cluster.sim.timeout(ms(5))
+                if i == 10:
+                    manager.replica_hosts[1].crash()
             return count
 
-        count = run(cluster, proc())
+        count = run(cluster, proc(), deadline_ms=60_000)
         assert count["ok"] >= 25
-        assert supervisor.repairs_completed == 1
+        assert count["ok"] + count["aborted"] == 30
+        assert manager.repairs_completed == 1
+        assert manager.group.read_replica(1, 0, 4) == (29).to_bytes(4, "little")

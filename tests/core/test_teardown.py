@@ -4,7 +4,7 @@ import pytest
 
 from repro.baseline.naive import NaiveConfig, NaiveGroup
 from repro.core.group import GroupConfig, HyperLoopGroup
-from repro.core.recovery import ChainSupervisor
+from repro.faults import ReplicaSetManager
 from repro.sim.units import ms
 
 
@@ -170,18 +170,17 @@ class TestRecoveryTeardown:
                                   GroupConfig(slots=16,
                                               region_size=1 << 20))
 
-        supervisor = ChainSupervisor(client, hosts, factory)
-        supervisor.start_monitoring()
-        old_group = supervisor.group
+        manager = ReplicaSetManager(client, hosts, factory)
+        manager.start()
+        old_group = manager.group
 
         def proc():
             old_group.write_local(0, b"carry-over")
             yield old_group.gwrite(0, 10, durable=True)
             hosts[0].crash()
-            while supervisor.healthy:
+            while not manager.reconfigs:
                 yield cluster.sim.timeout(ms(5))
-            new_group = yield from supervisor.repair()
-            return new_group
+            return manager.group
 
         new_group = run(cluster, proc(), deadline_ms=60_000)
         assert getattr(old_group, "_closed", False)

@@ -1,11 +1,12 @@
 """Golden regression: availability.run() is pinned byte-for-byte.
 
-The golden file was captured from the pre-migration implementation (the
-bespoke ``crasher()`` process and inline bucket math).  The experiment
-now runs its crash through the fault layer (:class:`FaultPlan` +
-:class:`FaultInjector`) and the shared bucket helpers — and this test
-proves the migration changed *nothing* observable: same timeline, same
-outage split, same oracle result, byte for byte.
+The run is the fault grid's crash cell (:mod:`repro.experiments.
+fig_faults`) at availability's geometry, so the golden records
+:class:`~repro.faults.ReplicaSetManager`'s recovery: a 1 ms heartbeat
+with a 4 ms deadline, drain grace, bully election and a stalled catch-up,
+audited by :class:`~repro.faults.AckOracle`.  Any run-to-run drift also
+fails this comparison; serial == ``--jobs`` for the same worker is
+pinned in ``test_fig_faults.py``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,3 @@ _GOLDEN = Path(__file__).parent / "golden" / "availability.json"
 def test_single_replica_kill_matches_golden():
     result = availability.run()
     assert json.dumps(result, sort_keys=True) == _GOLDEN.read_text().strip()
-
-
-def test_run_is_deterministic():
-    assert availability.run() == availability.run()

@@ -202,21 +202,92 @@ class TestBullyElection:
                            response_timeout_ns=ms(1)).validate()
 
 
-def _manager(cluster, backend="hyperloop", spares=1):
+_FAST_HEARTBEAT = HeartbeatConfig(period_ns=ms(1), miss_threshold=3)
+#: Heartbeats slow enough to ride an 80 %-loaded replica CPU.
+_LOADED_HEARTBEAT = HeartbeatConfig(period_ns=ms(10), miss_threshold=4)
+
+
+def _manager(cluster, backend="hyperloop", spares=1,
+             heartbeat=_FAST_HEARTBEAT, tenant_threads=0):
     client = cluster.add_host("rm-client")
     replicas = [cluster.add_host(f"rm-r{i}") for i in range(3)]
     spare_hosts = [cluster.add_host(f"rm-spare{i}") for i in range(spares)]
+    if tenant_threads:
+        for host in replicas:
+            host.add_tenant_load(tenant_threads, kind="bursty")
     manager = ReplicaSetManager(
         client, replicas,
         lambda c, m: backend_registry.create(backend, c, m,
                                              slots=16, region_size=1 << 16),
-        spares=spare_hosts,
-        heartbeat=HeartbeatConfig(period_ns=ms(1), miss_threshold=3))
+        spares=spare_hosts, heartbeat=heartbeat)
     manager.start()
     return manager, replicas, spare_hosts
 
 
 class TestReplicaSetManager:
+    def test_start_is_idempotent(self, cluster):
+        manager, replicas, _spares = _manager(cluster)
+        manager.start()  # Already started by _manager: must not re-arm.
+        cluster.run(until=ms(50))
+        assert manager.healthy
+        assert manager.detections == []
+        assert manager.monitor.watched_names() == [h.name for h in replicas]
+        # One suspicion callback, so a crash is recorded once.
+        replicas[1].crash()
+        cluster.run(until=ms(80))
+        assert [name for name, _at in manager.detections] == ["rm-r1"]
+
+    def test_no_false_positive_under_tenant_load(self, cluster):
+        """Heartbeats ride the loaded CPU but stay within the deadline."""
+        manager, _replicas, _spares = _manager(
+            cluster, heartbeat=_LOADED_HEARTBEAT, tenant_threads=80)
+        cluster.run(until=ms(400))
+        assert manager.healthy
+        assert manager.detections == []
+        assert manager.reconfigs == []
+
+    def test_crash_detected_under_tenant_load(self, cluster):
+        manager, _replicas, _spares = _manager(
+            cluster, heartbeat=_LOADED_HEARTBEAT, tenant_threads=80)
+        FaultInjector(cluster,
+                      FaultPlan([CrashProcess(ms(50), host="rm-r2")])).start()
+        cluster.run(until=ms(400))
+        assert [name for name, _at in manager.detections] == ["rm-r2"]
+        assert [r.failed_host for r in manager.reconfigs] == ["rm-r2"]
+        assert manager.healthy
+
+    def test_two_crashes_without_spare_leave_one(self, cluster):
+        manager, _replicas, _spares = _manager(cluster, spares=0)
+        FaultInjector(cluster, FaultPlan([
+            CrashProcess(ms(5), host="rm-r0"),
+            CrashProcess(ms(25), host="rm-r1")])).start()
+        cluster.run(until=ms(60))
+        assert len(manager.reconfigs) == 2
+        assert manager.group.group_size == 1
+
+    def test_repeated_cycles_keep_every_round(self, cluster):
+        """Two crash/repair cycles: both rounds' bytes reach the tail."""
+        manager, _replicas, _spares = _manager(cluster, spares=2)
+        sim = cluster.sim
+
+        def cycles():
+            for round_index in range(2):
+                payload = f"round-{round_index}".encode()
+                manager.group.write_local(round_index * 64, payload)
+                yield manager.group.gwrite(round_index * 64, len(payload),
+                                           durable=True)
+                manager.replica_hosts[0].crash()
+                while len(manager.reconfigs) == round_index:
+                    yield sim.timeout(ms(1))
+
+        sim.process(cycles())
+        cluster.run(until=ms(60))
+        assert len(manager.reconfigs) == 2
+        final = manager.group
+        assert final.group_size == 3
+        assert final.read_replica(2, 0, 7) == b"round-0"
+        assert final.read_replica(2, 64, 7) == b"round-1"
+
     def test_crash_triggers_full_reconfiguration(self, cluster):
         manager, replicas, spares = _manager(cluster)
         plan = FaultPlan([CrashProcess(ms(5), host="rm-r1")])
