@@ -8,13 +8,15 @@ contract: a bounded submission pipeline (``slots`` ops in flight), a
 slot-indexed ACK table, local region accessors, and abort/teardown hooks.
 Only the wire topology and per-node engines differ.
 
-:class:`GroupBase` holds that shared half, so a backend implementation is
-reduced to: per-node engine setup, a ``_submitter`` process that turns an
-:class:`~repro.core.metadata.OpSpec` into posted work requests, and an
-ACK dispatcher that calls :meth:`_pop_acked` /
-:meth:`_release_window_waiters`.  Subclasses must provide the attributes
-listed under :attr:`GroupBase` and may override :meth:`_region_limit`
-(e.g. to reserve scratch space at the region tail).
+:class:`GroupBase` holds that shared half, including the submit loop
+(:meth:`GroupBase._submitter`) that posts every op to the head the same
+way.  A backend implementation is reduced to: per-node engine setup, the
+metadata message its head consumes (``_metadata(op, slot)``) and what
+building it costs the client CPU (``_build_ns``), and an ACK dispatcher
+that calls :meth:`_pop_acked` / :meth:`_release_window_waiters` /
+:meth:`_finish`.  Subclasses must provide the attributes listed under
+:attr:`GroupBase` and may override :meth:`_region_limit` (e.g. to reserve
+scratch space at the region tail).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence
 
 from ..host import Host
+from ..rdma.wqe import Opcode, Sge, WorkRequest
 from ..sim.engine import Event
 from .api import OpResult
 from .ops import OpKind, OpSpec
@@ -33,13 +36,16 @@ __all__ = ["GroupBase"]
 class GroupBase:
     """Client-side half of a replication backend.
 
-    Subclasses set (typically in ``__init__``): ``config`` (with ``slots``
-    and ``region_size``), ``name``, ``client_host``, ``sim``,
-    ``group_size``, ``replicas`` (node engines with ``.host`` and
-    ``.region``), ``region`` (the client's own copy of the replicated
-    region) and ``read_path`` (a
-    :class:`~repro.core.readpath.ClientReadPath`), then call
-    :meth:`_init_op_state` before starting their client processes.
+    Subclasses set (typically in ``__init__``): ``config`` (with ``slots``,
+    ``region_size`` and ``post_ns``), ``name``, ``client_host``, ``sim``,
+    ``group_size``, ``replicas`` (node engines with ``.host``, ``.region``
+    and ``.region_mr``; ``replicas[0]`` is the head), ``region`` (the
+    client's own copy of the replicated region), ``md_buf`` /
+    ``md_stride`` (one metadata message of exactly ``md_stride`` bytes
+    per slot), ``qp_out`` (connected to the head), ``submit_thread``,
+    ``_build_ns`` and ``_metadata`` (see :meth:`_submitter`) and
+    ``read_path`` (a :class:`~repro.core.readpath.ClientReadPath`), then
+    call :meth:`_init_op_state` before starting their client processes.
     """
 
     # ------------------------------------------------------------------
@@ -273,6 +279,55 @@ class GroupBase:
     # ------------------------------------------------------------------
     # Submitter/dispatcher building blocks
     # ------------------------------------------------------------------
+    def _submitter(self):
+        """Turns each queued op into posted work requests, one at a time.
+
+        Runs on the client CPU — the offloaded backends remove *replica*
+        CPUs from the critical path; the client still spends its own
+        cycles building the message and posting.  Table 1's path is the
+        same for every backend: payload WRITE and 0-byte flush READ to
+        the head, then one SEND of ``self._metadata(op, slot)``.
+        """
+        sim, config = self.sim, self.config
+        memory = self.client_host.memory
+        head = self.replicas[0]
+        while True:
+            op, done, slot = yield from self._dequeue()
+            tracer = self.client_host.cluster.tracer
+            if tracer is not None:
+                tracer.emit(sim.now, f"{self.name}.client", "op.submit",
+                            op.kind.value, op_slot=slot)
+            yield self.submit_thread.run(self._build_ns)
+            md_addr = self.md_buf.address \
+                + (slot % config.slots) * self.md_stride
+            memory.write(md_addr, self._metadata(op, slot))
+            posts = 1
+            if op.kind is OpKind.GWRITE and op.size > 0:
+                self.qp_out.post_send(WorkRequest(
+                    Opcode.WRITE,
+                    [Sge(self.region.address + op.offset, op.size)],
+                    remote_addr=head.region.address + op.offset,
+                    rkey=head.region_mr.rkey, signaled=False))
+                posts += 1
+            if op.kind is OpKind.GMEMCPY:
+                # The client's own copy of the region must move too.
+                memory.copy_within(self.region.address + op.src_offset,
+                                   self.region.address + op.dst_offset,
+                                   op.size)
+            if op.durable or op.kind is OpKind.GFLUSH:
+                self.qp_out.post_send(WorkRequest(
+                    Opcode.READ, [Sge(0, 0)],
+                    remote_addr=head.region.address,
+                    rkey=head.region_mr.rkey, signaled=False))
+                posts += 1
+            self.qp_out.post_send(WorkRequest(
+                Opcode.SEND, [Sge(md_addr, self.md_stride)],
+                wr_id=slot, signaled=False))
+            yield self.submit_thread.run(posts * config.post_ns)
+            if tracer is not None:
+                tracer.emit(sim.now, f"{self.name}.client", "op.posted",
+                            op.kind.value, op_slot=slot)
+
     def _dequeue(self):
         """Generator step for submitter processes: wait for a queued op and
         a free pipeline slot, then claim the slot.  Returns
@@ -299,8 +354,14 @@ class GroupBase:
         return op, done, slot
 
     def _pop_acked(self, slot: int) -> Optional[Event]:
-        """Account one ACKed slot; returns its completion event (if any)."""
+        """Account one ACKed slot; returns its completion event.
+
+        A slot :meth:`abort_in_flight` already wrote off returns None and
+        is not counted again — a late ACK must not open the window.
+        """
         done = self._ack_events.pop(slot, None)
+        if done is None:
+            return None
         self._acked += 1
         self._release_drain_waiters()
         return done
@@ -313,6 +374,10 @@ class GroupBase:
 
     def _finish(self, done: Event, slot: int, result_map: bytes) -> None:
         """Complete ``done`` with an :class:`OpResult` stamped now."""
+        tracer = self.client_host.cluster.tracer
+        if tracer is not None:
+            tracer.emit(self.sim.now, f"{self.name}.client", "op.acked",
+                        op_slot=slot)
         issue = self._issue_ns.pop(slot, self.sim.now)
         done.succeed(OpResult(slot=slot,
                               latency_ns=self.sim.now - issue,

@@ -259,6 +259,7 @@ class NaiveGroup(GroupBase):
         self.client_host = client_host
         self.sim = client_host.sim
         self.group_size = len(replica_hosts)
+        self._build_ns = self.config.build_ns
         self.replicas = [_NaiveReplica(host, self, hop)
                          for hop, host in enumerate(replica_hosts)]
         self._build_client_side()
@@ -274,9 +275,9 @@ class NaiveGroup(GroupBase):
         config, memory, nic = self.config, self.client_host.memory, \
             self.client_host.nic
         self.region = memory.allocate(config.region_size, f"{self.name}.cregion")
-        self.msg_stride = HEADER_SIZE + 8 * self.group_size
-        self.msg_buf = memory.allocate(self.msg_stride * config.slots,
-                                       f"{self.name}.msgs")
+        self.md_stride = HEADER_SIZE + 8 * self.group_size
+        self.md_buf = memory.allocate(self.md_stride * config.slots,
+                                      f"{self.name}.msgs")
         self.ack_stride = 8 * self.group_size
         self.ack_buf = memory.allocate(self.ack_stride * config.slots,
                                        f"{self.name}.ack")
@@ -331,45 +332,16 @@ class NaiveGroup(GroupBase):
         nic.destroy_qp(self.qp_out)
         nic.destroy_qp(self.qp_ack)
         nic.deregister_mr(self.ack_mr)
-        for allocation in (self.region, self.msg_buf, self.ack_buf):
+        for allocation in (self.region, self.md_buf, self.ack_buf):
             memory.free(allocation)
         self.read_path.close()
 
     # ------------------------------------------------------------------
     # Client processes
     # ------------------------------------------------------------------
-    def _submitter(self):
-        config = self.config
-        head = self.replicas[0]
-        while True:
-            op, done, slot = yield from self._dequeue()
-            yield self.submit_thread.run(config.build_ns)
-            msg_addr = self.msg_buf.address \
-                + (slot % config.slots) * self.msg_stride
-            self.client_host.memory.write(
-                msg_addr, encode_header(op, slot, 0, self.group_size)
-                + bytes(8 * self.group_size))
-            posts = 1
-            if op.kind is OpKind.GWRITE and op.size > 0:
-                self.qp_out.post_send(WorkRequest(
-                    Opcode.WRITE,
-                    [Sge(self.region.address + op.offset, op.size)],
-                    remote_addr=head.region.address + op.offset,
-                    rkey=head.region_mr.rkey, signaled=False))
-                posts += 1
-            if op.kind is OpKind.GMEMCPY:
-                self.client_host.memory.copy_within(
-                    self.region.address + op.src_offset,
-                    self.region.address + op.dst_offset, op.size)
-            if op.durable or op.kind is OpKind.GFLUSH:
-                self.qp_out.post_send(WorkRequest(
-                    Opcode.READ, [Sge(0, 0)], remote_addr=head.region.address,
-                    rkey=head.region_mr.rkey, signaled=False))
-                posts += 1
-            self.qp_out.post_send(WorkRequest(
-                Opcode.SEND, [Sge(msg_addr, self.msg_stride)],
-                wr_id=slot, signaled=False))
-            yield self.submit_thread.run(posts * config.post_ns)
+    def _metadata(self, op: OpSpec, slot: int) -> bytes:
+        return encode_header(op, slot, 0, self.group_size) \
+            + bytes(8 * self.group_size)
 
     def _ack_dispatcher(self):
         sim, config = self.sim, self.config

@@ -79,6 +79,8 @@ class FanoutGroup(GroupBase):
         self.client_host = client_host
         self.sim = client_host.sim
         self.group_size = len(replica_hosts)
+        self._build_ns = (self.config.meta_build_base_ns
+                          + self.config.meta_build_per_hop_ns * self.group_size)
         self.backup_count = self.group_size - 1
         self.primary = _FanoutPrimary(replica_hosts[0], self)
         self.backups = [_FanoutBackup(host, self, i)
@@ -217,7 +219,10 @@ class FanoutGroup(GroupBase):
                          signaled=False)
         return encode_wqe(wr, owned=True)
 
-    def _build_metadata(self, op: OpSpec, slot: int) -> bytes:
+    def _metadata(self, op: OpSpec, slot: int) -> bytes:
+        # The slot's SEND is not posted yet, so no ACK for it can have
+        # been counted.
+        self._ack_counts[slot] = 0
         primary = self.primary
         # Per-node CAS result scratch: the region's reserved last 8 bytes
         # (the public offset range excludes this tail, see _region_limit).
@@ -264,47 +269,12 @@ class FanoutGroup(GroupBase):
 
     def _region_limit(self) -> int:
         # The last 64 bytes of each region are reserved for per-node CAS
-        # result scratch (see _build_metadata).
+        # result scratch (see _metadata).
         return self.config.region_size - 64
 
     # ------------------------------------------------------------------
     # Client processes
     # ------------------------------------------------------------------
-    def _submitter(self):
-        config = self.config
-        primary = self.primary
-        while True:
-            op, done, slot = yield from self._dequeue()
-            self._ack_counts[slot] = 0
-            build_ns = (config.meta_build_base_ns
-                        + config.meta_build_per_hop_ns * self.group_size)
-            yield self.submit_thread.run(build_ns)
-            message = self._build_metadata(op, slot)
-            md_addr = self.md_buf.address \
-                + (slot % config.slots) * self.md_stride
-            self.client_host.memory.write(md_addr, message)
-            posts = 1
-            if op.kind is OpKind.GWRITE and op.size > 0:
-                self.qp_out.post_send(WorkRequest(
-                    Opcode.WRITE,
-                    [Sge(self.region.address + op.offset, op.size)],
-                    remote_addr=primary.region.address + op.offset,
-                    rkey=primary.region_mr.rkey, signaled=False))
-                posts += 1
-            if op.kind is OpKind.GMEMCPY:
-                self.client_host.memory.copy_within(
-                    self.region.address + op.src_offset,
-                    self.region.address + op.dst_offset, op.size)
-            if op.durable or op.kind is OpKind.GFLUSH:
-                self.qp_out.post_send(WorkRequest(
-                    Opcode.READ, [Sge(0, 0)],
-                    remote_addr=primary.region.address,
-                    rkey=primary.region_mr.rkey, signaled=False))
-                posts += 1
-            self.qp_out.post_send(WorkRequest(
-                Opcode.SEND, [Sge(md_addr, len(message))], signaled=False))
-            yield self.submit_thread.run(posts * config.post_ns)
-
     def _ack_dispatcher(self):
         sim, config = self.sim, self.config
         channel = self.ack_cq.channel

@@ -12,9 +12,10 @@ turns each submitted :class:`~repro.backend.ops.OpSpec` into one metadata
 SEND (plus payload WRITE / flush READ) so the replicas' NICs execute the
 whole operation without touching their CPUs.
 
-The shared client-side machinery (submission pipeline, ACK table, region
-accessors, abort/close) comes from :class:`~repro.backend.base.GroupBase`;
-this class contributes only what is chain-specific.
+The shared client-side machinery (the submit loop, submission pipeline,
+ACK table, region accessors, abort/close) comes from
+:class:`~repro.backend.base.GroupBase`; this class contributes only what
+is chain-specific: the metadata message and the ACK dispatcher.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ from ..backend.base import GroupBase
 from ..backend.registry import register
 from ..host import Host
 from ..rdma.verbs import Access
-from ..rdma.wqe import Opcode, Sge, WorkRequest
+from ..rdma.wqe import Opcode, WorkRequest
 from .chain import ReplicaEngine
 from .metadata import (
     ClientLayout,
-    OpKind,
+    OpSpec,
     build_metadata,
     meta_len,
     result_map_len,
@@ -77,6 +78,8 @@ class HyperLoopGroup(GroupBase):
         self.client_host = client_host
         self.sim = client_host.sim
         self.group_size = len(replica_hosts)
+        self._build_ns = (self.config.meta_build_base_ns
+                          + self.config.meta_build_per_hop_ns * self.group_size)
         self.replicas = [ReplicaEngine(host, self.name, hop, self.group_size,
                                        self.config)
                          for hop, host in enumerate(replica_hosts)]
@@ -164,55 +167,12 @@ class HyperLoopGroup(GroupBase):
     # ------------------------------------------------------------------
     # Client processes
     # ------------------------------------------------------------------
-    def _submitter(self):
-        """Builds metadata and posts work requests, one op at a time.
-
-        Runs on the client CPU — HyperLoop removes *replica* CPUs from the
-        critical path; the coordinator still spends its own cycles.
-        """
-        sim, config = self.sim, self.config
-        while True:
-            op, done, slot = yield from self._dequeue()
-            tracer = self.client_host.cluster.tracer
-            if tracer is not None:
-                tracer.emit(sim.now, f"{self.name}.client", "op.submit",
-                            op.kind.value, op_slot=slot)
-            build_ns = (config.meta_build_base_ns
-                        + config.meta_build_per_hop_ns * self.group_size)
-            yield self.submit_thread.run(build_ns)
-            message = build_metadata(op, self.layouts, self.client_layout, slot)
-            md_addr = self.md_buf.address + (slot % config.slots) * self.md_stride
-            self.client_host.memory.write(md_addr, message)
-            head = self.layouts[0]
-            posts = 1
-            if op.kind is OpKind.GWRITE and op.size > 0:
-                self.qp_out.post_send(WorkRequest(
-                    Opcode.WRITE,
-                    [Sge(self.region.address + op.offset, op.size)],
-                    remote_addr=head.region_addr + op.offset,
-                    rkey=head.region_rkey, signaled=False))
-                posts += 1
-            if op.kind is OpKind.GMEMCPY:
-                # The client's own copy of the region must move too.
-                self.client_host.memory.copy_within(
-                    self.region.address + op.src_offset,
-                    self.region.address + op.dst_offset, op.size)
-            if op.durable or op.kind is OpKind.GFLUSH:
-                self.qp_out.post_send(WorkRequest(
-                    Opcode.READ, [Sge(0, 0)], remote_addr=head.region_addr,
-                    rkey=head.region_rkey, signaled=False))
-                posts += 1
-            self.qp_out.post_send(WorkRequest(
-                Opcode.SEND, [Sge(md_addr, len(message))],
-                wr_id=slot, signaled=False))
-            yield self.submit_thread.run(posts * config.post_ns)
-            if tracer is not None:
-                tracer.emit(sim.now, f"{self.name}.client", "op.posted",
-                            op.kind.value, op_slot=slot)
+    def _metadata(self, op: OpSpec, slot: int) -> bytes:
+        return build_metadata(op, self.layouts, self.client_layout, slot)
 
     def _ack_dispatcher(self):
         """Waits for tail ACKs (WRITE_WITH_IMM) and completes operations."""
-        sim, config = self.sim, self.config
+        config = self.config
         channel = self.ack_cq.channel
         while True:
             self.ack_cq.req_notify()
@@ -237,8 +197,4 @@ class HyperLoopGroup(GroupBase):
                             + (slot % config.slots) * self.ack_stride)
                 result_map = self.client_host.memory.read(
                     ack_addr, self.ack_stride)
-                tracer = self.client_host.cluster.tracer
-                if tracer is not None:
-                    tracer.emit(sim.now, f"{self.name}.client", "op.acked",
-                                op_slot=slot)
                 self._finish(done, slot, result_map)

@@ -18,8 +18,10 @@ This module builds that design:
   the tail's staging slot, and the static tail ACK (WRITE_WITH_IMM, imm =
   global slot) carries exactly those bytes to the **owner host's** ACK
   buffer, whose dispatcher wakes the right client;
-* per-client flow control: each client's in-flight window is
-  ``slots // max_clients``, so the shared pipeline can never overrun.
+* per-client flow control: each client is a
+  :class:`~repro.backend.base.GroupBase` whose window (its ``slots``) is
+  its quota, ``slots // max_clients``, so the shared pipeline can never
+  overrun.
 
 Scope: gWRITE, gMEMCPY and gFLUSH.  gCAS is single-client by design here —
 its result map needs slot-relative scatter addresses that a multi-client
@@ -31,17 +33,18 @@ Replica CPUs still do exactly zero data-path work.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import struct
-from collections import deque
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
+from ..backend.base import GroupBase
 from ..host import Host
 from ..rdma.verbs import Access
 from ..rdma.wqe import WQE_SIZE, Opcode, Sge, WorkRequest, encode_wqe
 from ..sim.engine import Event
 from .chain import prepost_gated
-from .group import GroupConfig, OpResult
+from .group import GroupConfig
 from .metadata import OpKind, OpSpec
 
 __all__ = ["SharedChain", "SharedChainClient"]
@@ -221,7 +224,6 @@ class SharedChain:
     # ACK hub (owner-side routing; client CPUs, never replica CPUs)
     # ------------------------------------------------------------------
     def _ack_dispatcher(self):
-        sim = self.sim
         channel = self.ack_cq.channel
         while True:
             self.ack_cq.req_notify()
@@ -233,25 +235,42 @@ class SharedChain:
                 tag = self.owner_host.memory.read(
                     self.ack_slot_addr(wc.imm), _TAG.size)
                 client_id, client_op = _TAG.unpack(tag)
-                if client_id < len(self.clients):
-                    self.clients[client_id]._complete(client_op)
+                if client_id >= len(self.clients):
+                    continue
+                client = self.clients[client_id]
+                done = client._pop_acked(client_op)
+                client._release_window_waiters()
+                if done is not None and not done.triggered:
+                    client._finish(done, client_op, b"")
 
 
-class SharedChainClient:
-    """One client's handle onto a shared chain."""
+class SharedChainClient(GroupBase):
+    """One client's handle onto a shared chain.
+
+    A :class:`~repro.backend.base.GroupBase` whose window is its quota:
+    ``config`` is the chain's with ``slots = slots // max_clients``, so
+    the inherited submit loop never holds more than this client's share
+    of the shared pipeline.  Its slots are client-local op ids; the ACK
+    hub routes each ACK back by the tag at the end of the metadata.
+    """
 
     def __init__(self, chain: SharedChain, host: Host, client_id: int):
         self.chain = chain
-        self.host = host
+        self.client_host = host
         self.client_id = client_id
         self.sim = chain.sim
-        config = chain.config
         self.name = f"{chain.name}.c{client_id}"
+        self.group_size = chain.group_size
+        self.replicas = chain.replicas
+        self.quota = chain.config.slots // chain.max_clients
+        config = self.config = dataclasses.replace(chain.config,
+                                                   slots=self.quota)
+        self._build_ns = (config.meta_build_base_ns
+                          + config.meta_build_per_hop_ns * self.group_size)
         memory, nic = host.memory, host.nic
         # The client's local copy of (the parts it writes of) the region.
         self.region = memory.allocate(config.region_size,
                                       f"{self.name}.region")
-        self.quota = config.slots // chain.max_clients
         self.md_stride = _meta_len(chain.group_size, 0)
         self.md_buf = memory.allocate(self.md_stride * self.quota,
                                       f"{self.name}.md")
@@ -265,60 +284,19 @@ class SharedChainClient:
             srq=head.srq)
         self.qp_out.connect(remote)
         self.submit_thread = host.spawn_thread(f"{self.name}.submit")
-        self._next_op = 0
-        self._acked = 0
-        self._events: Dict[int, Event] = {}
-        # Submission time per op id — latency bookkeeping lives here, not
-        # on the (__slots__-lean) kernel Event.
-        self._issue_ns: Dict[int, int] = {}
-        self._window_waiters: List[Event] = []
-        self._queue: deque = deque()
-        self._kick: Optional[Event] = None
+        self._init_op_state()
         self.sim.process(self._submitter(), name=f"{self.name}.submitter")
 
-    # ------------------------------------------------------------------
-    # Public API (the multi-client subset)
-    # ------------------------------------------------------------------
-    def write_local(self, offset: int, data: bytes) -> None:
-        self._check_range(offset, len(data))
-        self.host.memory.write(self.region.address + offset, data)
-
-    def gwrite(self, offset: int, size: int, durable: bool = False) -> Event:
-        self._check_range(offset, size)
-        return self._submit(OpSpec(OpKind.GWRITE, offset=offset, size=size,
-                                   durable=durable))
-
-    def gmemcpy(self, src_offset: int, dst_offset: int, size: int,
-                durable: bool = False) -> Event:
-        self._check_range(src_offset, size)
-        self._check_range(dst_offset, size)
-        return self._submit(OpSpec(OpKind.GMEMCPY, src_offset=src_offset,
-                                   dst_offset=dst_offset, size=size,
-                                   durable=durable))
-
-    def gflush(self) -> Event:
-        return self._submit(OpSpec(OpKind.GFLUSH, durable=True))
-
-    def gcas(self, *args, **kwargs):
-        raise NotImplementedError(
-            "gCAS needs slot-relative result scatter; use a dedicated "
-            "single-client group for locking (see module docstring)")
-
-    def _check_range(self, offset: int, size: int) -> None:
-        if offset < 0 or size < 0 \
-                or offset + size > self.chain.config.region_size:
-            raise ValueError("outside the replicated region")
-
     @property
-    def in_flight(self) -> int:
-        return self._next_op - self._acked
+    def host(self) -> Host:
+        return self.client_host
 
-    def _submit(self, op: OpSpec) -> Event:
-        done = self.sim.event()
-        self._queue.append((op, done, self.sim.now))
-        if self._kick is not None and not self._kick.triggered:
-            self._kick.succeed()
-        return done
+    def submit(self, op: OpSpec) -> Event:
+        if op.kind is OpKind.GCAS:
+            raise NotImplementedError(
+                "gCAS needs slot-relative result scatter; use a dedicated "
+                "single-client group for locking (see module docstring)")
+        return super().submit(op)
 
     # ------------------------------------------------------------------
     # Metadata: slot-independent images only
@@ -353,72 +331,9 @@ class SharedChainClient:
                          encode_wqe(fd, owned=True),
                          encode_wqe(ff, owned=True)))
 
-    def _build_message(self, op: OpSpec, op_id: int) -> bytes:
+    def _metadata(self, op: OpSpec, slot: int) -> bytes:
         parts = [self._image(op, hop)
                  for hop in range(self.chain.group_size)]
-        tag = _TAG.pack(self.client_id, op_id & 0xFFFFFFFF)
+        tag = _TAG.pack(self.client_id, slot & 0xFFFFFFFF)
         parts.append(tag.ljust(TAG_SIZE, b"\0"))
         return b"".join(parts)
-
-    # ------------------------------------------------------------------
-    # Processes
-    # ------------------------------------------------------------------
-    def _submitter(self):
-        sim, config = self.sim, self.chain.config
-        head = self.chain.replicas[0]
-        while True:
-            if not self._queue:
-                self._kick = sim.event()
-                yield self._kick
-                continue
-            op, done, issue = self._queue.popleft()
-            while self.in_flight >= self.quota:
-                waiter = sim.event()
-                self._window_waiters.append(waiter)
-                yield waiter
-            op_id = self._next_op
-            self._next_op += 1
-            self._events[op_id] = done
-            self._issue_ns[op_id] = issue
-            build_ns = (config.meta_build_base_ns
-                        + config.meta_build_per_hop_ns
-                        * self.chain.group_size)
-            yield self.submit_thread.run(build_ns)
-            message = self._build_message(op, op_id)
-            md_addr = self.md_buf.address \
-                + (op_id % self.quota) * self.md_stride
-            self.host.memory.write(md_addr, message)
-            posts = 1
-            if op.kind is OpKind.GWRITE and op.size > 0:
-                self.qp_out.post_send(WorkRequest(
-                    Opcode.WRITE,
-                    [Sge(self.region.address + op.offset, op.size)],
-                    remote_addr=head.region.address + op.offset,
-                    rkey=head.region_mr.rkey, signaled=False))
-                posts += 1
-            if op.kind is OpKind.GMEMCPY:
-                self.host.memory.copy_within(
-                    self.region.address + op.src_offset,
-                    self.region.address + op.dst_offset, op.size)
-            if op.durable or op.kind is OpKind.GFLUSH:
-                self.qp_out.post_send(WorkRequest(
-                    Opcode.READ, [Sge(0, 0)],
-                    remote_addr=head.region.address,
-                    rkey=head.region_mr.rkey, signaled=False))
-                posts += 1
-            self.qp_out.post_send(WorkRequest(
-                Opcode.SEND, [Sge(md_addr, len(message))], signaled=False))
-            yield self.submit_thread.run(posts * config.post_ns)
-
-    def _complete(self, op_id: int) -> None:
-        done = self._events.pop(op_id, None)
-        self._acked += 1
-        if self._window_waiters:
-            waiters, self._window_waiters = self._window_waiters, []
-            for waiter in waiters:
-                waiter.succeed()
-        if done is not None and not done.triggered:
-            issue = self._issue_ns.pop(op_id, self.sim.now)
-            done.succeed(OpResult(slot=op_id,
-                                  latency_ns=self.sim.now - issue,
-                                  result_map=b""))

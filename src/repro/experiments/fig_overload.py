@@ -41,6 +41,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from .. import backend as backend_registry
 from ..cluster import ShardedConfig, build_deployment
+from ..faults import SEQ_BYTES, AckOracle, pack_seq
 from ..host import Cluster
 from ..sim.rng import ZipfianGenerator
 from ..sim.units import ms
@@ -112,16 +113,11 @@ def _storm_worker(point) -> Dict[str, Any]:
     retry_rng = cluster.rng.stream("overload.retry")
 
     # Acked-write oracle: tenant i owns one region slot; every dispatched
-    # attempt writes the tenant's next monotone sequence number, and the
-    # highest *acknowledged* sequence is tracked per tenant.  Dispatch
+    # attempt writes the tenant's next monotone sequence number.  Dispatch
     # order equals group-FIFO submission order, so each replica's stored
     # sequence must end >= the highest acked one.
     dispatch_seq = [0] * tenants
-    acked_seq = [0] * tenants
-
-    def _track_ack(event, tenant_index: int, seq: int) -> None:
-        if event.ok and seq > acked_seq[tenant_index]:
-            acked_seq[tenant_index] = seq
+    oracle = AckOracle()
 
     def _make_issue(tenant_index: int) -> Callable:
         offset = tenant_index * _TENANT_STRIDE
@@ -129,11 +125,8 @@ def _storm_worker(point) -> Dict[str, Any]:
         def issue():
             dispatch_seq[tenant_index] += 1
             seq = dispatch_seq[tenant_index]
-            group.write_local(offset, seq.to_bytes(8, "little"))
-            event = group.gwrite(offset, 8)
-            event.add_callback(
-                lambda e, t=tenant_index, s=seq: _track_ack(e, t, s))
-            return event
+            group.write_local(offset, pack_seq(seq))
+            return oracle.track(group.gwrite(offset, SEQ_BYTES), offset, seq)
 
         return issue
 
@@ -162,18 +155,6 @@ def _storm_worker(point) -> Dict[str, Any]:
     sim.process(_stall_trigger())
     cluster.run(until=horizon_ns + 2 * ms(bucket_ms))
 
-    # Oracle: every replica's stored sequence per tenant >= highest acked.
-    lost_acked = 0
-    for index in range(tenants):
-        if not acked_seq[index]:
-            continue
-        offset = index * _TENANT_STRIDE
-        for hop in range(group.group_size):
-            stored = int.from_bytes(group.read_replica(hop, offset, 8),
-                                    "little")
-            if stored < acked_seq[index]:
-                lost_acked += 1
-
     timeline = slo.timeline()
     stall_end = stall_bucket + stall_buckets
     goodput = [float(row["goodput_kops"]) for row in timeline]
@@ -194,7 +175,7 @@ def _storm_worker(point) -> Dict[str, Any]:
         "retries": sum(int(row["retries"]) for row in tenant_rows),
         "shed": sum(int(row["shed"]) for row in tenant_rows),
         "throttled": sum(int(row["throttled"]) for row in tenant_rows),
-        "lost_acked_writes": lost_acked,
+        "lost_acked_writes": oracle.lost_count(group),
         "timeline": timeline,
     }
 

@@ -159,7 +159,8 @@ class Cluster:
         """Install a :class:`~repro.sim.trace.Tracer`.
 
         NICs created before or after this call emit WQE/message events;
-        HyperLoop groups emit per-operation submit/ack events.  Returns
+        every group client emits per-operation submit/posted/acked
+        events.  Returns
         the tracer.
         """
         from .sim.trace import Tracer

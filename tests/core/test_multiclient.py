@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.backend.ops import OpKind, OpSpec
 from repro.core.group import GroupConfig
 from repro.core.multiclient import SharedChain
-from repro.sim.units import ms
+from repro.sim.units import ms, us
 
 
 def make_chain(cluster, clients=2, slots=16, replicas=3):
@@ -128,6 +129,8 @@ class TestLimits:
         _chain, (client,), _hosts = make_chain(cluster, clients=1)
         with pytest.raises(NotImplementedError):
             client.gcas(0, 0, 1)
+        with pytest.raises(NotImplementedError):
+            client.submit(OpSpec(OpKind.GCAS, offset=0, new_value=1))
 
     def test_client_limit(self, cluster):
         chain, _handles, _hosts = make_chain(cluster, clients=2)
@@ -181,3 +184,62 @@ class TestFairness:
                                     for i, handle in enumerate(handles)],
                           deadline_ms=30_000)
         assert sorted(results) == [0, 1, 2, 3]
+
+
+class TestInheritedMachinery:
+    """What a shared-chain client inherits from ``GroupBase``."""
+
+    def test_drain_waits_for_in_flight_acks(self, cluster):
+        _chain, (client, _other), _hosts = make_chain(cluster)
+        client.write_local(0, b"d" * 32)
+        writes = [client.gwrite(0, 32) for _ in range(3)]
+        drained = client.drain()
+        assert not drained.triggered
+        while not drained.triggered:
+            cluster.sim.step()
+        assert all(write.ok for write in writes)
+        assert client.in_flight == 0
+        assert client.drain().triggered
+
+    def test_stall_holds_new_claims_until_it_expires(self, cluster):
+        _chain, (client, _other), _hosts = make_chain(cluster)
+        sim = cluster.sim
+        client.stall(ms(1))
+        assert client.stalled
+        client.write_local(0, b"s" * 8)
+        done = client.gwrite(0, 8)
+        cluster.run(until=sim.now + ms(1) - 1)
+        assert client.in_flight == 0 and not done.triggered
+        cluster.run(until=sim.now + ms(1))
+        assert done.ok
+        assert done.value.latency_ns > ms(1)
+
+    def test_abort_fails_queued_and_in_flight_ops(self, cluster):
+        chain, (client, other), _hosts = make_chain(cluster, slots=4)
+        sim = cluster.sim
+        client.write_local(0, b"a" * 16)
+        # Quota 2: two ops hold the window, the submitter holds the third
+        # until the window reopens, and two wait in the queue.
+        writes = [client.gwrite(0, 16) for _ in range(5)]
+        cluster.run(until=sim.now + us(5))
+        assert client.in_flight == 2 and client.queue_depth == 2
+        assert client.abort_in_flight(RuntimeError("chain failure")) == 4
+        assert [write.triggered and not write.ok for write in writes] \
+            == [True, True, False, True, True]
+        cluster.run(until=sim.now + ms(1))
+        assert client.in_flight == 0 and client.drain().triggered
+
+        def writer(handle, base, tag):
+            handle.write_local(base, tag * 16)
+            for _ in range(5):
+                yield handle.gwrite(base, 16)
+
+        # Both clients keep completing writes through the shared slots,
+        # and the op the submitter held is posted once the window reopens.
+        run_all(cluster, [writer(other, 4096, b"o"), writer(client, 0, b"c")])
+        assert writes[2].ok
+        for replica in chain.replicas:
+            assert replica.host.memory.read(
+                replica.region.address + 4096, 16) == b"o" * 16
+            assert replica.host.memory.read(
+                replica.region.address, 16) == b"c" * 16

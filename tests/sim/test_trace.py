@@ -1,6 +1,5 @@
 """Tests for the tracing facility."""
 
-from repro.core.group import GroupConfig, HyperLoopGroup
 from repro.sim.trace import TraceEvent, Tracer, span_durations
 
 
@@ -47,13 +46,10 @@ class TestTracer:
 
 
 class TestIntegration:
-    def test_group_ops_traced(self, cluster):
+    def test_group_ops_traced(self, cluster, client_kind, client_group):
+        """Every client machinery emits the same op lifecycle."""
         tracer = cluster.enable_tracing()
-        client = cluster.add_host("tr-client")
-        replicas = cluster.add_hosts(3, prefix="tr-replica")
-        group = HyperLoopGroup(client, replicas,
-                               GroupConfig(slots=8, region_size=1 << 20))
-        tracer.clear()
+        group = client_group
 
         def proc():
             group.write_local(0, b"traced")
@@ -64,12 +60,16 @@ class TestIntegration:
             cluster.sim.step()
         assert process.ok
         kinds = tracer.kinds()
-        assert kinds["op.submit"] == 1
-        assert kinds["op.acked"] == 1
-        # Replica NICs executed forwarded WQEs.
+        assert kinds["op.submit"] == kinds["op.posted"] \
+            == kinds["op.acked"] == 1
+        # Every replica's NIC executed WQEs; the offloaded designs run the
+        # local op and the forwards on each of the 3 NICs.
         replica_wqes = [event for event in tracer.by_kind("wqe.initiate")
-                        if event.component.startswith("tr-replica")]
-        assert len(replica_wqes) >= 9  # 3 replicas x (local + forwards).
+                        if event.component.startswith("cg-replica")]
+        assert {event.component for event in replica_wqes} \
+            == {f"cg-replica{hop}.nic" for hop in range(3)}
+        if client_kind != "naive":
+            assert len(replica_wqes) >= 9
 
     def test_tracing_disabled_by_default(self, cluster):
         client = cluster.add_host("ntr-client")
