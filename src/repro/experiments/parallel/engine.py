@@ -31,6 +31,7 @@ cases.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from collections.abc import Sequence as AbcSequence
@@ -144,7 +145,10 @@ def publish_recorder(recorder: LatencyRecorder) -> None:
 
 def _run_point(worker: Callable[[P], R], point: P) \
         -> Tuple[R, Optional[LatencyRecorder]]:
-    """In-process execution of one point, capturing its publish."""
+    """In-process execution of one point, capturing its publish.
+
+    A finished point's cluster is a web of reference cycles; collecting
+    it here keeps the next point from growing the heap beside it."""
     global _active_sink
     sink = _Sink()
     _active_sink = sink
@@ -152,6 +156,7 @@ def _run_point(worker: Callable[[P], R], point: P) \
         row = worker(point)
     finally:
         _active_sink = None
+        gc.collect()
     return row, sink.recorder
 
 

@@ -17,6 +17,7 @@ small internal latency, so they are modelled in :mod:`repro.rdma.nic`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Optional, Tuple
 
 from ..sim.engine import Simulator
@@ -92,7 +93,7 @@ class Port:
             # Link flap: frames are paused at the far side of the flap
             # and delivered once the link heals, in transmit order.
             arrival = max(arrival, until_ns + params.propagation_ns)
-        sim.call_at(arrival, lambda: dest._deliver(message))
+        sim.call_at(arrival, partial(dest._deliver, message))
         return arrival
 
 

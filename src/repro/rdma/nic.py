@@ -15,10 +15,12 @@ work without any special-casing:
   attempt, so the patch genuinely changes what is executed.  This is the
   "what" (§4.1).
 
-Each QP's send queue is serviced by its own process (NICs pipeline across
-QPs); per-WQE processing delay models the NIC's message-rate limit and the
+Each QP's send queue is its own pipeline (NICs pipeline across QPs);
+per-WQE processing delay models the NIC's message-rate limit and the
 shared egress port models serialization at line rate.  Inbound messages run
-through a FIFO ingress pipeline with its own per-message cost.
+through a FIFO ingress pipeline with its own per-message cost.  Like the
+hardware, neither pipeline is a process: each stage is a callback that
+schedules the next with ``sim.call_at`` (docs/INTERNALS.md §8).
 
 Durability: inbound DMA writes go through the NIC's volatile write cache
 (:class:`~repro.nvm.cache.NICWriteCache`).  Serving *any* inbound READ
@@ -31,11 +33,12 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..nvm.cache import NICWriteCache
 from ..nvm.memory import MemoryDevice
-from ..sim.engine import Event, ProcessGenerator, Simulator
+from ..sim.engine import Simulator
 from ..sim.stats import Counter
 from ..sim.trace import Tracer
 from ..sim.units import us
@@ -110,8 +113,8 @@ class RNIC:
     """One RDMA NIC: verbs objects, WQE execution, ingress pipeline."""
 
     __slots__ = ("sim", "memory", "fabric", "name", "params", "port", "cache",
-                 "qps", "cqs", "mrs", "_next_key", "_kicks", "_outstanding",
-                 "_drain_waiters", "_pending", "_ingress", "_ingress_busy",
+                 "qps", "cqs", "mrs", "_next_key", "_stalled", "_outstanding",
+                 "_fenced", "_pending", "_ingress", "_ingress_busy",
                  "tracer", "rnr_retries", "remote_access_errors",
                  "messages_handled", "wqes_executed",
                  "_slow_factor", "_slow_until")
@@ -135,9 +138,10 @@ class RNIC:
         self.cqs: Dict[int, CompletionQueue] = {}
         self.mrs: Dict[int, MemoryRegion] = {}
         self._next_key = itertools.count(0x1000)
-        self._kicks: Dict[int, Event] = {}
+        # qp_num -> parked until a waker; keys stay in first-stall order.
+        self._stalled: Dict[int, bool] = {}
         self._outstanding: Dict[int, int] = {}
-        self._drain_waiters: Dict[int, List[Event]] = {}
+        self._fenced: Set[int] = set()  # Waiting for _outstanding == 0.
         self._pending: Dict[int, _PendingOp] = {}
         self._ingress: Deque[Message] = deque()
         self._ingress_busy = False
@@ -186,10 +190,13 @@ class RNIC:
         """The currently active latency scale (1.0 when healthy)."""
         return self._slow_factor if self.sim.now < self._slow_until else 1.0
 
-    def _scaled(self, ns: int) -> int:
-        if self.sim.now < self._slow_until:
-            return max(1, int(ns * self._slow_factor))
-        return ns
+    def _after(self, ns: int, stage: Callable[..., None], *args: Any) -> None:
+        """Run the next pipeline stage ``stage(*args)`` after a processing
+        delay of ``ns`` (straggler-scaled)."""
+        sim = self.sim
+        if sim.now < self._slow_until:
+            ns = max(1, int(ns * self._slow_factor))
+        sim.call_at(sim.now + ns, partial(stage, *args))
 
     # ------------------------------------------------------------------
     # Verbs object factories
@@ -234,8 +241,7 @@ class RNIC:
         qp.uses_srq = srq is not None
         self.qps[qp.qp_num] = qp
         self._outstanding[qp.qp_num] = 0
-        self._drain_waiters[qp.qp_num] = []
-        self.sim.process(self._sq_service(qp), name=f"{label}.sqsvc")
+        self.sim.call_at(self.sim.now, partial(self._sq_step, qp))
         return qp
 
     def register_mr(self, addr: int, length: int, access: Access,
@@ -264,10 +270,10 @@ class RNIC:
         if qp.state is not QPState.ERROR:
             qp.to_error()
         del self.qps[qp.qp_num]
-        self.doorbell(qp)  # Wake the service loop so it can exit.
-        self._kicks.pop(qp.qp_num, None)
+        self.doorbell(qp)  # Wake the send queue so it can retire.
+        self._stalled.pop(qp.qp_num, None)
         self._outstanding.pop(qp.qp_num, None)
-        self._drain_waiters.pop(qp.qp_num, None)
+        self._fenced.discard(qp.qp_num)
         for req_id, pending in list(self._pending.items()):
             if pending.qp is qp:
                 del self._pending[req_id]
@@ -288,9 +294,12 @@ class RNIC:
     # ------------------------------------------------------------------
     def doorbell(self, qp: QueuePair) -> None:
         """Software (or a completed WAIT) tells the NIC a queue has work."""
-        kick = self._kicks.get(qp.qp_num)
-        if kick is not None and not kick.triggered:
-            kick.succeed()
+        if self._stalled.get(qp.qp_num):
+            self._wake(qp)
+
+    def _wake(self, qp: QueuePair) -> None:
+        self._stalled[qp.qp_num] = False
+        self.sim.call_at(self.sim.now, partial(self._sq_step, qp))
 
     def wake_written(self, written: Sequence[Tuple[int, int]]) -> None:
         """Re-evaluate the stalled send queues whose head descriptor
@@ -299,11 +308,11 @@ class RNIC:
 
         Every other stall has its own waker: an empty ring the doorbell
         from ``post_send``/``grant_send``, an unmet WAIT its CQ
-        subscription, a fence ``_drain_waiters``, ERROR/destroy the
-        doorbell in :meth:`destroy_qp`.
+        subscription, a fence the last response (``_fenced``),
+        ERROR/destroy the doorbell in :meth:`destroy_qp`.
         """
-        for qp_num, kick in self._kicks.items():
-            if kick.triggered:
+        for qp_num, stalled in self._stalled.items():
+            if not stalled:
                 continue
             sq = self.qps[qp_num].sq
             if sq.head >= sq.tail:
@@ -311,72 +320,60 @@ class RNIC:
             head = sq.slot_address(sq.head)
             for address, size in written:
                 if address < head + WQE_SIZE and head < address + size:
-                    kick.succeed()
+                    self._wake(self.qps[qp_num])
                     break
 
-    def _sq_service(self, qp: QueuePair) -> ProcessGenerator:
-        """Per-QP send-queue processor (one NIC execution context per QP)."""
-        params = self.params
-        while True:
-            if qp.qp_num not in self.qps:
-                return  # Destroyed.
-            if qp.state is QPState.ERROR:
-                yield self._stall(qp)
-                continue
-            wqe = qp.sq.peek_head()
-            if wqe is None or not wqe.owned:
-                # Empty queue, or a pre-posted descriptor whose ownership has
-                # not been granted yet (HyperLoop's deferred posting).
-                yield self._stall(qp)
-                continue
-            if wqe.fence and self._outstanding[qp.qp_num] > 0:
-                yield self._drain(qp)
-                continue
-            if wqe.opcode is Opcode.WAIT:
-                cq = self.cqs.get(wqe.wait_cq)
-                if cq is None:
-                    raise RemoteAccessError(
-                        f"{qp.name}: WAIT on unknown CQ id {wqe.wait_cq}")
-                # wait_count == 0 selects consume-mode (CORE-Direct): wait
-                # for — and consume — the next completion beyond those this
-                # queue's earlier WAITs already consumed.  Cursors are per
-                # waiting QP, so several queues can fan out from one CQ.
-                target = (cq.wait_cursor(qp.qp_num) + 1
-                          if wqe.wait_count == 0 else wqe.wait_count)
-                if cq.count < target:
-                    stall = self._stall(qp)
-                    cq.subscribe_count(target, lambda: self.doorbell(qp))
-                    yield stall
-                    continue
-                if wqe.wait_count == 0:
-                    cq.advance_wait_cursor(qp.qp_num, target)
-                qp.sq.advance_head()
-                self.wqes_executed.increment()
-                yield self._scaled(params.wait_processing_ns)  # bare-delay fast path
-                if wqe.signaled:
-                    qp.send_cq.push(WorkCompletion(
-                        wr_id=wqe.wr_id, opcode=Opcode.WAIT,
-                        status=WCStatus.SUCCESS, qp_num=qp.qp_num))
-                continue
-            # A regular operation: consume the descriptor and initiate it.
+    def _sq_step(self, qp: QueuePair) -> None:
+        """Send-queue pipeline (one NIC execution context per QP): look at
+        the head descriptor, then park the queue or start executing it."""
+        if qp.qp_num not in self.qps:
+            return  # Destroyed.
+        wqe = None if qp.state is QPState.ERROR else qp.sq.peek_head()
+        if wqe is None or not wqe.owned:
+            # ERROR, an empty queue, or a pre-posted descriptor not yet
+            # granted ownership (HyperLoop's deferred posting).
+            self._stalled[qp.qp_num] = True
+            return
+        if wqe.fence and self._outstanding[qp.qp_num] > 0:
+            self._fenced.add(qp.qp_num)
+            return
+        if wqe.opcode is Opcode.WAIT:
+            cq = self.cqs.get(wqe.wait_cq)
+            if cq is None:
+                raise RemoteAccessError(
+                    f"{qp.name}: WAIT on unknown CQ id {wqe.wait_cq}")
+            # wait_count == 0 selects consume-mode (CORE-Direct): wait
+            # for — and consume — the next completion beyond those this
+            # queue's earlier WAITs already consumed.  Cursors are per
+            # waiting QP, so several queues can fan out from one CQ.
+            target = (cq.wait_cursor(qp.qp_num) + 1
+                      if wqe.wait_count == 0 else wqe.wait_count)
+            if cq.count < target:
+                self._stalled[qp.qp_num] = True
+                cq.subscribe_count(target, partial(self.doorbell, qp))
+                return
+            if wqe.wait_count == 0:
+                cq.advance_wait_cursor(qp.qp_num, target)
             qp.sq.advance_head()
             self.wqes_executed.increment()
-            if self.tracer is not None:
-                self.tracer.emit(self.sim.now, f"{self.name}.nic",
-                                 "wqe.initiate",
-                                 f"{qp.name}:{wqe.opcode.name}")
-            yield self._scaled(params.wqe_processing_ns)  # bare-delay fast path
-            yield from self._initiate(qp, wqe)
+            self._after(self.params.wait_processing_ns, self._sq_waited,
+                        qp, wqe)
+            return
+        # A regular operation: consume the descriptor and initiate it.
+        qp.sq.advance_head()
+        self.wqes_executed.increment()
+        if self.tracer is not None:
+            self.tracer.emit(self.sim.now, f"{self.name}.nic",
+                             "wqe.initiate",
+                             f"{qp.name}:{wqe.opcode.name}")
+        self._after(self.params.wqe_processing_ns, self._initiate, qp, wqe)
 
-    def _stall(self, qp: QueuePair) -> Event:
-        kick = self.sim.event()
-        self._kicks[qp.qp_num] = kick
-        return kick
-
-    def _drain(self, qp: QueuePair) -> Event:
-        event = self.sim.event()
-        self._drain_waiters[qp.qp_num].append(event)
-        return event
+    def _sq_waited(self, qp: QueuePair, wqe: DecodedWQE) -> None:
+        if wqe.signaled:
+            qp.send_cq.push(WorkCompletion(
+                wr_id=wqe.wr_id, opcode=Opcode.WAIT,
+                status=WCStatus.SUCCESS, qp_num=qp.qp_num))
+        self._sq_step(qp)
 
     # ------------------------------------------------------------------
     # Operation initiation (sender side)
@@ -386,8 +383,7 @@ class RNIC:
                  for sge in sg_list if sge.length]
         return b"".join(parts)
 
-    def _initiate(self, qp: QueuePair, wqe: DecodedWQE) -> ProcessGenerator:
-        params = self.params
+    def _initiate(self, qp: QueuePair, wqe: DecodedWQE) -> None:
         op = wqe.opcode
         if op is Opcode.NOP:
             # Completes locally; exists so gCAS can skip execution on nodes
@@ -397,6 +393,7 @@ class RNIC:
                 qp.send_cq.push(WorkCompletion(
                     wr_id=wqe.wr_id, opcode=op, status=WCStatus.SUCCESS,
                     qp_num=qp.qp_num))
+            self._sq_step(qp)
             return
         if qp.remote is None:
             raise RuntimeError(f"{qp.name}: not connected")
@@ -405,8 +402,6 @@ class RNIC:
                           dst_qp=qp.remote.qp_num, req_id=req_id)
         if op in (Opcode.SEND, Opcode.WRITE, Opcode.WRITE_WITH_IMM):
             payload = self._gather(wqe.sg_list)
-            if payload:
-                yield self._scaled(params.dma_ns(len(payload)))  # bare-delay fast path
             message.payload = payload
             message.length = len(payload)
             message.imm = wqe.imm
@@ -417,6 +412,10 @@ class RNIC:
                 message.has_imm = op is Opcode.WRITE_WITH_IMM
                 message.remote_addr = wqe.remote_addr
                 message.rkey = wqe.rkey
+            if payload:
+                self._after(self.params.dma_ns(len(payload)), self._issue,
+                            qp, wqe, message)
+                return
         elif op is Opcode.READ:
             message.kind = "read_req"
             message.remote_addr = wqe.remote_addr
@@ -437,14 +436,17 @@ class RNIC:
             message.length = 8
         else:
             raise ValueError(f"cannot initiate opcode {op}")
-        self._pending[req_id] = _PendingOp(qp=qp, wqe=wqe)
+        self._issue(qp, wqe, message)
+
+    def _issue(self, qp: QueuePair, wqe: DecodedWQE, message: Message) -> None:
+        self._pending[message.req_id] = _PendingOp(qp=qp, wqe=wqe)
         self._outstanding[qp.qp_num] += 1
         self._transmit(qp, message)
+        self._sq_step(qp)
 
     def _transmit(self, qp: QueuePair, message: Message) -> None:
         if qp.is_loopback or qp.remote.nic is self:
-            self.sim.call_at(self.sim.now + self._scaled(self.params.loopback_ns),
-                             lambda: self._ingress_enqueue(message))
+            self._after(self.params.loopback_ns, self._ingress_enqueue, message)
         else:
             dest = qp.remote.nic.port
             self.port.transmit(dest, len(message.payload), message)
@@ -455,8 +457,7 @@ class RNIC:
         if src_qp is None:
             return
         if src_qp.is_loopback or request.src_nic == self.name:
-            self.sim.call_at(self.sim.now + self._scaled(self.params.loopback_ns),
-                             lambda: self._ingress_enqueue(response))
+            self._after(self.params.loopback_ns, self._ingress_enqueue, response)
         else:
             dest = self.fabric.ports[request.src_nic]
             self.port.transmit(dest, len(response.payload), response)
@@ -468,22 +469,34 @@ class RNIC:
         self._ingress.append(message)
         if not self._ingress_busy:
             self._ingress_busy = True
-            self.sim.process(self._ingress_service(), name=f"{self.name}.ingress")
+            self.sim.call_at(self.sim.now, self._ingress_next)
 
-    def _ingress_service(self) -> ProcessGenerator:
-        params = self.params
-        while self._ingress:
-            message = self._ingress.popleft()
-            self.messages_handled.increment()
-            if message.kind in ("ack", "read_resp", "cas_resp"):
-                yield self._scaled(params.ack_processing_ns)  # bare-delay fast path
-                self._handle_response(message)
-            else:
-                yield self._scaled(params.ingress_processing_ns)  # bare-delay fast path
-                if message.payload:
-                    yield self._scaled(params.dma_ns(len(message.payload)))  # bare-delay fast path
-                self._handle_request(message)
-        self._ingress_busy = False
+    def _ingress_next(self) -> None:
+        """Take the next inbound message through its processing delays
+        (``_ingress_dma`` for a request, then its handler), or go idle."""
+        if not self._ingress:
+            self._ingress_busy = False
+            return
+        message = self._ingress.popleft()
+        self.messages_handled.increment()
+        if message.kind in ("ack", "read_resp", "cas_resp"):
+            self._after(self.params.ack_processing_ns, self._ingress_done,
+                        self._handle_response, message)
+        else:
+            self._after(self.params.ingress_processing_ns, self._ingress_dma,
+                        message)
+
+    def _ingress_dma(self, message: Message) -> None:
+        if message.payload:
+            self._after(self.params.dma_ns(len(message.payload)),
+                        self._ingress_done, self._handle_request, message)
+        else:
+            self._ingress_done(self._handle_request, message)
+
+    def _ingress_done(self, handler: Callable[[Message], None],
+                      message: Message) -> None:
+        handler(message)
+        self._ingress_next()
 
     def _handle_request(self, message: Message) -> None:
         qp = self.qps.get(message.dst_qp)
@@ -522,7 +535,7 @@ class RNIC:
                     f"{self.name}: RNR retries exhausted on {qp.name} "
                     "(recv ring never replenished)")
             self.sim.call_at(self.sim.now + self.params.rnr_retry_delay_ns,
-                             lambda: self._ingress_enqueue(message))
+                             partial(self._ingress_enqueue, message))
             return None
         qp.rq.advance_head()
         return recv
@@ -674,12 +687,9 @@ class RNIC:
         if qp.qp_num not in self._outstanding:
             return  # The QP was destroyed while this op was in flight.
         self._outstanding[qp.qp_num] -= 1
-        if self._outstanding[qp.qp_num] == 0:
-            waiters = self._drain_waiters[qp.qp_num]
-            self._drain_waiters[qp.qp_num] = []
-            for waiter in waiters:
-                if not waiter.triggered:
-                    waiter.succeed()
+        if self._outstanding[qp.qp_num] == 0 and qp.qp_num in self._fenced:
+            self._fenced.discard(qp.qp_num)
+            self.sim.call_at(self.sim.now, partial(self._sq_step, qp))
 
     # ------------------------------------------------------------------
     # Failure injection

@@ -412,8 +412,10 @@ class HostCPU:
 
     def _steal_for(self, idle_core: "_Core") -> Optional[Thread]:
         """New-idle balance: pull one thread from the longest queue."""
-        busiest = max(self.cores, key=lambda core: core.nr_queued)
-        if busiest.nr_queued == 0 or busiest is idle_core:
+        queued = [len(core._queue) for core in self.cores]
+        most = max(queued)
+        busiest = self.cores[queued.index(most)]  # First max, as max() picks.
+        if most == 0 or busiest is idle_core:
             return None
         thread = busiest.steal_candidate()
         if thread is not None:

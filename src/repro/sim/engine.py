@@ -465,7 +465,7 @@ class Simulator:
         """Process the next scheduled entry.
 
         A failed :class:`Process` that nobody joined re-raises here —
-        silent death of a model process (a NIC pipeline, a scheduler core)
+        silent death of a model process (a scheduler core, a poller)
         is always a bug, never intended behaviour.
         """
         time, _seq, kind, payload = heappop(self._heap)

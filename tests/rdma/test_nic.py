@@ -5,7 +5,7 @@ import pytest
 from repro.nvm.memory import NVM
 from repro.rdma.fabric import Fabric
 from repro.rdma.nic import NICParams, RNIC
-from repro.rdma.verbs import Access, WCStatus
+from repro.rdma.verbs import Access, RemoteAccessError, WCStatus
 from repro.rdma.wqe import Opcode, Sge, WorkRequest, encode_wqe
 from repro.sim.units import ms, us
 
@@ -137,6 +137,28 @@ class TestSendRecv:
             Opcode.RECV, [Sge(pair.buf_b.address, 64)]))
         sim.run(until=ms(2))
         assert pair.mem_b.read(pair.buf_b.address, 11) == b"wait-for-me"
+
+
+class TestFatalErrors:
+    """A model error in a NIC pipeline raises out of ``sim.run()`` — the
+    pipelines are callbacks, so nothing can swallow it."""
+
+    def test_wait_on_unknown_cq_raises(self, sim, pair):
+        unknown = max(pair.nic_a.cqs) + 1000
+        pair.qp_a.post_send(WorkRequest(
+            Opcode.WAIT, wait_cq=unknown, wait_count=1, signaled=False))
+        with pytest.raises(RemoteAccessError,
+                           match=f"WAIT on unknown CQ id {unknown}"):
+            sim.run(until=ms(1))
+
+    def test_exhausted_rnr_retries_raise(self, sim):
+        pair = Pair(sim, NICParams(max_rnr_retries=3))
+        pair.qp_a.post_send(WorkRequest(
+            Opcode.SEND, [Sge(pair.buf_a.address, 8)]))  # b posts no RECV.
+        with pytest.raises(RuntimeError, match="RNR retries exhausted"):
+            sim.run(until=ms(1))
+        assert pair.nic_b.rnr_retries.value == 4
+        assert sim.now == pytest.approx(us(3 * 20), abs=us(5))
 
 
 class TestReadAndFlush:

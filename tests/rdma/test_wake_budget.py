@@ -8,6 +8,8 @@ plane, what building and flushing one group's pre-posted rings may cost,
 and for durability, what draining the NIC write cache into NVM may cost.
 """
 
+import sys
+
 import pytest
 
 from repro.baseline.naive import NaiveConfig, NaiveGroup
@@ -17,10 +19,27 @@ from repro.nvm.cache import NICWriteCache
 from repro.nvm.memory import NVM, SparsePages
 from repro.rdma import driver
 from repro.rdma.driver import WorkQueue
+from repro.sim.engine import Process, Simulator
 
 from ..core.test_teardown import run
 
 OPS = 50
+
+
+def build_group(cluster, group_cls, config_cls):
+    client = cluster.add_host("wb-client")
+    replicas = cluster.add_hosts(3, prefix="wb-replica")
+    group = group_cls(client, replicas,
+                      config_cls(slots=64, region_size=1 << 20))
+    return group, [client] + replicas
+
+
+def durable_ops(group):
+    """The loop both budgets are measured on: OPS durable gWRITE+gCAS."""
+    for op in range(OPS):
+        group.write_local(64, op.to_bytes(8, "little"))
+        yield group.gwrite(64, 8, durable=True)
+        yield group.gcas(0, op, op + 1, durable=True)
 
 
 @pytest.mark.parametrize("group_cls, config_cls, peeks_per_exec", [
@@ -42,23 +61,49 @@ def test_peeks_and_parses_per_executed_wqe(cluster, monkeypatch, group_cls,
 
     monkeypatch.setattr(WorkQueue, "peek_head", counting_peek)
     monkeypatch.setattr(driver, "decode_wqe", counting_decode)
-    client = cluster.add_host("wb-client")
-    replicas = cluster.add_hosts(3, prefix="wb-replica")
-    group = group_cls(client, replicas,
-                      config_cls(slots=64, region_size=1 << 20))
-
-    def proc():
-        for op in range(OPS):
-            group.write_local(64, op.to_bytes(8, "little"))
-            yield group.gwrite(64, 8, durable=True)
-            yield group.gcas(0, op, op + 1, durable=True)
-
-    run(cluster, proc())
-    executed = sum(host.nic.wqes_executed.value
-                   for host in [client] + replicas)
+    group, hosts = build_group(cluster, group_cls, config_cls)
+    run(cluster, durable_ops(group))
+    executed = sum(host.nic.wqes_executed.value for host in hosts)
     assert executed > 0
     assert counts["peeks"] / executed <= peeks_per_exec
     assert counts["decodes"] <= 0.6 * counts["peeks"]
+    group.close()
+
+
+@pytest.mark.parametrize("group_cls, config_cls, events_per_exec", [
+    (HyperLoopGroup, GroupConfig, 5.8),   # 5.53; 6.44 with NIC processes.
+    (NaiveGroup, NaiveConfig, 14.3),      # 13.71; 15.18
+])
+def test_nic_pipelines_run_without_processes(cluster, monkeypatch, group_cls,
+                                             config_cls, events_per_exec):
+    """The send queues and the ingress pipeline are callback chains: no
+    model process is started from ``repro.rdma`` once the group is built,
+    and each executed descriptor costs a bounded number of kernel events
+    (``Simulator._schedule`` calls)."""
+    group, hosts = build_group(cluster, group_cls, config_cls)
+    spawned_by = []
+    counts = {"events": 0}
+    process_init, schedule = Process.__init__, Simulator._schedule
+
+    def recording_init(process, *args, **kwargs):
+        frame = sys._getframe(1)
+        while frame.f_globals["__name__"] == "repro.sim.engine":
+            frame = frame.f_back
+        spawned_by.append(frame.f_globals["__name__"])
+        process_init(process, *args, **kwargs)
+
+    def counting_schedule(sim, time, kind, payload):
+        counts["events"] += 1
+        schedule(sim, time, kind, payload)
+
+    monkeypatch.setattr(Process, "__init__", recording_init)
+    monkeypatch.setattr(Simulator, "_schedule", counting_schedule)
+    executed = -sum(host.nic.wqes_executed.value for host in hosts)
+    run(cluster, durable_ops(group))
+    executed += sum(host.nic.wqes_executed.value for host in hosts)
+    assert executed >= 16 * OPS
+    assert [name for name in spawned_by if name.startswith("repro.rdma")] == []
+    assert counts["events"] / executed <= events_per_exec
     group.close()
 
 

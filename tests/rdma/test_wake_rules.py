@@ -9,7 +9,7 @@
 
 Each test is built to fail if the rule it aims at is wrong: a missed wake
 leaves the patched operation unexecuted, a stale parse executes the old
-parameters, a spurious wake shows up as an extra process step.
+parameters, a spurious wake shows up as an extra send-queue step.
 """
 
 import pytest
@@ -26,7 +26,7 @@ from repro.rdma.wqe import (
     WorkRequest,
     encode_wqe,
 )
-from repro.sim.engine import Process
+from repro.rdma.nic import RNIC
 from repro.sim.units import ms, us
 
 from .test_nic import Pair
@@ -41,15 +41,16 @@ def pair(sim):
 
 @pytest.fixture
 def steps(monkeypatch):
-    """Process steps taken so far, by process name."""
+    """Send-queue steps taken so far, by QP name: one per look at the head
+    (the first, one per wake, one after each executed descriptor)."""
     counts = {}
-    original = Process._step
+    original = RNIC._sq_step
 
-    def counting_step(process, ok, value):
-        counts[process.name] = counts.get(process.name, 0) + 1
-        original(process, ok, value)
+    def counting_step(nic, qp):
+        counts[qp.name] = counts.get(qp.name, 0) + 1
+        original(nic, qp)
 
-    monkeypatch.setattr(Process, "_step", counting_step)
+    monkeypatch.setattr(RNIC, "_sq_step", counting_step)
     return counts
 
 
@@ -110,11 +111,10 @@ class TestPatchedHeadExecutes:
         pair.mem_b.write(pair.buf_b.address + 900, b"two-step")
         image = loopback_send_image(pair, 900, 8)
         sim.run(until=us(50))
-        service = f"{qp_out.name}.sqsvc"
-        before = steps[service]
+        before = steps[qp_out.name]
         send_image(pair, image[2:])
         sim.run(until=us(200))
-        assert steps[service] == before + 1  # Woken, re-stalled.
+        assert steps[qp_out.name] == before + 1  # Woken, re-stalled.
         assert pair.mem_b.read(pair.buf_b.address + 1024, 8) == bytes(8)
         send_image(pair, image[:2], offset=512)
         sim.run(until=ms(2))
@@ -168,19 +168,17 @@ class TestWakeIsTargeted:
 
     def test_write_touching_last_byte_wakes(self, sim, pair, steps):
         qp_out, head, ring = self._stalled_at_slot_one(sim, pair)
-        service = f"{qp_out.name}.sqsvc"
-        before = steps[service]
+        before = steps[qp_out.name]
         self._write(sim, pair, head + WQE_SIZE - 1, 2, ring.rkey)
-        assert steps[service] == before + 1
+        assert steps[qp_out.name] == before + 1
 
     def test_write_ending_at_first_byte_does_not_wake(self, sim, pair, steps):
         qp_out, head, ring = self._stalled_at_slot_one(sim, pair)
-        service = f"{qp_out.name}.sqsvc"
-        before = steps[service]
+        before = steps[qp_out.name]
         self._write(sim, pair, head - 8, 8, ring.rkey)
-        assert steps[service] == before
+        assert steps[qp_out.name] == before
         self._write(sim, pair, head + WQE_SIZE, 8, ring.rkey)  # Next slot.
-        assert steps[service] == before
+        assert steps[qp_out.name] == before
 
     def test_straddling_write_wakes_only_the_queue_whose_head_it_hit(
             self, sim, pair, steps):
@@ -198,9 +196,8 @@ class TestWakeIsTargeted:
         sim.run(until=us(50))
         before = dict(steps)
         self._write(sim, pair, second.sq.ring.address - 4, 8, both.rkey)
-        assert steps[f"{second.name}.sqsvc"] == \
-            before[f"{second.name}.sqsvc"] + 1
-        assert steps[f"{first.name}.sqsvc"] == before[f"{first.name}.sqsvc"]
+        assert steps[second.name] == before[second.name] + 1
+        assert steps[first.name] == before[first.name]
 
 
 class TestListPostedDescriptors:
