@@ -10,11 +10,12 @@ Only the wire topology and per-node engines differ.
 
 :class:`GroupBase` holds that shared half, including the submit loop
 (:meth:`GroupBase._submitter`) that posts every op to the head the same
-way.  A backend implementation is reduced to: per-node engine setup, the
-metadata message its head consumes (``_metadata(op, slot)``) and what
-building it costs the client CPU (``_build_ns``), and an ACK dispatcher
-that calls :meth:`_pop_acked` / :meth:`_release_window_waiters` /
-:meth:`_finish`.  Subclasses must provide the attributes listed under
+way, and the completion path (:func:`ack_loop`) that completes them.  A
+backend implementation is reduced to: per-node engine setup, the metadata
+message its head consumes (``_metadata(op, slot)``) and what building it
+costs the client CPU (``_build_ns``), plus :meth:`GroupBase._route` /
+:meth:`GroupBase._result_map` if its ACKs are not one WRITE_WITH_IMM per
+op carrying the slot.  Subclasses must provide the attributes listed under
 :attr:`GroupBase` and may override :meth:`_region_limit` (e.g. to reserve
 scratch space at the region tail).
 """
@@ -22,15 +23,46 @@ scratch space at the region tail).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Any, Deque, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..host import Host
+from ..rdma.verbs import WorkCompletion
 from ..rdma.wqe import Opcode, Sge, WorkRequest
+from ..sim.cpu import Thread
 from ..sim.engine import Event
 from .api import OpResult
 from .ops import OpKind, OpSpec
 
-__all__ = ["GroupBase"]
+__all__ = ["GroupBase", "ack_loop"]
+
+
+def ack_loop(hub: Any) -> Generator:
+    """The one completion path: each WRITE_WITH_IMM on ``hub.ack_cq``
+    completes the op ``hub._route(wc)`` names.  ``hub`` is a
+    :class:`GroupBase` or the owner side of a shared chain.  A set
+    ``hub.poller`` sees ACKs while it owns a core and pays only the CQ
+    check; otherwise ``hub.ack_thread`` runs ``hub._ack_wake_ns``.
+    """
+    channel = hub.ack_cq.channel
+    while True:
+        hub.ack_cq.req_notify()
+        yield channel.wait()
+        if hub.poller is not None:
+            yield hub.poller.when_running()
+            yield hub.config.poll_overhead_ns  # bare-delay fast path
+        else:
+            yield hub.ack_thread.run(hub._ack_wake_ns)
+        for wc in hub.ack_cq.poll(64):
+            if not wc.has_imm:
+                continue
+            routed = hub._route(wc)
+            if routed is None:
+                continue
+            client, slot = routed
+            done = client._pop_acked(slot)
+            client._release_window_waiters()
+            if done is not None and not done.triggered:
+                client._finish(done, slot, client._result_map(slot))
 
 
 class GroupBase:
@@ -42,11 +74,16 @@ class GroupBase:
     and ``.region_mr``; ``replicas[0]`` is the head), ``region`` (the
     client's own copy of the replicated region), ``md_buf`` /
     ``md_stride`` (one metadata message of exactly ``md_stride`` bytes
-    per slot), ``qp_out`` (connected to the head), ``submit_thread``,
-    ``_build_ns`` and ``_metadata`` (see :meth:`_submitter`) and
-    ``read_path`` (a :class:`~repro.core.readpath.ClientReadPath`), then
-    call :meth:`_init_op_state` before starting their client processes.
+    per slot), ``qp_out`` (connected to the head), ``_build_ns`` and
+    ``_metadata`` (see :meth:`_submitter`) and ``read_path`` (a
+    :class:`~repro.core.readpath.ClientReadPath`), then call
+    :meth:`_init_op_state` and :meth:`_start_client`, whose ACK loop also
+    needs ``ack_cq``, ``ack_buf`` and ``ack_stride``.
     """
+
+    #: Busy-polling ACK thread (poll mode), or None (event mode).
+    poller: Optional[Thread] = None
+    _closed = False
 
     # ------------------------------------------------------------------
     # Shared state
@@ -63,6 +100,10 @@ class GroupBase:
         self._drain_waiters: List[Event] = []
         self._submit_queue: Deque = deque()
         self._submit_kick: Optional[Event] = None
+        # The op the submitter has popped but not yet given a slot (it
+        # waits out a stall or a full window): still pending, so abort
+        # fails it and drain waits for it.
+        self._held: Optional[Tuple[OpSpec, Event, int]] = None
         # Transient service stall (fault injection / overload scenarios):
         # the submitter refuses to claim new slots before this timestamp.
         self._stall_until = 0
@@ -109,7 +150,7 @@ class GroupBase:
 
     def submit(self, op: OpSpec) -> Event:
         """Queue an operation; the event fires with its :class:`OpResult`."""
-        if getattr(self, "_closed", False):
+        if self._closed:
             raise RuntimeError(f"{self.name} is closed")
         done = self.sim.event()
         # Latency is measured from submission, so client-side queueing and
@@ -169,7 +210,7 @@ class GroupBase:
         get a triggered event, so ``yield group.drain()`` never hangs.
         """
         done = self.sim.event()
-        if self.in_flight == 0 and not self._submit_queue:
+        if self._idle:
             done.succeed()
         else:
             self._drain_waiters.append(done)
@@ -185,9 +226,13 @@ class GroupBase:
         """
         return self.read_local(offset, size)
 
+    @property
+    def _idle(self) -> bool:
+        return self.in_flight == 0 and not self._submit_queue \
+            and self._held is None
+
     def _release_drain_waiters(self) -> None:
-        if self._drain_waiters and self.in_flight == 0 \
-                and not self._submit_queue:
+        if self._drain_waiters and self._idle:
             waiters, self._drain_waiters = self._drain_waiters, []
             for waiter in waiters:
                 waiter.succeed()
@@ -247,22 +292,31 @@ class GroupBase:
     def abort_in_flight(self, reason: Exception) -> int:
         """Fail every unacknowledged operation (chain failure detected).
 
-        Returns the number of operations aborted.  Queued-but-unsubmitted
-        operations are failed too.
+        Returns the number of operations aborted: in flight, held by the
+        submitter, and queued.  Each ends in one ``op.failed`` trace event.
         """
-        aborted = 0
-        for event in list(self._ack_events.values()):
-            if not event.triggered:
-                event.fail(reason)
-                aborted += 1
+        failed = list(self._ack_events.items())
+        held = [self._held] if self._held is not None else []
+        failed += [(-1, done) for _op, done, _issue
+                   in held + list(self._submit_queue)]
         self._ack_events.clear()
         self._issue_ns.clear()
-        for _op, done, _issue in self._submit_queue:
-            if not done.triggered:
-                done.fail(reason)
-                aborted += 1
         self._submit_queue.clear()
+        self._held = None
         self._acked = self._next_slot
+        tracer = self.client_host.cluster.tracer
+        aborted = 0
+        for slot, done in failed:
+            if done.triggered:
+                continue
+            if tracer is not None:
+                tracer.emit(self.sim.now, f"{self.name}.client", "op.failed",
+                            op_slot=slot)
+            done.fail(reason)
+            aborted += 1
+        # A submitter waiting for a slot for its held op goes back to the
+        # queue.
+        self._release_window_waiters()
         # The group is now (vacuously) drained; anyone quiescing it for a
         # rebalance must not hang on ops that will never complete.
         self._release_drain_waiters()
@@ -270,15 +324,54 @@ class GroupBase:
 
     def _begin_close(self) -> bool:
         """Idempotence guard + in-flight abort; True if teardown should run."""
-        if getattr(self, "_closed", False):
+        if self._closed:
             return False
         self._closed = True
         self.abort_in_flight(RuntimeError(f"{self.name} closed"))
+        if self.poller is not None:
+            self.poller.stop()
         return True
 
+    def _close_client(self, ack_qps: Sequence) -> None:
+        """Return the client-side resources: QPs, ACK MR, buffers."""
+        nic, memory = self.client_host.nic, self.client_host.memory
+        for qp in [self.qp_out, *ack_qps]:
+            nic.destroy_qp(qp)
+        nic.deregister_mr(self.ack_mr)
+        for allocation in (self.region, self.md_buf, self.ack_buf):
+            memory.free(allocation)
+        self.read_path.close()
+
     # ------------------------------------------------------------------
-    # Submitter/dispatcher building blocks
+    # Client processes and their building blocks
     # ------------------------------------------------------------------
+    def _start_client(self, polling: bool, wake_ns: int) -> None:
+        """Spawn the client threads and start the submit loop and
+        :func:`ack_loop`.  ``polling`` gives the ACK path a busy poller;
+        ``wake_ns`` is what an event-mode ACK wakeup costs."""
+        host = self.client_host
+        self.submit_thread = host.spawn_thread(f"{self.name}.submit")
+        self.ack_thread = host.spawn_thread(f"{self.name}.ack")
+        if polling:
+            self.poller = host.spawn_thread(f"{self.name}.poller")
+            self.poller.run_forever()
+        self._ack_wake_ns = wake_ns
+        self.sim.process(self._submitter(), name=f"{self.name}.submitter")
+        self.sim.process(ack_loop(self), name=f"{self.name}.ack")
+
+    def _route(self, wc: WorkCompletion) -> Optional[Tuple["GroupBase", int]]:
+        """The client and slot an ACK completion finishes (None: none)."""
+        return self, wc.imm
+
+    def ack_addr(self, slot: int) -> int:
+        """Where ``slot``'s ACK (its result map) lands on the client."""
+        return self.ack_buf.address \
+            + (slot % self.config.slots) * self.ack_stride
+
+    def _result_map(self, slot: int) -> bytes:
+        return self.client_host.memory.read(self.ack_addr(slot),
+                                            self.ack_stride)
+
     def _submitter(self):
         """Turns each queued op into posted work requests, one at a time.
 
@@ -298,6 +391,8 @@ class GroupBase:
                 tracer.emit(sim.now, f"{self.name}.client", "op.submit",
                             op.kind.value, op_slot=slot)
             yield self.submit_thread.run(self._build_ns)
+            if self._closed:
+                return  # Torn down mid-build; abort already failed the op.
             md_addr = self.md_buf.address \
                 + (slot % config.slots) * self.md_stride
             memory.write(md_addr, self._metadata(op, slot))
@@ -331,22 +426,26 @@ class GroupBase:
     def _dequeue(self):
         """Generator step for submitter processes: wait for a queued op and
         a free pipeline slot, then claim the slot.  Returns
-        ``(op, done, slot)``."""
+        ``(op, done, slot)``.  Until the claim the op is ``_held``; one
+        an abort fails meanwhile is dropped for the next queued op."""
         sim = self.sim
-        while not self._submit_queue:
-            self._submit_kick = sim.event()
-            yield self._submit_kick
-        op, done, issue = self._submit_queue.popleft()
-        # Transient service stall: hold the op (don't fail it) until the
-        # stall window passes.  Re-check after waking — overlapping
-        # stalls may have pushed the deadline out.
-        while sim.now < self._stall_until:
-            yield sim.timeout(self._stall_until - sim.now)
-        # Flow control: never exceed the pipeline depth.
-        while self.in_flight >= self.config.slots:
-            waiter = sim.event()
-            self._window_waiters.append(waiter)
-            yield waiter
+        done = None
+        while done is None or done.triggered:  # Failed by an abort: next.
+            while not self._submit_queue:
+                self._submit_kick = sim.event()
+                yield self._submit_kick
+            op, done, issue = self._held = self._submit_queue.popleft()
+            # Transient service stall: hold the op (don't fail it) until
+            # the stall window passes.  Re-check after waking —
+            # overlapping stalls may have pushed the deadline out.
+            while sim.now < self._stall_until:
+                yield sim.timeout(self._stall_until - sim.now)
+            # Flow control: never exceed the pipeline depth.
+            while self.in_flight >= self.config.slots:
+                waiter = sim.event()
+                self._window_waiters.append(waiter)
+                yield waiter
+        self._held = None
         slot = self._next_slot
         self._next_slot += 1
         self._ack_events[slot] = done

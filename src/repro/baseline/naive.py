@@ -28,14 +28,14 @@ from __future__ import annotations
 import itertools
 import struct
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from ..backend.base import GroupBase
 from ..backend.ops import OpKind, OpSpec
 from ..backend.registry import register
 from ..core.readpath import ClientReadPath
 from ..host import Host
-from ..rdma.verbs import Access
+from ..rdma.verbs import Access, WorkCompletion
 from ..rdma.wqe import Opcode, Sge, WorkRequest
 
 __all__ = ["NaiveConfig", "NaiveGroup", "HEADER_SIZE"]
@@ -159,7 +159,6 @@ class _NaiveReplica:
                 service = self._service_cost(work_items)
                 if service:
                     yield service  # bare-delay fast path
-                self._apply_all(work_items)
             else:
                 # Event mode: the handler must be scheduled before anything
                 # happens — the run-queue wait is the latency killer.
@@ -167,7 +166,9 @@ class _NaiveReplica:
                 service = self._service_cost(work_items) \
                     + config.event_wakeup_service_ns
                 yield self.thread.run(max(service, 1))
-                self._apply_all(work_items)
+            if self.group._closed:
+                return  # Torn down mid-batch: the QPs are gone.
+            self._apply_all(work_items)
             for _ in work_items:
                 self._post_recv(next_slot + config.slots)
                 next_slot += 1
@@ -265,7 +266,8 @@ class NaiveGroup(GroupBase):
         self._build_client_side()
         self._wire_chain()
         self._init_op_state()
-        self._start_client_processes()
+        self._start_client(self.config.client_mode == "polling",
+                           self.config.ack_dispatch_ns)
         self.read_path = ClientReadPath(client_host, self.replicas, self.name)
 
     # ------------------------------------------------------------------
@@ -301,22 +303,6 @@ class NaiveGroup(GroupBase):
             prev.qp_down.connect(nxt.qp_up)
         self.replicas[-1].qp_down.connect(self.qp_ack)
 
-    def _start_client_processes(self) -> None:
-        self.submit_thread = self.client_host.spawn_thread(f"{self.name}.submit")
-        self.ack_thread = self.client_host.spawn_thread(f"{self.name}.ackdisp")
-        if self.config.client_mode == "polling":
-            self.client_poller = self.client_host.spawn_thread(
-                f"{self.name}.cpoller")
-            self.client_poller.run_forever()
-        else:
-            self.client_poller = None
-        self.sim.process(self._submitter(), name=f"{self.name}.submitter")
-        self.sim.process(self._ack_dispatcher(), name=f"{self.name}.ackdisp")
-
-    def ack_addr(self, slot: int) -> int:
-        return self.ack_buf.address + (slot % self.config.slots) \
-            * self.ack_stride
-
     def close(self) -> None:
         """Tear the group down and return every carved resource."""
         if not self._begin_close():
@@ -328,44 +314,16 @@ class NaiveGroup(GroupBase):
             nic.deregister_mr(replica.region_mr)
             memory.free(replica.region)
             memory.free(replica.msg_buf)
-        nic, memory = self.client_host.nic, self.client_host.memory
-        nic.destroy_qp(self.qp_out)
-        nic.destroy_qp(self.qp_ack)
-        nic.deregister_mr(self.ack_mr)
-        for allocation in (self.region, self.md_buf, self.ack_buf):
-            memory.free(allocation)
-        self.read_path.close()
+        self._close_client([self.qp_ack])
 
     # ------------------------------------------------------------------
-    # Client processes
+    # Metadata and ACK routing
     # ------------------------------------------------------------------
     def _metadata(self, op: OpSpec, slot: int) -> bytes:
         return encode_header(op, slot, 0, self.group_size) \
             + bytes(8 * self.group_size)
 
-    def _ack_dispatcher(self):
-        sim, config = self.sim, self.config
-        channel = self.ack_cq.channel
-        while True:
-            self.ack_cq.req_notify()
-            yield channel.wait()
-            if self.client_poller is not None:
-                yield self.client_poller.when_running()
-                yield config.poll_overhead_ns  # bare-delay fast path
-            else:
-                yield self.ack_thread.run(config.ack_dispatch_ns)
-            for wc in self.ack_cq.poll(64):
-                if not wc.has_imm:
-                    continue
-                slot = wc.imm
-                # Ordering matters for determinism: re-arm the RECV before
-                # releasing window waiters (the re-post can schedule an
-                # RNR-pending delivery).
-                done = self._pop_acked(slot)
-                self.qp_ack.post_recv(WorkRequest(Opcode.RECV, [], wr_id=0))
-                self._release_window_waiters()
-                if done is None or done.triggered:
-                    continue
-                result_map = self.client_host.memory.read(
-                    self.ack_addr(slot), self.ack_stride)
-                self._finish(done, slot, result_map)
+    def _route(self, wc: WorkCompletion) -> Optional[Tuple[GroupBase, int]]:
+        # ACK RECVs are not cyclic here: re-arm the one this ACK consumed.
+        self.qp_ack.post_recv(WorkRequest(Opcode.RECV, [], wr_id=0))
+        return self, wc.imm

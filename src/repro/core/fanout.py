@@ -32,12 +32,12 @@ nodes.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..backend.base import GroupBase
 from ..backend.registry import register
 from ..host import Host
-from ..rdma.verbs import Access
+from ..rdma.verbs import Access, WorkCompletion
 from ..rdma.wqe import MAX_SGE, WQE_SIZE, Opcode, Sge, WorkRequest, encode_wqe
 from .fanout_nodes import (
     _BACKUP_MSG_SIZE,
@@ -92,8 +92,7 @@ class FanoutGroup(GroupBase):
             backup.prepost(self.config.slots)
         self._init_op_state()
         self._ack_counts: Dict[int, int] = {}
-        self.sim.process(self._submitter(), name=f"{self.name}.submitter")
-        self.sim.process(self._ack_dispatcher(), name=f"{self.name}.ackdisp")
+        self._start_client(True, self.config.event_wakeup_service_ns)
         self.read_path = ClientReadPath(client_host, self.replicas,
                                         self.name)
 
@@ -120,14 +119,7 @@ class FanoutGroup(GroupBase):
                 nic.destroy_qp(qp)
             nic.deregister_mr(backup.region_mr)
             memory.free(backup.region)
-        nic, memory = self.client_host.nic, self.client_host.memory
-        nic.destroy_qp(self.qp_out)
-        for qp in self.ack_qps:
-            nic.destroy_qp(qp)
-        nic.deregister_mr(self.ack_mr)
-        for allocation in (self.region, self.md_buf, self.ack_buf):
-            memory.free(allocation)
-        self.read_path.close()
+        self._close_client(self.ack_qps)
 
     def abort_in_flight(self, reason: Exception) -> int:
         """Fail every unacknowledged operation (failure detected)."""
@@ -172,10 +164,6 @@ class FanoutGroup(GroupBase):
             qp.rq.cyclic = True
             qp.post_recv_list([WorkRequest(Opcode.RECV, [], wr_id=0)],
                               times=self.config.slots)
-        self.submit_thread = self.client_host.spawn_thread(
-            f"{self.name}.submit")
-        self.poller = self.client_host.spawn_thread(f"{self.name}.poller")
-        self.poller.run_forever()
 
     def _wire(self) -> None:
         self.qp_out.connect(self.primary.qp_up)
@@ -187,10 +175,6 @@ class FanoutGroup(GroupBase):
     # ------------------------------------------------------------------
     # Metadata construction
     # ------------------------------------------------------------------
-    def ack_slot_addr(self, slot: int, hop: int) -> int:
-        return (self.ack_buf.address
-                + (slot % self.config.slots) * self.ack_stride + hop * 8)
-
     def _local_op_image(self, op: OpSpec, region_addr: int, region_rkey: int,
                         result_addr: int, execute: bool = True) -> bytes:
         if op.kind is OpKind.GCAS and not execute:
@@ -214,7 +198,7 @@ class FanoutGroup(GroupBase):
 
     def _ack_image(self, slot: int, hop: int, result_addr: int) -> bytes:
         wr = WorkRequest(Opcode.WRITE_WITH_IMM, [Sge(result_addr, 8)],
-                         remote_addr=self.ack_slot_addr(slot, hop),
+                         remote_addr=self.ack_addr(slot) + hop * 8,
                          rkey=self.ack_mr.rkey, imm=slot & 0xFFFFFFFF,
                          signaled=False)
         return encode_wqe(wr, owned=True)
@@ -273,32 +257,16 @@ class FanoutGroup(GroupBase):
         return self.config.region_size - 64
 
     # ------------------------------------------------------------------
-    # Client processes
+    # ACK routing
     # ------------------------------------------------------------------
-    def _ack_dispatcher(self):
-        sim, config = self.sim, self.config
-        channel = self.ack_cq.channel
-        while True:
-            self.ack_cq.req_notify()
-            yield channel.wait()
-            yield self.poller.when_running()
-            yield config.poll_overhead_ns  # bare-delay fast path
-            for wc in self.ack_cq.poll(64):
-                if not wc.has_imm:
-                    continue
-                slot = wc.imm
-                if slot not in self._ack_counts:
-                    continue
-                self._ack_counts[slot] += 1
-                if self._ack_counts[slot] < self.group_size:
-                    continue
-                del self._ack_counts[slot]
-                done = self._pop_acked(slot)
-                self._release_window_waiters()
-                if done is None or done.triggered:
-                    continue
-                base = self.ack_buf.address \
-                    + (slot % config.slots) * self.ack_stride
-                result_map = self.client_host.memory.read(base,
-                                                          self.ack_stride)
-                self._finish(done, slot, result_map)
+    def _route(self, wc: WorkCompletion) -> Optional[Tuple[GroupBase, int]]:
+        """An op completes when all ``group_size`` replicas have ACKed."""
+        slot = wc.imm
+        count = self._ack_counts.get(slot)
+        if count is None:
+            return None
+        if count + 1 < self.group_size:
+            self._ack_counts[slot] = count + 1
+            return None
+        del self._ack_counts[slot]
+        return self, slot

@@ -15,7 +15,8 @@ whole operation without touching their CPUs.
 The shared client-side machinery (the submit loop, submission pipeline,
 ACK table, region accessors, abort/close) comes from
 :class:`~repro.backend.base.GroupBase`; this class contributes only what
-is chain-specific: the metadata message and the ACK dispatcher.
+is chain-specific: the metadata message.  Completions run through the
+shared :func:`~repro.backend.base.ack_loop`.
 """
 
 from __future__ import annotations
@@ -88,9 +89,9 @@ class HyperLoopGroup(GroupBase):
         self._wire_chain()
         for replica in self.replicas:
             replica.prepost(self.config.slots)
-        self._post_ack_recvs(self.config.slots)
         self._init_op_state()
-        self._start_client_processes()
+        self._start_client(self.config.client_mode == "polling",
+                           self.config.event_wakeup_service_ns)
         self.read_path = ClientReadPath(client_host, self.replicas, self.name)
 
     # ------------------------------------------------------------------
@@ -120,6 +121,8 @@ class HyperLoopGroup(GroupBase):
                                     name=f"{self.name}.ackqp")
         # ACK RECVs are cyclic too: posted once, re-armed by the NIC.
         self.qp_ack.rq.cyclic = True
+        self.qp_ack.post_recv_list([WorkRequest(Opcode.RECV, [], wr_id=0)],
+                                   times=config.slots)
         self.client_layout = ClientLayout(
             ack_addr=self.ack_buf.address, ack_rkey=self.ack_mr.rkey,
             ack_stride=self.ack_stride, slots=config.slots)
@@ -129,21 +132,6 @@ class HyperLoopGroup(GroupBase):
         for prev, nxt in zip(self.replicas, self.replicas[1:]):
             prev.qp_down.connect(nxt.qp_up)
         self.replicas[-1].qp_down.connect(self.qp_ack)
-
-    def _post_ack_recvs(self, count: int) -> None:
-        self.qp_ack.post_recv_list([WorkRequest(Opcode.RECV, [], wr_id=0)],
-                                   times=count)
-
-    def _start_client_processes(self) -> None:
-        self.submit_thread = self.client_host.spawn_thread(f"{self.name}.submit")
-        self.ack_thread = self.client_host.spawn_thread(f"{self.name}.ackdisp")
-        if self.config.client_mode == "polling":
-            self.poller = self.client_host.spawn_thread(f"{self.name}.poller")
-            self.poller.run_forever()
-        else:
-            self.poller = None
-        self.sim.process(self._submitter(), name=f"{self.name}.submitter")
-        self.sim.process(self._ack_dispatcher(), name=f"{self.name}.ackdisp")
 
     def close(self) -> None:
         """Tear the whole group down and return every carved resource.
@@ -156,45 +144,10 @@ class HyperLoopGroup(GroupBase):
             return
         for replica in self.replicas:
             replica.close()
-        nic, memory = self.client_host.nic, self.client_host.memory
-        nic.destroy_qp(self.qp_out)
-        nic.destroy_qp(self.qp_ack)
-        nic.deregister_mr(self.ack_mr)
-        for allocation in (self.region, self.md_buf, self.ack_buf):
-            memory.free(allocation)
-        self.read_path.close()
+        self._close_client([self.qp_ack])
 
     # ------------------------------------------------------------------
-    # Client processes
+    # Metadata
     # ------------------------------------------------------------------
     def _metadata(self, op: OpSpec, slot: int) -> bytes:
         return build_metadata(op, self.layouts, self.client_layout, slot)
-
-    def _ack_dispatcher(self):
-        """Waits for tail ACKs (WRITE_WITH_IMM) and completes operations."""
-        config = self.config
-        channel = self.ack_cq.channel
-        while True:
-            self.ack_cq.req_notify()
-            yield channel.wait()
-            if self.poller is not None:
-                # Poll mode: the completion is observed while the dedicated
-                # poller owns a core; only the CQ-read cost is paid.
-                yield self.poller.when_running()
-                yield config.poll_overhead_ns  # bare-delay fast path
-            else:
-                # Event mode: the dispatcher thread must get scheduled.
-                yield self.ack_thread.run(config.event_wakeup_service_ns)
-            for wc in self.ack_cq.poll(64):
-                if not wc.has_imm:
-                    continue
-                slot = wc.imm
-                done = self._pop_acked(slot)
-                self._release_window_waiters()
-                if done is None or done.triggered:
-                    continue
-                ack_addr = (self.ack_buf.address
-                            + (slot % config.slots) * self.ack_stride)
-                result_map = self.client_host.memory.read(
-                    ack_addr, self.ack_stride)
-                self._finish(done, slot, result_map)

@@ -17,7 +17,8 @@ This module builds that design:
   ``(client_id, client_op)`` tag to its metadata; the scatter leaves it in
   the tail's staging slot, and the static tail ACK (WRITE_WITH_IMM, imm =
   global slot) carries exactly those bytes to the **owner host's** ACK
-  buffer, whose dispatcher wakes the right client;
+  buffer, whose :func:`~repro.backend.base.ack_loop` routes it to the
+  right client by that tag;
 * per-client flow control: each client is a
   :class:`~repro.backend.base.GroupBase` whose window (its ``slots``) is
   its quota, ``slots // max_clients``, so the shared pipeline can never
@@ -36,11 +37,11 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import struct
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-from ..backend.base import GroupBase
+from ..backend.base import GroupBase, ack_loop
 from ..host import Host
-from ..rdma.verbs import Access
+from ..rdma.verbs import Access, WorkCompletion
 from ..rdma.wqe import WQE_SIZE, Opcode, Sge, WorkRequest, encode_wqe
 from ..sim.engine import Event
 from .chain import prepost_gated
@@ -180,7 +181,7 @@ class SharedChain:
         for replica in self.replicas:
             replica.prepost(self.config.slots)
         self.clients: List["SharedChainClient"] = []
-        self.sim.process(self._ack_dispatcher(), name=f"{self.name}.ackdisp")
+        self.sim.process(ack_loop(self), name=f"{self.name}.ack")
 
     # ------------------------------------------------------------------
     # Construction
@@ -203,6 +204,9 @@ class SharedChain:
         self.qp_ack.post_recv_list([WorkRequest(Opcode.RECV, [], wr_id=0)],
                                    times=config.slots)
         self.ack_thread = self.owner_host.spawn_thread(f"{self.name}.ackhub")
+        # The ACK hub is event-driven: no poller, one wakeup per batch.
+        self.poller = None
+        self._ack_wake_ns = config.event_wakeup_service_ns
 
     def _wire_chain(self) -> None:
         for prev, nxt in zip(self.replicas, self.replicas[1:]):
@@ -223,25 +227,14 @@ class SharedChain:
     # ------------------------------------------------------------------
     # ACK hub (owner-side routing; client CPUs, never replica CPUs)
     # ------------------------------------------------------------------
-    def _ack_dispatcher(self):
-        channel = self.ack_cq.channel
-        while True:
-            self.ack_cq.req_notify()
-            yield channel.wait()
-            yield self.ack_thread.run(self.config.event_wakeup_service_ns)
-            for wc in self.ack_cq.poll(64):
-                if not wc.has_imm:
-                    continue
-                tag = self.owner_host.memory.read(
-                    self.ack_slot_addr(wc.imm), _TAG.size)
-                client_id, client_op = _TAG.unpack(tag)
-                if client_id >= len(self.clients):
-                    continue
-                client = self.clients[client_id]
-                done = client._pop_acked(client_op)
-                client._release_window_waiters()
-                if done is not None and not done.triggered:
-                    client._finish(done, client_op, b"")
+    def _route(self, wc: WorkCompletion
+               ) -> Optional[Tuple["SharedChainClient", int]]:
+        """The tag the tail carried names the owning client and its op."""
+        client_id, client_op = _TAG.unpack(self.owner_host.memory.read(
+            self.ack_slot_addr(wc.imm), _TAG.size))
+        if client_id >= len(self.clients):
+            return None
+        return self.clients[client_id], client_op
 
 
 class SharedChainClient(GroupBase):
@@ -290,6 +283,10 @@ class SharedChainClient(GroupBase):
     @property
     def host(self) -> Host:
         return self.client_host
+
+    def _result_map(self, slot: int) -> bytes:
+        # gCAS is out of scope, so there is no result map to read.
+        return b""
 
     def submit(self, op: OpSpec) -> Event:
         if op.kind is OpKind.GCAS:

@@ -6,6 +6,9 @@ the window and ACK bookkeeping is held to one contract wherever the
 submit loop is used.
 """
 
+import pytest
+
+from repro import backend as backend_registry
 from repro.sim.units import ms, us
 
 
@@ -29,3 +32,107 @@ def test_late_acks_after_abort_leave_window_empty(cluster, client_group):
     cluster.run(until=sim.now + ms(5))
     assert done.ok
     assert group.in_flight == 0
+
+
+# Ten ops into a window of 8: eight in flight, one held by the submitter
+# waiting for a slot, one still queued.
+_OPS = 10
+
+
+def _submit_writes(group, count=_OPS):
+    """Submit ``count`` 64 B gWRITEs; returns their events and a list that
+    records, per op, how many times it reached a terminal state."""
+    ends = [0] * count
+    events = []
+    for index in range(count):
+        event = group.gwrite(index * 64, 64)
+
+        def count_end(_event, index=index):
+            ends[index] += 1
+
+        event.add_callback(count_end)
+        events.append(event)
+    return events, ends
+
+
+def _assert_each_op_ended_once(cluster, group, events, ends):
+    cluster.run(until=cluster.sim.now + ms(20))
+    assert all(event.triggered for event in events)
+    assert ends == [1] * len(events)
+    assert group.in_flight == 0 and group.queue_depth == 0
+    assert group.drain().triggered
+
+
+@pytest.mark.parametrize("chain", ["live", "dead"])
+def test_abort_ends_every_op_once(cluster, client_group, chain):
+    """Queued, held and in-flight ops all fail on abort — none is left
+    pending, on a chain that still ACKs or one that never will."""
+    group = client_group
+    sim = cluster.sim
+    events, ends = _submit_writes(group)
+    if chain == "dead":
+        cluster.run(until=sim.now + us(2))
+        group.member_hosts()[1].crash()
+        cluster.run(until=sim.now + us(50))
+    else:
+        # Too short for any ACK to come back.
+        cluster.run(until=sim.now + us(3))
+    pending = sum(not event.triggered for event in events)
+    assert pending > 0
+    assert group.abort_in_flight(RuntimeError("chain failure")) == pending
+    _assert_each_op_ended_once(cluster, group, events, ends)
+
+
+def test_stall_then_abort_ends_every_op_once(cluster, client_group):
+    group = client_group
+    sim = cluster.sim
+    group.stall(ms(1))
+    events, ends = _submit_writes(group)
+    cluster.run(until=sim.now + us(10))
+    assert group.abort_in_flight(RuntimeError("chain failure")) == _OPS
+    _assert_each_op_ended_once(cluster, group, events, ends)
+    assert not any(event.ok for event in events)
+
+
+def _registered_group(backend, client, replicas, name=""):
+    return backend_registry.create(backend, client, replicas, slots=8,
+                                   region_size=1 << 20, group_name=name)
+
+
+@pytest.mark.parametrize("backend", backend_registry.names())
+def test_close_ends_every_op_once(cluster, backend):
+    group = _registered_group(backend, cluster.add_host("rg-client"),
+                              cluster.add_hosts(3, prefix="rg-replica"))
+    events, ends = _submit_writes(group)
+    cluster.run(until=cluster.sim.now + us(5))
+    group.close()
+    _assert_each_op_ended_once(cluster, group, events, ends)
+    assert not any(event.ok for event in events)
+
+
+def test_drain_waits_for_an_op_held_by_a_stall(cluster, client_group):
+    """``drain()`` must not fire while the submitter holds a stalled op:
+    a rebalance would snapshot before that write lands."""
+    group = client_group
+    sim = cluster.sim
+    group.stall(ms(1))
+    group.write_local(0, b"held")
+    done = group.gwrite(0, 4)
+    cluster.run(until=sim.now + us(10))
+    assert group.queue_depth == 0 and group.in_flight == 0
+    drained = group.drain()
+    assert not drained.triggered
+    cluster.run(until=sim.now + ms(2))
+    assert done.ok
+    assert drained.triggered
+
+
+@pytest.mark.parametrize("backend", backend_registry.names())
+def test_close_stops_the_client_poller(cluster, backend):
+    client = cluster.add_host("pl-client")
+    replicas = cluster.add_hosts(3, prefix="pl-replica")
+    for index in range(3):
+        _registered_group(backend, client, replicas, f"pl{index}").close()
+    cluster.run(until=cluster.sim.now + us(100))
+    assert not [thread.name for thread in client.cpu.threads
+                if thread.is_busy_loop]

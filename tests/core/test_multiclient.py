@@ -219,13 +219,13 @@ class TestInheritedMachinery:
         sim = cluster.sim
         client.write_local(0, b"a" * 16)
         # Quota 2: two ops hold the window, the submitter holds the third
-        # until the window reopens, and two wait in the queue.
+        # until the window reopens, and two wait in the queue.  Abort
+        # fails all five, the held one included.
         writes = [client.gwrite(0, 16) for _ in range(5)]
         cluster.run(until=sim.now + us(5))
         assert client.in_flight == 2 and client.queue_depth == 2
-        assert client.abort_in_flight(RuntimeError("chain failure")) == 4
-        assert [write.triggered and not write.ok for write in writes] \
-            == [True, True, False, True, True]
+        assert client.abort_in_flight(RuntimeError("chain failure")) == 5
+        assert all(write.triggered and not write.ok for write in writes)
         cluster.run(until=sim.now + ms(1))
         assert client.in_flight == 0 and client.drain().triggered
 
@@ -234,10 +234,8 @@ class TestInheritedMachinery:
             for _ in range(5):
                 yield handle.gwrite(base, 16)
 
-        # Both clients keep completing writes through the shared slots,
-        # and the op the submitter held is posted once the window reopens.
+        # Both clients keep completing writes through the shared slots.
         run_all(cluster, [writer(other, 4096, b"o"), writer(client, 0, b"c")])
-        assert writes[2].ok
         for replica in chain.replicas:
             assert replica.host.memory.read(
                 replica.region.address + 4096, 16) == b"o" * 16

@@ -1,6 +1,7 @@
 """Tests for the tracing facility."""
 
 from repro.sim.trace import TraceEvent, Tracer, span_durations
+from repro.sim.units import ms, us
 
 
 class TestTracer:
@@ -70,6 +71,16 @@ class TestIntegration:
             == {f"cg-replica{hop}.nic" for hop in range(3)}
         if client_kind != "naive":
             assert len(replica_wqes) >= 9
+        # Abort case: ten more ops (in flight, held and queued) fail, and
+        # each submit() ends in exactly one terminal event.
+        for index in range(10):
+            group.gwrite(index * 64, 64)
+        cluster.run(until=cluster.sim.now + us(3))
+        group.abort_in_flight(RuntimeError("chain failure"))
+        cluster.run(until=cluster.sim.now + ms(5))
+        kinds = tracer.kinds()
+        assert kinds["op.failed"] > 0
+        assert kinds["op.acked"] + kinds["op.failed"] == 11
 
     def test_tracing_disabled_by_default(self, cluster):
         client = cluster.add_host("ntr-client")
