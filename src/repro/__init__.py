@@ -36,7 +36,6 @@ from .core.multiclient import SharedChain, SharedChainClient
 from .core.group import GroupConfig, HyperLoopGroup, OpResult
 from .core.client import ReplicatedStore, StoreConfig, initialize, recover
 from .baseline.naive import NaiveConfig, NaiveGroup
-from .apps.logqueue import QueueConfig, ReplicatedQueue
 from .apps.rediscache import CacheConfig, ReplicatedCache
 from .apps.rockskv import ReplicatedRocksKV, RocksConfig
 from .apps.mongolike import MongoConfig, MongoLikeDB, MongoSession
@@ -67,8 +66,6 @@ __all__ = [
     "recover",
     "NaiveConfig",
     "NaiveGroup",
-    "QueueConfig",
-    "ReplicatedQueue",
     "CacheConfig",
     "ReplicatedCache",
     "ReplicatedRocksKV",

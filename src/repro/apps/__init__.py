@@ -1,14 +1,11 @@
 """Case-study applications: RocksDB-like KV store, MongoDB-like document
 store, and a Memcache/Redis-like replicated cache (§7's weaker semantics)."""
 
-from .logqueue import QueueConfig, ReplicatedQueue
 from .mongolike import MongoConfig, MongoLikeDB, MongoSession
 from .rediscache import CacheConfig, ReplicatedCache
 from .rockskv import ReplicatedRocksKV, RocksConfig
 
 __all__ = [
-    "QueueConfig",
-    "ReplicatedQueue",
     "MongoConfig",
     "MongoLikeDB",
     "MongoSession",

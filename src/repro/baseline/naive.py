@@ -308,6 +308,8 @@ class NaiveGroup(GroupBase):
         if not self._begin_close():
             return
         for replica in self.replicas:
+            if replica.poller is not None:
+                replica.poller.stop()
             nic, memory = replica.host.nic, replica.host.memory
             nic.destroy_qp(replica.qp_up)
             nic.destroy_qp(replica.qp_down)

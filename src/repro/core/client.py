@@ -257,15 +257,6 @@ class ReplicatedStore:
         return self.group.remote_read(
             hop, self.layout.db_address(db_offset, size), size)
 
-    def db_write_local(self, db_offset: int, data: bytes) -> None:
-        """Software store into the client's database copy.
-
-        Replication of database contents normally flows through the WAL
-        (append + execute); this direct store exists for initialization.
-        """
-        self.group.write_local(self.layout.db_address(db_offset, len(data)),
-                               data)
-
     # ------------------------------------------------------------------
     # Transactions: the §3.1 five-step recipe in one call
     # ------------------------------------------------------------------

@@ -13,8 +13,8 @@ Module         Reproduces
 =============  ===========================================================
 """
 
-from . import (availability, calibration, common, fig2, fig8, fig9,
-               fig10, fig11, fig12, table2)
+from . import (availability, common, fig2, fig8, fig9, fig10, fig11,
+               fig12, table2)
 
-__all__ = ["availability", "calibration", "common", "fig2", "fig8",
-           "fig9", "fig10", "fig11", "fig12", "table2"]
+__all__ = ["availability", "common", "fig2", "fig8", "fig9", "fig10",
+           "fig11", "fig12", "table2"]

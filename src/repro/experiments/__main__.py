@@ -42,8 +42,8 @@ import sys
 import time
 
 from .. import backend as backend_registry
-from . import (availability, calibration, fig2, fig8, fig9, fig10, fig11,
-               fig12, fig_faults, fig_overload, fig_shards, parallel, table2)
+from . import (availability, fig2, fig8, fig9, fig10, fig11, fig12,
+               fig_faults, fig_overload, fig_shards, parallel, table2)
 
 EXPERIMENTS = {
     "fig2": ("Figure 2 — multi-tenancy root cause (MongoDB)",
@@ -71,8 +71,6 @@ EXPERIMENTS = {
     "fig_faults": ("Faults — availability timelines per fault class",
                    lambda backend, jobs: fig_faults.main(
                        backend=backend, jobs=jobs)),
-    "calibration": ("Calibration — simulator parameter anchors",
-                    lambda backend, jobs: calibration.main(backend=backend)),
     "availability": ("Availability — throughput through crash & repair",
                      lambda backend, jobs: availability.main(backend=backend)),
 }

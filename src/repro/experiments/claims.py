@@ -1,10 +1,14 @@
 """The paper's shape claims as one executable table.
 
 HyperLoop's evaluation is a set of *shape* claims: who wins, by roughly
-what factor, and what stays flat.  Each :class:`Claim` row names one
-claim, states what the paper reports, names the figure run it reads,
-bounds one number, and reduces the run to that number.  :func:`check`
-runs each figure at most once, however many rows read it::
+what factor, and what stays flat.  Beside them sit the absolute anchors
+the simulator's parameters were tuned against (verbs WRITE round trip,
+latency per chain hop, the NIC message-rate ceiling, CPU wake-up delay
+under tenant load), so a drifting anchor fails as loudly as a claim.
+Each :class:`Claim` row names one claim, states what the paper reports,
+names the figure run it reads, bounds one number, and reduces the run
+to that number.  :func:`check` runs each figure at most once, however
+many rows read it::
 
     python -m repro.experiments claims            # print the scorecard
     python -m repro.experiments claims --jobs 2   # sweep points in parallel
@@ -21,7 +25,11 @@ import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Sequence
 
-from ..sim.units import MiB
+from ..host import Cluster
+from ..rdma.verbs import Access
+from ..rdma.wqe import Opcode, Sge, WorkRequest
+from ..sim.stats import LatencyRecorder
+from ..sim.units import MiB, ms, us
 from ..workloads.openloop import load_sweep
 from . import availability, fig2, fig8, fig9, fig10, fig11, fig12, table2
 from .common import (
@@ -84,12 +92,64 @@ def _flush_durability() -> Dict[bool, bool]:
             yield group.gwrite(0, 8, durable=durable)
 
         process = sim.process(proc())
-        while not process.triggered and sim.peek() is not None:
-            sim.step()
+        sim.run_until(process)
         if not process.ok:
             raise RuntimeError("flush_durability: the gWRITE failed")
         testbed.replicas[2].fail_power()  # Right after the ACK.
         out[durable] = group.read_replica(2, 0, 8) == b"evidence"
+    return out
+
+
+def _p2p_write_rtt() -> float:
+    """Average of 200 64 B verbs WRITE + completion round trips between
+    two idle hosts."""
+    cluster = Cluster(seed=101)
+    a, b = cluster.add_host("cal-a"), cluster.add_host("cal-b")
+    cq, cq_b = a.nic.create_cq(), b.nic.create_cq()
+    qp_a = a.nic.create_qp(cq, cq, sq_slots=16, rq_slots=16)
+    qp_a.connect(b.nic.create_qp(cq_b, cq_b, sq_slots=16, rq_slots=16))
+    src = a.memory.allocate(4096, "cal")
+    dst = b.memory.allocate(4096, "cal")
+    mr = b.nic.register_mr(dst.address, 4096, Access.REMOTE_WRITE)
+    recorder = LatencyRecorder("p2p")
+
+    def send(done: int) -> None:
+        sent_at = cluster.sim.now
+        qp_a.post_send(WorkRequest(Opcode.WRITE, [Sge(src.address, 64)],
+                                   remote_addr=dst.address, rkey=mr.rkey))
+
+        def on_completion() -> None:
+            recorder.record(cluster.sim.now - sent_at)
+            if done + 1 < 200:
+                send(done + 1)
+
+        cq.subscribe_count(done + 1, on_completion)
+
+    send(0)
+    cluster.run(until=ms(100))
+    return recorder.mean_us()
+
+
+def _wakeup_p99() -> Dict[int, float]:
+    """p99 wake-up delay of 300 2 µs jobs 700 µs apart, by tenant count."""
+    def probe(sim, worker, recorder):
+        for _ in range(300):
+            yield sim.timeout(us(700))
+            start = sim.now
+            yield worker.run(2_000)
+            recorder.record(sim.now - start - 2_000)
+
+    out = {}
+    for tenants in (0, 160):
+        cluster = Cluster(seed=104 + tenants)
+        host = cluster.add_host("cal-cpu")
+        if tenants:
+            host.add_tenant_load(tenants)
+        recorder = LatencyRecorder("wakeup")
+        sim = cluster.sim
+        sim.run_until(sim.process(probe(sim, host.spawn_thread("probe"),
+                                        recorder)))
+        out[tenants] = recorder.percentile_us(99)
     return out
 
 
@@ -142,6 +202,8 @@ FIGURES: Dict[str, Callable[[int], Any]] = {
             group, 65536, scaled(24, 512) * MiB, window=128)["gbps"]),
     "load": lambda jobs: _load_vs_offered(),
     "availability": lambda jobs: availability.run(),
+    "p2p_rtt": lambda jobs: _p2p_write_rtt(),
+    "wakeup": lambda jobs: _wakeup_p99(),
 }
 
 
@@ -164,6 +226,19 @@ def _paired(rows: Sequence[Dict], column: str, top: str,
     tops = {point(row): row[column] for row in rows if row["system"] == top}
     return [tops[point(row)] / row[column] for row in rows
             if row["system"] == bottom]
+
+
+def _hyperloop_1k_kops(rows: Sequence[Dict]) -> float:
+    return next(row["kops_per_sec"] for row in rows
+                if row["system"] == "hyperloop" and row["size"] == 1024)
+
+
+def _per_hop_us(rows: Sequence[Dict]) -> float:
+    """HyperLoop's 512 B average latency per replica added to the chain."""
+    avg = {row["group_size"]: row["avg_us"] for row in rows
+           if row["system"] == "hyperloop" and row["size"] == 512}
+    smallest, largest = min(avg), max(avg)
+    return (avg[largest] - avg[smallest]) / (largest - smallest)
 
 
 def _write_reductions(rows: Sequence[Dict]) -> List[float]:
@@ -221,6 +296,10 @@ CLAIMS: List[Claim] = [
           lambda rows: min(_col(rows, "backup_cpu_pct", "naive-polling"))),
     Claim("fig9.hyperloop_backup_cpu_pct", "~0", "fig9", "== 0",
           lambda rows: max(_col(rows, "backup_cpu_pct", "hyperloop"))),
+    Claim("fig9.hyperloop_1k_kops_min", "msg-rate bound", "fig9", "> 870",
+          _hyperloop_1k_kops),
+    Claim("fig9.hyperloop_1k_kops_max", "msg-rate bound", "fig9", "< 1450",
+          _hyperloop_1k_kops),
     # Figure 10 (§6.1): HyperLoop's tail stays flat as the chain grows.
     Claim("fig10.hyperloop_p99_us", "flat", "fig10", "< 100",
           lambda rows: max(_col(rows, "p99_us", "hyperloop"))),
@@ -228,6 +307,10 @@ CLAIMS: List[Claim] = [
           lambda rows: fig10.tail_growth(rows, "hyperloop")),
     Claim("fig10.naive_over_hyperloop_p99_x", "orders", "fig10", "> 10",
           lambda rows: min(_paired(rows, "p99_us", "naive", "hyperloop"))),
+    Claim("fig10.hyperloop_per_hop_us_min", "few us", "fig10", "> 1",
+          _per_hop_us),
+    Claim("fig10.hyperloop_per_hop_us_max", "few us", "fig10", "< 6",
+          _per_hop_us),
     # Figure 11 (§6.2): RocksDB, and polling is no cure.
     Claim("fig11.event_over_hyperloop_p99_x", "5.7x", "fig11", "> 2",
           lambda rows: _ratio(rows, "p99_us", "naive-event", "hyperloop")),
@@ -281,6 +364,15 @@ CLAIMS: List[Claim] = [
           lambda result: result["lost_acked_writes"]),
     Claim("availability.repairs", "1", "availability", "== 1",
           lambda result: result["repairs"]),
+    # Calibration anchors: the micro-quantities the parameters were tuned on.
+    Claim("calib.p2p_write_rtt_us_min", "few us", "p2p_rtt", "> 1",
+          lambda rtt: rtt),
+    Claim("calib.p2p_write_rtt_us_max", "few us", "p2p_rtt", "< 6",
+          lambda rtt: rtt),
+    Claim("calib.wakeup_p99_us_idle", "none", "wakeup", "< 1",
+          lambda p99: p99[0]),
+    Claim("calib.wakeup_p99_us_160_tenants", "ms-scale", "wakeup", "> 1000",
+          lambda p99: p99[160]),
 ]
 
 

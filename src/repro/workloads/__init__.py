@@ -13,7 +13,6 @@ from .runner import (
     MongoAdapter,
     RocksAdapter,
     RunStats,
-    ShardedAdapter,
     YCSBRunner,
 )
 from .tenants import Surge, TenantSpec, tenant_arrivals
@@ -31,7 +30,6 @@ __all__ = [
     "make_value",
     "MongoAdapter",
     "RocksAdapter",
-    "ShardedAdapter",
     "RunStats",
     "YCSBRunner",
 ]

@@ -113,10 +113,7 @@ def open_loop_gwrite(group, config: OpenLoopConfig,
                 lambda e, i=index: complete(e.value, i))
 
     sim.process(arrivals(), name="openloop.arrivals")
-    deadline = sim.now + seconds(600)
-    while not finished.triggered and sim.peek() is not None \
-            and sim.peek() <= deadline:
-        sim.step()
+    sim.run_until(finished, deadline=sim.now + seconds(600))
     if not finished.triggered:
         raise RuntimeError(
             f"open-loop run stalled: {state['done']}/{config.operations}")

@@ -16,8 +16,7 @@ from ..apps.rockskv import ReplicatedRocksKV
 from ..sim.stats import LatencyRecorder
 from .ycsb import OpType, YCSBOperation, YCSBWorkload, make_value
 
-__all__ = ["MongoAdapter", "RocksAdapter", "ShardedAdapter", "RunStats",
-           "YCSBRunner"]
+__all__ = ["MongoAdapter", "RocksAdapter", "RunStats", "YCSBRunner"]
 
 
 class MongoAdapter:
@@ -74,50 +73,6 @@ class RocksAdapter:
                               make_value(op.key, op.value_size))
         else:
             raise ValueError(f"RocksKV adapter does not implement {op.op}")
-
-
-class ShardedAdapter:
-    """Drives a :class:`~repro.cluster.ShardedDeployment` with YCSB ops.
-
-    Every mutation routes through the deployment's hash ring to the key's
-    owning shard — so one runner (or many, sharing the deployment) sees a
-    single flat key space while the writes spread over N replication
-    groups.  Reads are served from the owning shard's client-side region
-    copy, the same no-replication-traffic model as
-    :meth:`RocksAdapter.execute`.  Scans are not implemented: a hash ring
-    trades range locality for uniform spread, which is the right trade for
-    the write-heavy mixes (§6.2) this adapter exists to scale.
-    """
-
-    def __init__(self, deployment, durable: bool = False):
-        self.deployment = deployment
-        self.durable = durable
-
-    def _write_size(self, size: int) -> int:
-        return min(size, self.deployment.config.record_size)
-
-    def load(self, key: int, size: int):
-        yield self.deployment.submit_write(key, self._write_size(size),
-                                           durable=self.durable)
-
-    def execute(self, op: YCSBOperation):
-        deployment = self.deployment
-        if op.op is OpType.READ:
-            try:
-                deployment.read_record(op.key)
-            except KeyError:
-                pass  # Never-loaded key: a miss, answered client-side.
-        elif op.op in (OpType.UPDATE, OpType.INSERT, OpType.MODIFY):
-            if op.op is OpType.MODIFY:
-                try:
-                    deployment.read_record(op.key)
-                except KeyError:
-                    pass
-            yield deployment.submit_write(op.key,
-                                          self._write_size(op.value_size),
-                                          durable=self.durable)
-        else:
-            raise ValueError(f"sharded adapter does not implement {op.op}")
 
 
 @dataclass

@@ -94,9 +94,10 @@ def test_stall_then_abort_ends_every_op_once(cluster, client_group):
     assert not any(event.ok for event in events)
 
 
-def _registered_group(backend, client, replicas, name=""):
+def _registered_group(backend, client, replicas, name="", **options):
     return backend_registry.create(backend, client, replicas, slots=8,
-                                   region_size=1 << 20, group_name=name)
+                                   region_size=1 << 20, group_name=name,
+                                   **options)
 
 
 @pytest.mark.parametrize("backend", backend_registry.names())
@@ -127,12 +128,16 @@ def test_drain_waits_for_an_op_held_by_a_stall(cluster, client_group):
     assert drained.triggered
 
 
-@pytest.mark.parametrize("backend", backend_registry.names())
-def test_close_stops_the_client_poller(cluster, backend):
+@pytest.mark.parametrize("backend, options", [
+    *(pytest.param(name, {}, id=name) for name in backend_registry.names()),
+    pytest.param("naive", {"mode": "polling"}, id="naive-polling")])
+def test_close_stops_the_client_poller(cluster, backend, options):
+    """No busy poller survives ``close()``, on the client or a replica."""
     client = cluster.add_host("pl-client")
     replicas = cluster.add_hosts(3, prefix="pl-replica")
     for index in range(3):
-        _registered_group(backend, client, replicas, f"pl{index}").close()
+        _registered_group(backend, client, replicas, f"pl{index}",
+                          **options).close()
     cluster.run(until=cluster.sim.now + us(100))
-    assert not [thread.name for thread in client.cpu.threads
-                if thread.is_busy_loop]
+    assert not [thread.name for host in (client, *replicas)
+                for thread in host.cpu.threads if thread.is_busy_loop]

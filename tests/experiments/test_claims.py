@@ -22,7 +22,7 @@ from repro.experiments.common import format_table
 #: does not scale) and fig12 (workload D measures about one insert).
 QUICK_FIGURES = {"fig8a", "fig8b", "table2", "fig9", "fig10", "fig11",
                  "flush_cost", "flush_durability", "fanout_latency",
-                 "fanout_goodput", "load"}
+                 "fanout_goodput", "load", "p2p_rtt", "wakeup"}
 #: At 75 ops per rate the open loop delivers 118 kops/s of 100 offered.
 QUICK_SKIPPED = {"load.delivered_error"}
 
@@ -68,6 +68,18 @@ class TestTable:
         assert by_id["fig9.hyperloop_backup_cpu_pct"].bound == "== 0"
         assert by_id["fig9.throughput_ratio_min"].bound == "> 0.5"
         assert by_id["fig10.hyperloop_p99_us"].bound == "< 100"
+        # The former calibration report's anchors: in the quick subset,
+        # and no looser than the assertions that used to check them.
+        anchors = {"fig9.hyperloop_1k_kops_min": "> 870",
+                   "fig9.hyperloop_1k_kops_max": "< 1450",
+                   "fig10.hyperloop_per_hop_us_min": "> 1",
+                   "fig10.hyperloop_per_hop_us_max": "< 6",
+                   "calib.p2p_write_rtt_us_min": "> 1",
+                   "calib.p2p_write_rtt_us_max": "< 6",
+                   "calib.wakeup_p99_us_idle": "< 1",
+                   "calib.wakeup_p99_us_160_tenants": "> 1000"}
+        assert set(anchors) <= subset
+        assert {key: by_id[key].bound for key in anchors} == anchors
 
     def test_package_import_does_not_load_claims(self):
         code = ("import sys, repro.experiments, repro.experiments.__main__; "

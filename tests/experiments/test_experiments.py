@@ -109,28 +109,6 @@ class TestAppModules:
         assert gaps["A"] == pytest.approx(1 - (1.0 / 8.0))
 
 
-class TestCalibration:
-    def test_point_to_point_rtt_in_connectx3_range(self):
-        from repro.experiments import calibration
-        row = calibration.point_to_point_write_rtt(samples=50)
-        assert 1.0 < row["avg_us"] < 6.0
-
-    def test_chain_latency_grows_linearly_with_hops(self):
-        from repro.experiments import calibration
-        rows = calibration.chain_latency_by_group(sizes=(1, 3), count=60)
-        one, three = rows[0]["avg_us"], rows[1]["avg_us"]
-        # Two extra hops cost roughly two per-hop increments.
-        assert three > one
-        per_hop = (three - one) / 2
-        assert 1.0 < per_hop < 6.0
-
-    def test_wakeup_quantiles_monotonic_in_load(self):
-        from repro.experiments import calibration
-        rows = calibration.wakeup_quantiles(tenant_counts=(0, 160),
-                                            samples=100)
-        assert rows[0]["p99_us"] < rows[1]["p99_us"]
-
-
 class TestAvailability:
     def test_tiny_timeline(self):
         from repro.experiments import availability
