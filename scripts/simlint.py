@@ -8,7 +8,6 @@ Usage::
     python scripts/simlint.py --list-rules           # what is enforced
     python scripts/simlint.py src --select DET01,DET03
     python scripts/simlint.py src --disable slots-required
-    python scripts/simlint.py src --fix              # apply safe autofixes
 
 Exit status: 0 clean, 1 violations found, 2 usage error.
 
@@ -32,13 +31,11 @@ if _SRC.is_dir() and str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro.analysis import (  # noqa: E402
-    LintReport,
     all_rules,
     format_human,
     format_json,
     lint_paths,
 )
-from repro.analysis.fixes import fix_text, fixable_violations  # noqa: E402
 
 
 def _split_codes(raw: list) -> list:
@@ -62,24 +59,6 @@ def _list_rules() -> None:
             print(f"      fix: {rule.fixit}")
 
 
-def _apply_fixes(report: LintReport) -> int:
-    """Write every safely-applicable fix back to disk; returns edit count."""
-    applied_total = 0
-    for path, violations in sorted(fixable_violations(
-            report.violations).items()):
-        source = Path(path).read_text(encoding="utf-8")
-        result = fix_text(source, violations)
-        for edit, reason in result.refused:
-            print(f"simlint: {path}:{edit.line}: fix refused ({reason})",
-                  file=sys.stderr)
-        if result.changed:
-            Path(path).write_text(result.source, encoding="utf-8")
-            applied_total += len(result.applied)
-            print(f"simlint: fixed {len(result.applied)} violation(s) "
-                  f"in {path}", file=sys.stderr)
-    return applied_total
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="simlint", description=__doc__.splitlines()[0],
@@ -96,9 +75,6 @@ def main(argv=None) -> int:
                         metavar="RULES",
                         help="skip these rules (codes or names, "
                              "comma-separated; repeatable)")
-    parser.add_argument("--fix", action="store_true",
-                        help="apply machine-safe fixes in place, then "
-                             "report what remains")
     parser.add_argument("--list-rules", action="store_true",
                         help="describe every registered rule and exit")
     parser.add_argument("--no-fixits", action="store_true",
@@ -117,17 +93,10 @@ def main(argv=None) -> int:
             print(f"simlint: no such path: {path}", file=sys.stderr)
             return 2
 
-    def run() -> LintReport:
-        return lint_paths(args.paths,
-                          select=_split_codes(args.select) or None,
-                          disable=_split_codes(args.disable) or None)
-
     try:
-        report = run()
-        if args.fix and fixable_violations(report.violations):
-            _apply_fixes(report)
-            # Fixed files changed on disk: re-lint for the final report.
-            report = run()
+        report = lint_paths(args.paths,
+                            select=_split_codes(args.select) or None,
+                            disable=_split_codes(args.disable) or None)
     except ValueError as exc:
         print(f"simlint: {exc}", file=sys.stderr)
         return 2

@@ -18,8 +18,7 @@ invisible to the type checker and too structural for generic linters:
 On top of the per-file rules, :mod:`repro.analysis.flow` (simflow) adds
 whole-program analyses — static race detection (RC0x), interprocedural
 ownership taint (WQ1x) and yield-protocol propagation (KP1x) — backed by a
-project index built from one summary per file.  :mod:`.fixes` is the
-``--fix`` engine.
+project index built from one summary per file.
 
 ``scripts/simlint.py`` is the CLI; ``tests/analysis`` pins every rule with
 positive/negative fixtures and asserts the live tree stays clean.
@@ -33,7 +32,6 @@ See :mod:`repro.analysis.core` for the rule model and
 """
 
 from .core import (
-    Edit,
     FlowRule,
     Rule,
     RuleContext,
@@ -50,7 +48,6 @@ from .runner import (
     lint_source,
     lint_sources,
 )
-from .fixes import FixResult, apply_edits, fix_text
 
 # Importing the rule modules registers their rules (flow registers the
 # interprocedural RC/WQ1x/KP1x families).
@@ -58,7 +55,6 @@ from . import determinism, ownership, protocol  # noqa: F401  isort: skip
 from . import flow  # noqa: F401  isort: skip
 
 __all__ = [
-    "Edit",
     "FlowRule",
     "Rule",
     "RuleContext",
@@ -72,7 +68,4 @@ __all__ = [
     "lint_sources",
     "format_human",
     "format_json",
-    "FixResult",
-    "apply_edits",
-    "fix_text",
 ]

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "Edit",
     "Violation",
     "RuleContext",
     "Rule",
@@ -31,30 +30,7 @@ __all__ = [
     "dotted_name",
     "own_nodes",
     "iter_own_functions",
-    "source_span_edit",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class Edit:
-    """One machine-applicable source replacement (single-line span).
-
-    ``line``/``end_line`` are 1-based, ``col``/``end_col`` 0-based —
-    matching the ``ast`` location model.  ``original`` is the exact text
-    the span must currently hold; the fix engine refuses the file if the
-    source has drifted (or the span cannot be rewritten safely).
-    """
-
-    line: int
-    col: int
-    end_line: int
-    end_col: int
-    original: str
-    replacement: str
-
-    @property
-    def span(self) -> Tuple[int, int, int, int]:
-        return (self.line, self.col, self.end_line, self.end_col)
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,9 +42,6 @@ class Violation:
     process generator consuming a helper, the function where a tainted
     descriptor address originates).  ``source_path``/``source_line`` point
     at that function's ``def`` line; pragmas are honoured at both ends.
-
-    ``fix`` holds machine-applicable edits when the breach is mechanical;
-    the ``--fix`` engine applies them.
     """
 
     code: str       # e.g. "DET02"
@@ -80,14 +53,9 @@ class Violation:
     fixit: str = ""
     source_path: str = ""      # Interprocedural findings: the source file…
     source_line: int = 0       # …and the def line of the source function.
-    fix: Optional[Tuple[Edit, ...]] = None
 
     def key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.code)
-
-    @property
-    def fixable(self) -> bool:
-        return bool(self.fix)
 
 
 class RuleContext:
@@ -133,8 +101,7 @@ class Rule:
         raise NotImplementedError
 
     def violation(self, ctx: RuleContext, node: ast.AST, message: str,
-                  fixit: Optional[str] = None,
-                  fix: Optional[Tuple[Edit, ...]] = None) -> Violation:
+                  fixit: Optional[str] = None) -> Violation:
         return Violation(
             code=self.code,
             name=self.name,
@@ -143,7 +110,6 @@ class Rule:
             col=getattr(node, "col_offset", 0),
             message=message,
             fixit=self.fixit if fixit is None else fixit,
-            fix=fix,
         )
 
 
@@ -306,34 +272,6 @@ def literal_constant_kind(node: ast.AST) -> Optional[str]:
     if isinstance(node, (ast.List, ast.Tuple, ast.Dict, ast.Set)):
         return "container literal"
     return None
-
-
-def source_span_edit(ctx: RuleContext, node: ast.AST,
-                     wrap: Tuple[str, str] = ("", ""),
-                     replacement: Optional[str] = None) -> Optional[Tuple[Edit, ...]]:
-    """Build a one-edit fix for ``node``'s source span, or None.
-
-    ``wrap`` surrounds the original text (``("sorted(", ")")``);
-    ``replacement`` substitutes it outright.  Returns None — no fix — when
-    the node spans multiple lines or carries no end location: those are
-    exactly the spans the fix engine refuses to rewrite.
-    """
-    line = getattr(node, "lineno", None)
-    col = getattr(node, "col_offset", None)
-    end_line = getattr(node, "end_lineno", None)
-    end_col = getattr(node, "end_col_offset", None)
-    if line is None or col is None or end_line is None or end_col is None:
-        return None
-    if end_line != line:
-        return None
-    lines = ctx.source.splitlines()
-    text = lines[line - 1][col:end_col] if line - 1 < len(lines) else ""
-    if not text:
-        return None
-    new_text = replacement if replacement is not None \
-        else wrap[0] + text + wrap[1]
-    return (Edit(line=line, col=col, end_line=end_line, end_col=end_col,
-                 original=text, replacement=new_text),)
 
 
 def first_arg(call: ast.Call) -> Optional[ast.AST]:

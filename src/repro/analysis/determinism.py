@@ -19,7 +19,6 @@ from .core import (
     dotted_name,
     iterable_is_hash_ordered,
     register,
-    source_span_edit,
 )
 
 __all__ = ["UnseededRandom", "WallClock", "SetIteration", "IdKeyed"]
@@ -133,23 +132,19 @@ class SetIteration(Rule):
     fixit = "Wrap the set in sorted(...) before iterating or materializing."
 
     def check(self, ctx: RuleContext) -> Iterator[Violation]:
-        sort_wrap = ("sorted(", ")")
         for node in ast.walk(ctx.tree):
             if isinstance(node, (ast.For, ast.AsyncFor)):
                 if iterable_is_hash_ordered(node.iter):
                     yield self.violation(
                         ctx, node.iter,
-                        "for-loop iterates a set in hash order",
-                        fix=source_span_edit(ctx, node.iter, wrap=sort_wrap))
+                        "for-loop iterates a set in hash order")
             elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
                                    ast.GeneratorExp)):
                 for gen in node.generators:
                     if iterable_is_hash_ordered(gen.iter):
                         yield self.violation(
                             ctx, gen.iter,
-                            "comprehension iterates a set in hash order",
-                            fix=source_span_edit(ctx, gen.iter,
-                                                 wrap=sort_wrap))
+                            "comprehension iterates a set in hash order")
             elif isinstance(node, ast.Call) \
                     and isinstance(node.func, ast.Name) \
                     and node.func.id in ("list", "tuple") \
@@ -157,8 +152,7 @@ class SetIteration(Rule):
                     and iterable_is_hash_ordered(node.args[0]):
                 yield self.violation(
                     ctx, node,
-                    f"{node.func.id}() over a set materializes hash order",
-                    fix=source_span_edit(ctx, node.args[0], wrap=sort_wrap))
+                    f"{node.func.id}() over a set materializes hash order")
 
 
 @register

@@ -22,7 +22,6 @@ from .core import (
     literal_constant_kind,
     own_nodes,
     register,
-    source_span_edit,
 )
 
 __all__ = ["YieldDiscipline", "EventAttrStash", "SlotsRequired", "BlockingCall"]
@@ -38,7 +37,7 @@ _PROCESS_YIELD_MARKERS = {
 #: corrupts callback dispatch.
 _EVENT_PRIVATE_FIELDS = {
     "_value", "_ok", "_cb1", "_cbs", "_processed",
-    "_waiting_on", "_wait_token", "_resume_cb", "_send", "_throw",
+    "_resume_cb", "_send", "_throw",
 }
 
 _ENGINE_MODULE = "repro/sim/engine.py"
@@ -121,9 +120,7 @@ class YieldDiscipline(Rule):
                     yield self.violation(
                         ctx, node,
                         f"bare 'yield' in process {func.name!r} sends None "
-                        "to the kernel",
-                        fix=source_span_edit(ctx, node,
-                                             replacement="yield 0"))
+                        "to the kernel")
                     continue
                 kind = literal_constant_kind(node.value)
                 if kind is not None:

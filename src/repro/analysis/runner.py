@@ -240,13 +240,9 @@ def format_human(report: LintReport, verbose_fixits: bool = True) -> str:
         if verbose_fixits and violation.fixit:
             lines.append(f"    fix: {violation.fixit}")
     tally = len(report.violations)
-    fixable = sum(1 for violation in report.violations if violation.fixable)
-    summary = (
+    lines.append(
         f"simlint: {report.files_checked} file(s) checked, "
         + (f"{tally} violation(s)" if tally else "clean"))
-    if fixable:
-        summary += f"; {fixable} fixable with --fix"
-    lines.append(summary)
     return "\n".join(lines)
 
 
@@ -263,7 +259,6 @@ def format_json(report: LintReport) -> str:
                 "col": violation.col,
                 "message": violation.message,
                 "fixit": violation.fixit,
-                "fixable": violation.fixable,
                 "source_path": violation.source_path,
                 "source_line": violation.source_line,
             }

@@ -74,7 +74,8 @@ class GroupBase:
     and ``.region_mr``; ``replicas[0]`` is the head), ``region`` (the
     client's own copy of the replicated region), ``md_buf`` /
     ``md_stride`` (one metadata message of exactly ``md_stride`` bytes
-    per slot), ``qp_out`` (connected to the head), ``_build_ns`` and
+    per slot), ``qp_out`` (connected to the head) and its ``out_cq``,
+    ``_build_ns`` and
     ``_metadata`` (see :meth:`_submitter`) and ``read_path`` (a
     :class:`~repro.core.readpath.ClientReadPath`), then call
     :meth:`_init_op_state` and :meth:`_start_client`, whose ACK loop also
@@ -333,10 +334,12 @@ class GroupBase:
         return True
 
     def _close_client(self, ack_qps: Sequence) -> None:
-        """Return the client-side resources: QPs, ACK MR, buffers."""
+        """Return the client-side resources: QPs, CQs, ACK MR, buffers."""
         nic, memory = self.client_host.nic, self.client_host.memory
         for qp in [self.qp_out, *ack_qps]:
             nic.destroy_qp(qp)
+        nic.destroy_cq(self.out_cq)
+        nic.destroy_cq(self.ack_cq)
         nic.deregister_mr(self.ack_mr)
         for allocation in (self.region, self.md_buf, self.ack_buf):
             memory.free(allocation)

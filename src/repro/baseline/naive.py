@@ -313,6 +313,8 @@ class NaiveGroup(GroupBase):
             nic, memory = replica.host.nic, replica.host.memory
             nic.destroy_qp(replica.qp_up)
             nic.destroy_qp(replica.qp_down)
+            nic.destroy_cq(replica.up_cq)
+            nic.destroy_cq(replica.down_cq)
             nic.deregister_mr(replica.region_mr)
             memory.free(replica.region)
             memory.free(replica.msg_buf)

@@ -107,10 +107,13 @@ class ReplicaEngine:
         self.posted_slots = 0
 
     def close(self) -> None:
-        """Destroy QPs, deregister MRs, and return the carved memory."""
+        """Destroy QPs and CQs, deregister MRs, and return the carved
+        memory."""
         nic, memory = self.host.nic, self.host.memory
         for qp in (self.qp_up, self.qp_local, self.qp_down):
             nic.destroy_qp(qp)
+        for cq in (self.up_recv_cq, self.local_cq, self.down_cq):
+            nic.destroy_cq(cq)
         for mr in (self.region_mr, self.local_ring_mr, self.down_ring_mr):
             nic.deregister_mr(mr)
         memory.free(self.region)

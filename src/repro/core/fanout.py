@@ -110,6 +110,8 @@ class FanoutGroup(GroupBase):
         for qp in ([primary.qp_up, primary.qp_local, primary.qp_ack]
                    + primary.qp_backups):
             nic.destroy_qp(qp)
+        for cq in (primary.up_cq, primary.local_cq, primary.out_cq):
+            nic.destroy_cq(cq)
         nic.deregister_mr(primary.region_mr)
         memory.free(primary.region)
         memory.free(primary.staging)
@@ -117,6 +119,8 @@ class FanoutGroup(GroupBase):
             nic, memory = backup.host.nic, backup.host.memory
             for qp in (backup.qp_up, backup.qp_local, backup.qp_ack):
                 nic.destroy_qp(qp)
+            for cq in (backup.up_cq, backup.local_cq):
+                nic.destroy_cq(cq)
             nic.deregister_mr(backup.region_mr)
             memory.free(backup.region)
         self._close_client(self.ack_qps)

@@ -75,13 +75,15 @@ class ClientReadPath:
         return done
 
     def close(self) -> None:
-        """Destroy the read QPs and free the staging buffer."""
+        """Destroy the read QPs and CQs and free the staging buffer."""
         for hop, local_qp in enumerate(self.qps):
             remote_qp = local_qp.remote
             local_qp.nic.destroy_qp(local_qp)
             if remote_qp is not None and remote_qp is not local_qp:
                 remote_qp.nic.destroy_qp(remote_qp)
+                remote_qp.nic.destroy_cq(remote_qp.recv_cq)
         self.qps = []
+        self.client_host.nic.destroy_cq(self.cq)
         self.client_host.memory.free(self.buf)
         for waiter in self._waiters.values():
             if not waiter.triggered:

@@ -25,7 +25,7 @@ ones — can stand in for HyperLoop in the offloaded arm.  Experiments whose
 point is the baseline itself (fig2) ignore the flag, and so does
 ``claims``: the paper's claims are about HyperLoop.
 
-``--jobs N`` (or ``REPRO_JOBS=N``) fans independent sweep points out over
+``--jobs N`` fans independent sweep points out over
 worker processes (fig8/fig9/fig10/fig12/fig_shards); every point owns its
 simulator and seed, so rows are identical to a serial run.
 
@@ -94,7 +94,7 @@ def _usage() -> None:
 
 def main(argv) -> int:
     backend = DEFAULT_BACKEND
-    jobs = parallel.default_jobs()
+    jobs = 1
     cache_dir = None
     resume = False
     names = []

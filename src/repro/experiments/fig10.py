@@ -22,7 +22,7 @@ from .common import (
     make_naive,
     scaled,
 )
-from .parallel import publish_recorder, sweep
+from .parallel import sweep
 
 __all__ = ["GROUP_SIZES", "MESSAGE_SIZES", "run", "main"]
 
@@ -42,7 +42,6 @@ def _point_worker(point) -> Dict:
         group = make_group(testbed, backend, slots=1024,
                            region_size=32 << 20)
     recorder = latency_sweep(group, "gwrite", size, count)
-    publish_recorder(recorder)  # full distribution back to the parent
     return {
         "system": system,
         "group_size": group_size,
@@ -54,7 +53,7 @@ def _point_worker(point) -> Dict:
 
 def run(group_sizes=None, sizes=None, count: int = None,
         seed: int = 10, backend: str = "hyperloop",
-        jobs: int = 1, recorders=None) -> List[Dict]:
+        jobs: int = 1) -> List[Dict]:
     group_sizes = group_sizes or GROUP_SIZES
     sizes = sizes or MESSAGE_SIZES
     count = count or scaled(1200, 10_000)
@@ -62,7 +61,7 @@ def run(group_sizes=None, sizes=None, count: int = None,
               for system in ("naive", backend)
               for group_size in group_sizes
               for size in sizes]
-    return sweep(points, _point_worker, jobs=jobs, recorders=recorders)
+    return sweep(points, _point_worker, jobs=jobs)
 
 
 def tail_growth(rows: List[Dict], system: str) -> float:

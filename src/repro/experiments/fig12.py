@@ -30,7 +30,7 @@ from .common import (
     run_until,
     scaled,
 )
-from .parallel import publish_recorder, sweep
+from .parallel import sweep
 
 __all__ = ["WORKLOADS", "OP_COUNTS", "run", "main", "tail_gap_reduction"]
 
@@ -78,7 +78,6 @@ def _point_worker(point) -> Dict:
         raise RuntimeError(
             f"fig12 {system}/{letter}: run did not complete")
     writes = runner.stats.writes()
-    publish_recorder(writes)  # full distribution back to the parent
     return {
         "system": system,
         "workload": letter,
@@ -91,7 +90,7 @@ def _point_worker(point) -> Dict:
 
 def run(workloads=None, op_count: int = None, record_count: int = None,
         seed: int = 13, backend: str = "hyperloop",
-        jobs: int = 1, recorders=None) -> List[Dict]:
+        jobs: int = 1) -> List[Dict]:
     """One row per (system, workload): write latency in ms.
 
     ``op_count`` overrides :data:`OP_COUNTS` for every workload.
@@ -102,7 +101,7 @@ def run(workloads=None, op_count: int = None, record_count: int = None,
                op_count or scaled(OP_COUNTS[letter], 100_000),
                record_count, seed, backend)
               for system in ("native", backend) for letter in workloads]
-    return sweep(points, _point_worker, jobs=jobs, recorders=recorders)
+    return sweep(points, _point_worker, jobs=jobs)
 
 
 def tail_gap_reduction(rows: List[Dict]) -> Dict[str, float]:

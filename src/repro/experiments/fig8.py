@@ -23,7 +23,7 @@ from .common import (
     make_naive,
     scaled,
 )
-from .parallel import publish_recorder, sweep
+from .parallel import sweep
 
 __all__ = ["MESSAGE_SIZES", "run", "main"]
 
@@ -41,9 +41,6 @@ def _point_worker(point) -> Dict:
         group = make_group(testbed, backend, slots=1024,
                            region_size=32 << 20)
     recorder = latency_sweep(group, op, size, count)
-    # The full distribution goes back to callers that pass
-    # ``recorders=``; the summary row is what the figure prints.
-    publish_recorder(recorder)
     summary = recorder.summary_us()
     return {
         "system": system,
@@ -56,21 +53,19 @@ def _point_worker(point) -> Dict:
 
 def run(op: str = "gwrite", sizes=None, count: int = None,
         seed: int = 8, backend: str = "hyperloop",
-        jobs: int = 1, recorders=None) -> List[Dict]:
+        jobs: int = 1) -> List[Dict]:
     """One row per (system, size): avg / p95 / p99 latency in µs.
 
     ``backend`` picks the NIC-offloaded arm (any registry name); the
     Naïve-RDMA baseline arm is fixed.  Each point is an independent
     simulation, so ``jobs > 1`` sweeps them in parallel with rows
-    identical to the serial order.  Pass a list as ``recorders`` to get
-    each point's full latency distribution back (zero-copy from shared
-    memory when parallel).
+    identical to the serial order.
     """
     sizes = sizes or MESSAGE_SIZES
     count = count or scaled(1500, 10_000)
     points = [(system, size, op, count, seed, backend)
               for system in ("naive", backend) for size in sizes]
-    return sweep(points, _point_worker, jobs=jobs, recorders=recorders)
+    return sweep(points, _point_worker, jobs=jobs)
 
 
 def speedups(rows: List[Dict]) -> Dict[int, Dict[str, float]]:

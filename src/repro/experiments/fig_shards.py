@@ -19,7 +19,7 @@ top of the reproduced single-group results:
   every replica of its key's (possibly new) owner — zero lost writes.
 
 Each sweep point owns its simulator and seed, so points parallelize
-(``--jobs``/``REPRO_JOBS``) with rows byte-identical to a serial run.
+(``--jobs``) with rows byte-identical to a serial run.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from ..cluster import ShardedConfig, ShardedDeployment, build_deployment
 from ..sim.stats import LatencyRecorder
 from ..sim.units import seconds
 from .common import format_table, scaled
-from .parallel import publish_recorder, sweep
+from .parallel import sweep
 
 __all__ = ["SHARD_COUNTS", "run", "rebalance_run", "main"]
 
@@ -88,7 +88,6 @@ def _drive_closed_loop(deployment: ShardedDeployment, clients: int,
             f"closed loop incomplete: {state['done']}/{total} ops "
             f"before the deadline")
     elapsed = sim.now - start
-    publish_recorder(recorder)
     summary = recorder.summary_us()
     return {
         "ops": total,
@@ -125,8 +124,7 @@ def _point_worker(point) -> Dict:
 
 def run(shard_counts: Optional[List[int]] = None, clients: int = None,
         ops_per_client: int = 2, replicas: int = 3, seed: int = 21,
-        backend: str = "hyperloop", jobs: int = 1,
-        recorders=None) -> List[Dict]:
+        backend: str = "hyperloop", jobs: int = 1) -> List[Dict]:
     """One row per shard count: aggregate closed-loop write throughput.
 
     The client population is fixed across points (default 2,000; 10⁵
@@ -137,7 +135,7 @@ def run(shard_counts: Optional[List[int]] = None, clients: int = None,
     clients = clients or scaled(2_000, 100_000)
     points = [(shards, clients, ops_per_client, replicas, seed, backend)
               for shards in shard_counts]
-    return sweep(points, _point_worker, jobs=jobs, recorders=recorders)
+    return sweep(points, _point_worker, jobs=jobs)
 
 
 def rebalance_run(shards: int = 2, clients: int = None,

@@ -207,6 +207,10 @@ class RNIC:
         self.cqs[cq.cq_id] = cq
         return cq
 
+    def destroy_cq(self, cq: CompletionQueue) -> None:
+        """Forget a CQ (after the QPs that complete into it are gone)."""
+        self.cqs.pop(cq.cq_id, None)
+
     def create_srq(self, slots: int = 4096, name: str = "") -> WorkQueue:
         """A shared receive queue: one RECV ring consumed by many QPs.
 

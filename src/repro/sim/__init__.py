@@ -4,7 +4,6 @@ from .engine import (
     AllOf,
     AnyOf,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Simulator,
@@ -24,7 +23,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Event",
-    "Interrupt",
     "Process",
     "SimulationError",
     "Simulator",

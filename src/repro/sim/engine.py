@@ -22,8 +22,8 @@ model"):
   tuple.  ``seq`` is a global tie-breaker that preserves FIFO order at
   equal timestamps and guarantees comparisons never reach the payload;
 * the schedule is one binary heap of those tuples (``heapq``);
-* process bootstrap and interrupt delivery are scheduled as *direct
-  resume* entries — no throwaway :class:`Event` is allocated;
+* process bootstrap is scheduled as a zero-delay *direct resume*
+  entry — no throwaway :class:`Event` is allocated;
 * callbacks are stored inline: the common single-subscriber case (a
   process waiting on a ``timeout``) occupies one slot (``_cb1``) and
   never allocates a list; only a second subscriber spills to ``_cbs``.
@@ -34,7 +34,7 @@ no bound-method allocations (processes cache ``self._resume``).
 
 Hot model code can go further: a process may ``yield d`` with a bare
 non-negative ``int`` to sleep ``d`` nanoseconds.  That schedules a
-*tokened direct resume* — one heap tuple, no event object at all.  The
+*direct resume* — one heap tuple, no event object at all.  The
 resume value is ``None``; use :meth:`Simulator.timeout` when the value
 or the event object itself matters (e.g. with ``any_of``).
 
@@ -61,7 +61,6 @@ __all__ = [
     "Process",
     "AllOf",
     "AnyOf",
-    "Interrupt",
     "Simulator",
     "SimulationError",
     "ProcessGenerator",
@@ -76,26 +75,13 @@ class SimulationError(Exception):
     """Raised for misuse of the simulation API (double trigger, etc.)."""
 
 
-class Interrupt(Exception):
-    """Thrown into a process that another process interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
 PENDING = object()
 
 # Heap-entry kinds.  Entries are (time, seq, kind, payload); seq is unique
 # so tuple comparison never reaches kind or payload.
 _KIND_EVENT = 0    # payload: Event — run its callbacks.
-_KIND_RESUME = 1   # payload: (Process, ok, value) — resume directly.
-_KIND_CALL = 2     # payload: zero-arg callable (call_at).
-_KIND_DELAY = 3    # payload: (Process, token) — resume from a bare delay.
+_KIND_CALL = 1     # payload: zero-arg callable (call_at).
+_KIND_DELAY = 2    # payload: Process — resume with None (bootstrap, bare delay).
 
 # "No deadline": beyond any plausible simulated time (≈292 years in ns).
 _T_MAX = 2 ** 63
@@ -231,8 +217,7 @@ class Process(Event):
     carrying the exception).  This makes ``yield other_process`` a join.
     """
 
-    __slots__ = ("generator", "name", "_waiting_on", "_resume_cb",
-                 "_send", "_throw", "_wait_token")
+    __slots__ = ("generator", "name", "_resume_cb", "_send", "_throw")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = "") -> None:
         super().__init__(sim)
@@ -240,53 +225,29 @@ class Process(Event):
             raise TypeError(f"process requires a generator, got {generator!r}")
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._waiting_on: Optional[Event] = None
-        # Bumped on every resume; outstanding bare-delay entries carry the
-        # token they were scheduled under, so a superseded delay (after an
-        # interrupt) is recognised as stale at dispatch.
-        self._wait_token = 0
         # Cache bound methods so the per-yield hot path does not allocate
         # or re-look them up.
         self._resume_cb = self._resume
         self._send = generator.send
         self._throw = generator.throw
-        # Kick off the process at the current time — a direct-resume
-        # entry, not a bootstrap Event.
-        sim._schedule(sim.now, _KIND_RESUME, (self, True, None))
+        # Kick off the process at the current time — a zero-delay
+        # direct-resume entry, not a bootstrap Event.
+        sim._schedule(sim.now, _KIND_DELAY, self)
 
     @property
     def is_alive(self) -> bool:
         return self._value is PENDING
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Raise :class:`Interrupt` inside the process at the current time.
-
-        Interrupting a finished process is an error; interrupting a process
-        twice before it handles the first interrupt queues both.
-        """
-        if self._value is not PENDING:
-            raise SimulationError(f"cannot interrupt finished process {self.name}")
-        sim = self.sim
-        sim._schedule(sim.now, _KIND_RESUME, (self, False, Interrupt(cause)))
-
     def _resume(self, trigger: Event) -> None:
-        """Callback entry point: the event we were waiting on fired."""
-        if self._value is not PENDING:
-            return  # Process already finished (e.g. interrupted earlier).
-        # Only the event currently waited on may resume us.  A superseded
-        # wait (after an interrupt) still holds our callback but must not
-        # fire it — not even when the process has since moved on to a
-        # bare-delay wait (``_waiting_on is None``).
-        if trigger is not self._waiting_on:
-            return
+        """Callback entry point: the event we were waiting on fired.
+
+        A process waits on one thing at a time, and only that event or
+        its own delay entry can resume it, so no staleness check is needed.
+        """
         self._step(trigger._ok, trigger._value)
 
     def _step(self, ok: bool, value: Any) -> None:
         """Advance the generator one yield with a send (ok) or throw."""
-        if self._value is not PENDING:
-            return  # Finished between scheduling and dispatch.
-        self._waiting_on = None
-        self._wait_token = token = self._wait_token + 1
         try:
             if ok:
                 target = self._send(value)
@@ -306,12 +267,11 @@ class Process(Event):
             # value is None (use a Timeout if the value matters).
             if target >= 0:
                 sim = self.sim
-                sim._schedule(sim.now + target, _KIND_DELAY, (self, token))
+                sim._schedule(sim.now + target, _KIND_DELAY, self)
                 return
         elif isinstance(target, Event):
             # Inlined add_callback with the cached bound method — the
             # single-subscriber wait is the kernel's hottest edge.
-            self._waiting_on = target
             if target._processed:
                 self._resume(target)
             elif target._cb1 is None:
@@ -443,9 +403,9 @@ class Simulator:
     def _schedule(self, time: int, kind: int, payload: Any) -> None:
         """Insert one scheduled occurrence.
 
-        Every push path (event trigger, timeout, bootstrap, interrupt,
-        bare delay, ``call_at``) funnels through here, so counting calls
-        to it counts kernel events.
+        Every push path (event trigger, timeout, bootstrap, bare delay,
+        ``call_at``) funnels through here, so counting calls to it counts
+        kernel events.
         """
         seq = self._seq
         self._seq = seq + 1
@@ -483,16 +443,10 @@ class Simulator:
                 if cbs is not None:
                     for callback in cbs:
                         callback(payload)
-            elif (payload._ok is False and isinstance(payload, Process)
-                    and not isinstance(payload._value, Interrupt)):
+            elif payload._ok is False and isinstance(payload, Process):
                 raise payload._value
         elif kind == _KIND_DELAY:
-            process, token = payload
-            if process._wait_token == token:
-                process._step(True, None)
-        elif kind == _KIND_RESUME:
-            process, ok, value = payload
-            process._step(ok, value)
+            payload._step(True, None)
         else:  # _KIND_CALL
             payload()
 
@@ -524,16 +478,10 @@ class Simulator:
                     if cbs is not None:
                         for callback in cbs:
                             callback(payload)
-                elif (payload._ok is False and isinstance(payload, Process)
-                        and not isinstance(payload._value, Interrupt)):
+                elif payload._ok is False and isinstance(payload, Process):
                     raise payload._value
             elif kind == _KIND_DELAY:
-                process, token = payload
-                if process._wait_token == token:
-                    process._step(True, None)
-            elif kind == _KIND_RESUME:
-                process, ok, value = payload
-                process._step(ok, value)
+                payload._step(True, None)
             else:  # _KIND_CALL
                 payload()
 

@@ -12,64 +12,39 @@ interpolation, the same convention as ``numpy.percentile``'s default.
 Samples live in a compact ``array('q')`` rather than a list — at the
 scale-out experiments' volumes (10⁵ clients × several ops each, per sweep
 point) that is 8 bytes per sample instead of a ~28-byte boxed int plus
-pointer, with identical append/extend behaviour.
-
-**Vectorized summaries** — when numpy is importable and the recorder
-holds at least :data:`NUMPY_MIN_SAMPLES` samples, sorting and summing go
-through numpy.  The percentile formula itself stays the shared
-pure-Python :func:`_percentile` (values are coerced back to Python ints
-before any float arithmetic), so both paths are **bit-identical** —
-``tests/sim/test_stats.py`` pins them equal at float tolerance 0.
+pointer, with identical append/extend behaviour.  Summaries sort with
+``sorted()`` and sum with ``sum()``, so means are exact at any magnitude.
 """
 
 from __future__ import annotations
 
-import importlib
 import math
 from array import array
-from typing import Any, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from .units import to_us
-
-#: numpy, imported by the first summary big enough to use it (the import
-#: is ~140 ms and most processes never get there); ``None`` when it is not
-#: installed — the fallback keeps the recorders usable regardless.
-_UNLOADED = object()
-_numpy: Any = _UNLOADED
 
 __all__ = [
     "LatencyRecorder",
     "Counter",
     "UtilizationTracker",
     "summarize_us",
-    "NUMPY_MIN_SAMPLES",
 ]
-
-#: Sample-count crossover below which ``sorted()`` beats the round-trip
-#: into an ndarray.  Module-level (not per-instance) so tests can force
-#: either path; the two paths are pinned bit-identical regardless.
-NUMPY_MIN_SAMPLES = 2048
 
 
 def _percentile(sorted_samples: "Sequence[int]", pct: float) -> float:
-    """Linear-interpolated percentile of pre-sorted samples.
-
-    Accepts any int64 sequence (``array`` or ndarray); indexed values
-    are coerced to Python ints *before* the float arithmetic so the
-    result is bit-identical across storage backends.
-    """
+    """Linear-interpolated percentile of pre-sorted samples."""
     if not len(sorted_samples):
         raise ValueError("no samples recorded")
     if len(sorted_samples) == 1:
-        return int(sorted_samples[0])
+        return sorted_samples[0]
     rank = (pct / 100.0) * (len(sorted_samples) - 1)
     low = math.floor(rank)
     high = math.ceil(rank)
     if low == high:
-        return int(sorted_samples[low])
+        return sorted_samples[low]
     frac = rank - low
-    return int(sorted_samples[low]) * (1 - frac) + \
-        int(sorted_samples[high]) * frac
+    return sorted_samples[low] * (1 - frac) + sorted_samples[high] * frac
 
 
 class LatencyRecorder:
@@ -88,7 +63,7 @@ class LatencyRecorder:
     def __init__(self, name: str = "") -> None:
         self.name = name
         self.samples: "array[int]" = array("q")
-        self._sorted: Optional[Any] = None
+        self._sorted: "Optional[array[int]]" = None
 
     def record(self, latency_ns: int) -> None:
         if latency_ns < 0:
@@ -104,29 +79,10 @@ class LatencyRecorder:
     def __len__(self) -> int:
         return len(self.samples)
 
-    def _use_numpy(self) -> bool:
-        global _numpy
-        if len(self.samples) < NUMPY_MIN_SAMPLES:
-            return False
-        if _numpy is _UNLOADED:
-            try:
-                _numpy = importlib.import_module("numpy")
-            except ImportError:  # pragma: no cover - exercised via monkeypatch
-                _numpy = None
-        return _numpy is not None
-
-    def _ensure_sorted(self) -> "Sequence[int]":
+    def _ensure_sorted(self) -> "array[int]":
         if self._sorted is None:
-            if self._use_numpy():
-                # One C memcpy out of the buffer, one C sort.  Sorting
-                # dominates summary cost at scale-out sample counts; the
-                # values (and hence every percentile) are identical to
-                # the sorted() path — only the algorithm changes.
-                self._sorted = _numpy.sort(
-                    _numpy.frombuffer(self.samples, dtype=_numpy.int64))
-            else:
-                self._sorted = array("q", sorted(self.samples))
-        return self._sorted  # type: ignore[no-any-return]
+            self._sorted = array("q", sorted(self.samples))
+        return self._sorted
 
     @property
     def count(self) -> int:
@@ -135,31 +91,16 @@ class LatencyRecorder:
     def mean(self) -> float:
         if not len(self.samples):
             raise ValueError("no samples recorded")
-        return self._exact_sum() / len(self.samples)
-
-    def _exact_sum(self) -> int:
-        """Integer sample sum, vectorized when provably overflow-free.
-
-        ``numpy.sum`` accumulates in int64; Python's ``sum`` is exact at
-        any magnitude.  Samples are non-negative (``record`` enforces
-        it), so ``count * max <= 2**62`` guarantees the int64 path can't
-        wrap and both paths return the same integer.
-        """
-        if self._use_numpy():
-            arr = _numpy.frombuffer(self.samples, dtype=_numpy.int64)
-            peak = int(arr.max())
-            if peak >= 0 and len(arr) * max(peak, 1) <= (1 << 62):
-                return int(arr.sum())
-        return sum(self.samples)
+        return sum(self.samples) / len(self.samples)
 
     def percentile(self, pct: float) -> float:
         return _percentile(self._ensure_sorted(), pct)
 
     def min(self) -> int:
-        return int(self._ensure_sorted()[0])
+        return self._ensure_sorted()[0]
 
     def max(self) -> int:
-        return int(self._ensure_sorted()[-1])
+        return self._ensure_sorted()[-1]
 
     def mean_us(self) -> float:
         return to_us(self.mean())

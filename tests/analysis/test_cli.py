@@ -117,25 +117,9 @@ def test_syntax_error_reported_as_violation(tmp_path):
     assert f"{nul}:1:1: E000[parse-error]" in result.stdout
 
 
-HASH_ORDER_SOURCE = "for x in {3, 1, 2}:\n    print(x)\n"
-
-
-def test_fix_applies_and_exits_clean(tmp_path):
-    target = tmp_path / "fixme.py"
-    target.write_text(HASH_ORDER_SOURCE)
-    result = run_cli(str(target), "--fix")
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert "fixed 1 violation(s)" in result.stderr
-    assert target.read_text() == "for x in sorted({3, 1, 2}):\n    print(x)\n"
-    # Idempotent: a second --fix run touches nothing.
-    again = run_cli(str(target), "--fix")
-    assert again.returncode == 0
-    assert "fixed" not in again.stderr
-
-
 @pytest.mark.parametrize("flag", [
     ["--jobs", "2"], ["--cache-dir", "d"], ["--baseline", "f"],
-    ["--write-baseline", "f"], ["--output", "json"]],
+    ["--write-baseline", "f"], ["--output", "json"], ["--fix"]],
     ids=lambda flag: flag[0])
 def test_retired_flag_is_usage_error(tmp_path, flag):
     target = tmp_path / "clean.py"

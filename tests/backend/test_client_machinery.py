@@ -141,3 +141,27 @@ def test_close_stops_the_client_poller(cluster, backend, options):
     cluster.run(until=cluster.sim.now + us(100))
     assert not [thread.name for host in (client, *replicas)
                 for thread in host.cpu.threads if thread.is_busy_loop]
+
+
+@pytest.mark.parametrize("backend", backend_registry.names())
+def test_close_returns_every_nic_object(cluster, backend):
+    """Three create/close cycles on one set of hosts leave every NIC with
+    the QPs, CQs and MRs it had before the first group."""
+    client = cluster.add_host("nc-client")
+    replicas = cluster.add_hosts(3, prefix="nc-replica")
+    hosts = (client, *replicas)
+
+    def nic_objects():
+        return [(host.name, len(host.nic.qps), len(host.nic.cqs),
+                 len(host.nic.mrs)) for host in hosts]
+
+    before = nic_objects()
+    for index in range(3):
+        group = _registered_group(backend, client, replicas, f"nc{index}")
+        group.write_local(0, b"x")
+        done = group.gwrite(0, 1)
+        cluster.run(until=cluster.sim.now + ms(1))
+        assert done.ok
+        group.close()
+    cluster.run(until=cluster.sim.now + us(100))
+    assert nic_objects() == before

@@ -19,8 +19,8 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import fig8, fig_shards
-from repro.experiments.parallel import (SweepOptions, default_jobs,
-                                        last_stats, publish_recorder, sweep)
+from repro.experiments import __main__ as cli
+from repro.experiments.parallel import SweepOptions, last_stats, sweep
 from repro.experiments.parallel import engine
 from repro.experiments.parallel.cache import CODE_VERSION
 from repro.sim.engine import Simulator
@@ -51,13 +51,12 @@ def _marking_row(point):
             "mean": base / max(1, scale)}
 
 
-def _publishing_row(point):
-    """Worker that hands its full distribution to the sweep engine."""
+def _summary_row(point):
+    """Worker that summarizes a latency distribution into its row."""
     index, count = point
-    recorder = LatencyRecorder(f"pub-{index}")
+    recorder = LatencyRecorder(f"pt-{index}")
     for i in range(count):
         recorder.record(index * 1_000 + i * 7)
-    publish_recorder(recorder)
     return {"index": index, "count": recorder.count,
             "p99_us": recorder.percentile_us(99)}
 
@@ -86,18 +85,6 @@ class TestSweep:
         instead of propagating it."""
         assert sweep([1, 2, 3], _crash_in_pool_worker, jobs=2) == [10, 20, 30]
         assert "running serially" in capsys.readouterr().err
-
-    def test_default_jobs_env(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_JOBS", "3")
-        assert default_jobs() == 3
-        assert capsys.readouterr().err == ""
-        monkeypatch.setenv("REPRO_JOBS", "garbage")
-        assert default_jobs() == 1
-        err = capsys.readouterr().err
-        assert "malformed REPRO_JOBS" in err and "'garbage'" in err
-        monkeypatch.delenv("REPRO_JOBS")
-        assert default_jobs() == 1
-        assert capsys.readouterr().err == ""
 
 
 class TestSweepCache:
@@ -191,70 +178,44 @@ class TestSweepCache:
     def test_warm_parallel_mix_keeps_slots_and_recorders(self, tmp_path):
         points = [(i, 40) for i in range(3)]
         opts = SweepOptions(cache_dir=str(tmp_path / "cache"), resume=True)
-        cold_recs = []
-        cold = sweep(points, _publishing_row, jobs=1, recorders=cold_recs,
-                     sweep_options=opts)
+        cold = sweep(points, _summary_row, jobs=1, sweep_options=opts)
         grown = points + [(7, 40), (8, 40)]
-        recs = []
-        rows = sweep(grown, _publishing_row, jobs=2, recorders=recs,
-                     sweep_options=opts)
+        rows = sweep(grown, _summary_row, jobs=2, sweep_options=opts)
         assert rows[:3] == cold
+        assert rows[3:] == [_summary_row(point) for point in grown[3:]]
         assert last_stats().cache_hits == 3
         assert last_stats().computed == 2
-        # The journal stores rows only: cache hits come back without
-        # recorders, computed points with their full distributions.
-        assert [rec is None for rec in recs] == [True, True, True,
-                                                 False, False]
-        assert [list(rec.samples) for rec in recs[3:]] == \
-            [[base * 1_000 + i * 7 for i in range(40)] for base in (7, 8)]
 
 
 class TestPublishedRecorders:
+    """Recorder publishing is retired with the other sweep knobs: rows
+    are a sweep's only result."""
+
     POINTS = [(i, 50) for i in range(6)]
 
-    def test_jobs2_recorders_match_serial(self):
-        """Recorders rebuilt from pool workers carry sample-for-sample
-        the distribution a serial run keeps in-process."""
-        serial_recs = []
-        rows = sweep(self.POINTS, _publishing_row, jobs=1,
-                     recorders=serial_recs)
-        pool_recs = []
-        got = sweep(self.POINTS, _publishing_row, jobs=2,
-                    recorders=pool_recs)
-        assert got == rows
-        assert [(rec.name, list(rec.samples)) for rec in pool_recs] == \
-            [(rec.name, list(rec.samples)) for rec in serial_recs]
-        assert [rec.summary_us() for rec in pool_recs] == \
-            [rec.summary_us() for rec in serial_recs]
-        if last_stats().transport != "serial":  # pool actually started
-            assert last_stats().raw_deposits == 6
-
-    def test_publish_outside_sweep_is_noop(self):
-        recorder = LatencyRecorder("standalone")
-        recorder.record(5)
-        publish_recorder(recorder)  # must not raise
-
     def test_retired_knobs_are_gone_or_ignored(self, monkeypatch, tmp_path):
-        """The scheduler and transport selectors and the sweep salt are
-        removed: passing them fails loudly, and the retired environment
-        variables, if still set, change nothing."""
-        baseline_recs = []
-        baseline = sweep(self.POINTS, _publishing_row, jobs=2,
-                         recorders=baseline_recs)
+        """The scheduler and transport selectors, the sweep salt, the
+        recorder hand-off and the job-count variable are removed: passing
+        them fails loudly, and the retired environment variables, if
+        still set, change nothing."""
+        baseline = sweep(self.POINTS, _summary_row, jobs=2)
         journal_dir = tmp_path / "journal"
         monkeypatch.setenv("REPRO_SCHEDULER", "wheel")
         monkeypatch.setenv("REPRO_SWEEP_SHM", "0")
         monkeypatch.setenv("REPRO_SWEEP_CACHE", str(journal_dir))
         monkeypatch.setenv("REPRO_SWEEP_RESUME", "1")
         monkeypatch.setenv("REPRO_SWEEP_SALT", "v2")
+        monkeypatch.setenv("REPRO_JOBS", "4")
         assert Simulator().scheduler == "heap"
         assert not hasattr(SweepOptions, "from_env")
-        recs = []
-        assert sweep(self.POINTS, _publishing_row, jobs=2,
-                     recorders=recs) == baseline
-        assert [list(rec.samples) for rec in recs] == \
-            [list(rec.samples) for rec in baseline_recs]
+        assert sweep(self.POINTS, _summary_row, jobs=2) == baseline
         assert not journal_dir.exists()
+        seen_jobs = []
+        monkeypatch.setitem(cli.EXPERIMENTS, "probe",
+                            ("records --jobs",
+                             lambda backend, jobs: seen_jobs.append(jobs)))
+        assert cli.main(["probe"]) == 0
+        assert seen_jobs == [1]
         # The ambient options are built at import: a fresh interpreter
         # started with the variables set still gets the defaults.
         src_root = Path(engine.__file__).resolve().parents[3]
@@ -271,6 +232,8 @@ class TestPublishedRecorders:
             SweepOptions(shm=False)
         with pytest.raises(TypeError):
             SweepOptions(salt="v2")
+        with pytest.raises(TypeError):
+            sweep(self.POINTS, _summary_row, jobs=1, recorders=[])
 
 
 class TestFig8Parallel:
@@ -295,8 +258,7 @@ class TestFig8Parallel:
         ]
         for variant in matrix:
             monkeypatch.setattr(engine, "_options", variant)
-            recorders = []
-            assert fig8.run(jobs=2, recorders=recorders, **kwargs) == baseline
+            assert fig8.run(jobs=2, **kwargs) == baseline
         assert last_stats().computed == 0  # the warm pass replayed rows
 
 

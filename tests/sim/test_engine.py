@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.engine import Interrupt, SimulationError, Simulator, Timeout
+from repro.sim.engine import SimulationError, Simulator, Timeout
 
 
 class TestEvent:
@@ -174,47 +174,6 @@ class TestProcess:
     def test_requires_generator(self, sim):
         with pytest.raises(TypeError):
             sim.process(lambda: None)
-
-    def test_interrupt_delivers_cause(self, sim):
-        def proc(sim):
-            try:
-                yield sim.timeout(1000)
-            except Interrupt as interrupt:
-                return ("interrupted", interrupt.cause, sim.now)
-
-        process = sim.process(proc(sim))
-        sim.call_at(100, lambda: process.interrupt("stop it"))
-        sim.run()
-        assert process.value == ("interrupted", "stop it", 100)
-
-    def test_interrupt_finished_process_rejected(self, sim):
-        def proc(sim):
-            yield sim.timeout(1)
-
-        process = sim.process(proc(sim))
-        sim.run()
-        with pytest.raises(SimulationError):
-            process.interrupt()
-
-    def test_stale_wait_after_interrupt_ignored(self, sim):
-        """After an interrupt, the superseded event must not resume the
-        process a second time."""
-        log = []
-
-        def proc(sim):
-            try:
-                yield sim.timeout(100)
-                log.append("timeout")
-            except Interrupt:
-                log.append("interrupt")
-            yield sim.timeout(500)
-            log.append("after")
-
-        process = sim.process(proc(sim))
-        sim.call_at(10, lambda: process.interrupt())
-        sim.run()
-        assert log == ["interrupt", "after"]
-        assert sim.now == 510
 
     def test_is_alive(self, sim):
         def proc(sim):

@@ -4,11 +4,11 @@ The kernel schedules plain ``(time, seq, kind, payload)`` tuples and
 resumes single waiters through an inline callback slot; processes may
 wait with a bare ``yield <int>`` that allocates no event at all.  These
 tests pin the semantics that the fast paths must preserve: FIFO order at
-equal timestamps, interrupt staleness, combinator failure propagation
+equal timestamps, process start order, combinator failure propagation
 order, and late-callback behaviour on processed events.
 """
 
-from repro.sim.engine import Interrupt, SimulationError, Simulator
+from repro.sim.engine import SimulationError, Simulator
 
 
 class TestBareDelay:
@@ -60,62 +60,29 @@ class TestBareDelay:
         sim.run()
         assert process.value == "caught"
 
-    def test_interrupt_supersedes_pending_delay(self, sim):
-        """An interrupt during a bare-delay wait must win, and the stale
-        delay entry must not resume the process a second time."""
+    def test_back_to_back_equal_waits_resume_once_each(self, sim):
+        """Equal bare delays and equal timeouts in a row: each wait
+        resumes the process exactly once, at its own deadline."""
         log = []
 
         def proc(sim):
-            try:
-                yield 100
-                log.append("delay")
-            except Interrupt as exc:
-                log.append(f"interrupt:{exc.cause}")
-            yield 500
-            log.append("after")
+            yield 100
+            log.append(("d", sim.now))
+            yield 100
+            log.append(("d", sim.now))
+            yield sim.timeout(30)
+            log.append(("t", sim.now))
+            yield sim.timeout(30)
+            log.append(("t", sim.now))
+            yield 30
+            log.append(("d", sim.now))
 
-        process = sim.process(proc(sim))
-        sim.call_at(10, lambda: process.interrupt("boom"))
+        sim.process(proc(sim))
+        sim.call_at(230, lambda: None)  # unrelated same-time entry
         sim.run()
-        assert log == ["interrupt:boom", "after"]
-        assert sim.now == 510
-
-    def test_stale_event_cannot_resume_bare_delay_wait(self, sim):
-        """Interrupt during an event wait, then a bare-delay wait: the
-        superseded event still holds the process's callback and must not
-        resume it early when it fires."""
-        log = []
-
-        def proc(sim):
-            try:
-                yield sim.timeout(100)
-                log.append("timeout")
-            except Interrupt:
-                log.append("interrupt")
-            yield 500  # bare delay; stale timeout fires at t=100
-            log.append(sim.now)
-
-        process = sim.process(proc(sim))
-        sim.call_at(10, lambda: process.interrupt())
-        sim.run()
-        assert log == ["interrupt", 510]
-
-    def test_back_to_back_delays_after_interrupt(self, sim):
-        """The wait token must distinguish consecutive equal delays."""
-        log = []
-
-        def proc(sim):
-            try:
-                yield 100
-            except Interrupt:
-                pass
-            yield 100  # same duration as the superseded wait
-            log.append(sim.now)
-
-        process = sim.process(proc(sim))
-        sim.call_at(10, lambda: process.interrupt())
-        sim.run()
-        assert log == [110]
+        assert log == [("d", 100), ("d", 200), ("t", 230), ("t", 260),
+                       ("d", 290)]
+        assert sim.now == 290
 
 
 class TestFifoTieBreak:
@@ -236,64 +203,28 @@ def _fail_after(sim, delay):
     raise RuntimeError("boom")
 
 
-class TestInterruptDuringTimeout:
-    def test_pending_timeout_does_not_double_resume(self, sim):
-        """The classic stale-wait case, with the waiter re-using the same
-        timeout duration so only token/identity checks can save it."""
+class TestProcessStart:
+    def test_same_time_processes_start_in_creation_order(self, sim):
+        """Processes created at one timestamp take their first step in
+        creation order, and before a ``call_at`` scheduled after them."""
         log = []
 
-        def proc(sim):
-            try:
-                yield sim.timeout(30)
-                log.append("t1")
-            except Interrupt:
-                log.append("int")
-            yield sim.timeout(30)
-            log.append("t2")
+        def proc(sim, tag):
+            log.append((tag, sim.now))
+            yield 0
+            log.append((tag + "'", sim.now))
 
-        process = sim.process(proc(sim))
-        sim.call_at(30, lambda: None)  # unrelated same-time entry
-        sim.call_at(5, lambda: process.interrupt())
+        def spawner(sim):
+            yield 50
+            sim.process(proc(sim, "b"))
+            sim.process(proc(sim, "c"))
+            sim.call_at(50, lambda: log.append(("call", sim.now)))
+
+        sim.process(proc(sim, "a"))
+        sim.process(spawner(sim))
         sim.run()
-        assert log == ["int", "t2"]
-        assert sim.now == 35
-
-    def test_interrupt_queued_before_timeout_fires_first(self, sim):
-        """Interrupt scheduled at the same instant as the awaited timeout:
-        whichever was pushed first wins, and the loser stays stale."""
-        log = []
-
-        def proc(sim):
-            try:
-                yield sim.timeout(10)
-                log.append("timeout")
-            except Interrupt:
-                log.append("interrupt")
-
-        process = sim.process(proc(sim))
-        sim.call_at(10, lambda: process.is_alive and process.interrupt())
-        sim.run()
-        # The timeout entry was heap-pushed at t=0 for t=10; the call_at
-        # entry was pushed after it, so at t=10 the timeout resumes (and
-        # finishes) the process before the interrupt could be delivered.
-        assert log == ["timeout"]
-
-    def test_interrupt_unstarted_process(self, sim):
-        """Interrupting a process before its bootstrap runs delivers the
-        interrupt as the first thing the generator sees."""
-        log = []
-
-        def proc(sim):
-            try:
-                yield sim.timeout(1)
-                log.append("ran")
-            except Interrupt:
-                log.append("early-interrupt")
-
-        process = sim.process(proc(sim))
-        process.interrupt()
-        sim.run()
-        assert log == ["early-interrupt"]
+        assert log == [("a", 0), ("a'", 0), ("b", 50), ("c", 50),
+                       ("call", 50), ("b'", 50), ("c'", 50)]
 
 
 class TestRunUntil:
