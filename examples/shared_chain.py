@@ -20,6 +20,14 @@ def main():
     owner = cluster.add_host("app-server-0")
     peers = [cluster.add_host(f"app-server-{i}") for i in (1, 2)]
     replicas = cluster.add_hosts(3, prefix="storage")
+    hosts = [owner, *peers, *replicas]
+
+    def held():
+        """Each host's NIC objects and resident memory pages."""
+        return [(len(host.nic.qps), len(host.nic.cqs), len(host.nic.mrs),
+                 host.memory._data.resident_bytes) for host in hosts]
+
+    before = held()
     chain = SharedChain(owner, replicas,
                         GroupConfig(slots=48, region_size=4 << 20),
                         max_clients=3)
@@ -37,9 +45,7 @@ def main():
 
     processes = [sim.process(app(client, index))
                  for index, client in enumerate(clients)]
-    done = sim.all_of(processes)
-    while not done.triggered and sim.peek() is not None:
-        sim.step()
+    sim.run_until(sim.all_of(processes))
     for process in processes:
         if not process.ok:
             raise process.value
@@ -59,6 +65,12 @@ def main():
     for host in replicas:
         assert all(thread.cpu_time_ns == 0 for thread in host.cpu.threads)
     print("replica CPU time across 92 shared-chain operations: 0 ns")
+
+    # Closing the chain closes its clients and returns every QP, CQ, MR
+    # and page it took, on every host.
+    chain.close()
+    assert held() == before
+    print("chain closed: every host is back to its NIC objects and pages")
 
 
 if __name__ == "__main__":

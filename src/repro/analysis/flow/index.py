@@ -51,7 +51,7 @@ _PROCESS_YIELD_MARKERS = {
 }
 
 _ADDRESS_HELPERS = ("slot_address", "field_address")
-_WRITE_METHODS = ("write", "dma_write", "modify")
+_WRITE_METHODS = ("write", "write_pattern", "dma_write", "modify")
 _CONSUMER_METHODS = ("peek_head", "advance_head", "wake_written", "grant")
 _MUTATING_METHODS = {
     "append", "add", "pop", "popleft", "appendleft", "update", "clear",
@@ -93,7 +93,8 @@ class RegSite:
 
 @dataclass(frozen=True, slots=True)
 class WriteSink:
-    """A ``*.write()/*.dma_write()`` call — a potential descriptor poke."""
+    """A ``*.write()``-family call (:data:`_WRITE_METHODS`) — a potential
+    descriptor poke."""
 
     method: str
     line: int

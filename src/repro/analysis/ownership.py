@@ -41,6 +41,9 @@ _CONSUMER_METHODS = ("peek_head", "advance_head", "wake_written")
 
 _ADDRESS_HELPERS = ("slot_address", "field_address")
 
+#: Memory writers that can land bytes on a descriptor address.
+_WRITE_METHODS = ("write", "write_pattern", "dma_write", "modify")
+
 
 @register
 class OwnershipGrant(Rule):
@@ -77,7 +80,8 @@ class DescriptorPoke(Rule):
     code = "WQ02"
     name = "descriptor-poke"
     family = "wqe-ownership"
-    description = ("memory.write()/modify()/dma_write() at slot_address()/"
+    description = ("memory.write()/write_pattern()/modify()/dma_write() at "
+                   "slot_address()/"
                    "field_address() targets — or WQEFlags.OWNED bit "
                    "arithmetic — outside rdma/ rewrites NIC-owned "
                    "descriptors without the NIC noticing.")
@@ -92,7 +96,7 @@ class DescriptorPoke(Rule):
         for node in ast.walk(ctx.tree):
             if not poke_allowed and isinstance(node, ast.Call) \
                     and isinstance(node.func, ast.Attribute) \
-                    and node.func.attr in ("write", "dma_write", "modify"):
+                    and node.func.attr in _WRITE_METHODS:
                 helper = None
                 for argument in list(node.args) \
                         + [kw.value for kw in node.keywords]:

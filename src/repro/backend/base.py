@@ -33,7 +33,7 @@ from ..sim.engine import Event
 from .api import OpResult
 from .ops import OpKind, OpSpec
 
-__all__ = ["GroupBase", "ack_loop"]
+__all__ = ["GroupBase", "ack_loop", "close_ack_hub"]
 
 
 def ack_loop(hub: Any) -> Generator:
@@ -63,6 +63,18 @@ def ack_loop(hub: Any) -> Generator:
             client._release_window_waiters()
             if done is not None and not done.triggered:
                 client._finish(done, slot, client._result_map(slot))
+
+
+def close_ack_hub(hub: Any, host: Host, ack_qps: Sequence) -> None:
+    """Return an ACK hub's QPs, CQ, MR and buffer on ``host``.  With the
+    CQ gone nothing notifies :func:`ack_loop`'s channel again, so the loop
+    stays parked for good."""
+    nic = host.nic
+    for qp in ack_qps:
+        nic.destroy_qp(qp)
+    nic.destroy_cq(hub.ack_cq)
+    nic.deregister_mr(hub.ack_mr)
+    host.memory.free(hub.ack_buf)
 
 
 class GroupBase:
@@ -333,17 +345,20 @@ class GroupBase:
             self.poller.stop()
         return True
 
-    def _close_client(self, ack_qps: Sequence) -> None:
-        """Return the client-side resources: QPs, CQs, ACK MR, buffers."""
+    def _close_client(self, ack_qps: Optional[Sequence]) -> None:
+        """Return the client-side resources: the out QP and CQ and the
+        region and metadata buffers; then, given ``ack_qps`` (the QPs of
+        the client's own ACK hub), that hub (:func:`close_ack_hub`) and the
+        read path.  A shared-chain client passes None: its chain owns the
+        hub."""
         nic, memory = self.client_host.nic, self.client_host.memory
-        for qp in [self.qp_out, *ack_qps]:
-            nic.destroy_qp(qp)
+        nic.destroy_qp(self.qp_out)
         nic.destroy_cq(self.out_cq)
-        nic.destroy_cq(self.ack_cq)
-        nic.deregister_mr(self.ack_mr)
-        for allocation in (self.region, self.md_buf, self.ack_buf):
-            memory.free(allocation)
-        self.read_path.close()
+        memory.free(self.region)
+        memory.free(self.md_buf)
+        if ack_qps is not None:
+            close_ack_hub(self, self.client_host, ack_qps)
+            self.read_path.close()
 
     # ------------------------------------------------------------------
     # Client processes and their building blocks

@@ -39,7 +39,7 @@ import itertools
 import struct
 from typing import List, Optional, Sequence, Tuple
 
-from ..backend.base import GroupBase, ack_loop
+from ..backend.base import GroupBase, ack_loop, close_ack_hub
 from ..host import Host
 from ..rdma.verbs import Access, WorkCompletion
 from ..rdma.wqe import WQE_SIZE, Opcode, Sge, WorkRequest, encode_wqe
@@ -111,6 +111,21 @@ class _SharedReplica:
         return self.staging.address \
             + (slot % self.chain.config.slots) * self.staging_stride
 
+    def close(self) -> None:
+        """Destroy QPs and CQs, deregister the region MR, and return the
+        carved memory (the head's SRQ ring too)."""
+        nic, memory = self.host.nic, self.host.memory
+        for qp in (self.qp_up, self.qp_local, self.qp_down):
+            if qp is not None:
+                nic.destroy_qp(qp)
+        for cq in (self.up_cq, self.local_cq, self.down_cq):
+            nic.destroy_cq(cq)
+        nic.deregister_mr(self.region_mr)
+        if self.srq is not None:
+            memory.free(self.srq.ring)
+        memory.free(self.region)
+        memory.free(self.staging)
+
     def prepost(self, count: int) -> None:
         """Pre-post the next ``count`` slots: one list post per ring."""
         chain = self.chain
@@ -181,6 +196,7 @@ class SharedChain:
         for replica in self.replicas:
             replica.prepost(self.config.slots)
         self.clients: List["SharedChainClient"] = []
+        self._closed = False
         self.sim.process(ack_loop(self), name=f"{self.name}.ack")
 
     # ------------------------------------------------------------------
@@ -215,6 +231,18 @@ class SharedChain:
 
     def ack_slot_addr(self, slot: int) -> int:
         return self.ack_buf.address + (slot % self.config.slots) * TAG_SIZE
+
+    def close(self) -> None:
+        """Tear the chain down: close every client, then return each
+        replica's resources and the owner's ACK hub."""
+        if self._closed:
+            return
+        self._closed = True
+        for client in self.clients:
+            client.close()
+        for replica in self.replicas:
+            replica.close()
+        close_ack_hub(self, self.owner_host, [self.qp_ack])
 
     def attach_client(self, client_host: Host) -> "SharedChainClient":
         """Register a client: a fresh QP into the head replica's SRQ."""
@@ -272,10 +300,10 @@ class SharedChainClient(GroupBase):
         self.qp_out = nic.create_qp(self.out_cq, self.out_cq,
                                     sq_slots=4 * self.quota, rq_slots=8,
                                     name=f"{self.name}.out")
-        remote = head.host.nic.create_qp(
+        self.qp_in = head.host.nic.create_qp(
             head.down_cq, head.up_cq, sq_slots=8, name=f"{self.name}.in",
             srq=head.srq)
-        self.qp_out.connect(remote)
+        self.qp_out.connect(self.qp_in)
         self.submit_thread = host.spawn_thread(f"{self.name}.submit")
         self._init_op_state()
         self.sim.process(self._submitter(), name=f"{self.name}.submitter")
@@ -287,6 +315,15 @@ class SharedChainClient(GroupBase):
     def _result_map(self, slot: int) -> bytes:
         # gCAS is out of scope, so there is no result map to read.
         return b""
+
+    def close(self) -> None:
+        """Detach: pending ops fail, and this client's QPs (its own and the
+        head's end of it), out CQ and buffers go back.  The ACK hub and
+        the replicas are the chain's."""
+        if not self._begin_close():
+            return
+        self.replicas[0].host.nic.destroy_qp(self.qp_in)
+        self._close_client(None)
 
     def submit(self, op: OpSpec) -> Event:
         if op.kind is OpKind.GCAS:

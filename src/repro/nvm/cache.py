@@ -31,7 +31,7 @@ class NICWriteCache:
 
     def __init__(self, sim: Simulator, backing: MemoryDevice,
                  writeback_delay_ns: int = us(100),
-                 capacity_bytes: int = 1 << 20):
+                 capacity_bytes: int = 1 << 20) -> None:
         self.sim = sim
         self.backing = backing
         self.writeback_delay_ns = writeback_delay_ns

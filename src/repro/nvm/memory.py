@@ -17,7 +17,7 @@ is modelled in :mod:`repro.rdma.verbs`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 __all__ = ["MemoryDevice", "DRAM", "NVM", "Allocation", "OutOfMemoryError"]
 
@@ -33,13 +33,29 @@ class SparsePages:
     small fraction; storing untouched pages would make multi-host
     simulations cost real gigabytes.  Pages materialize on first write and
     absent pages read as zeros.
+
+    A page is a private ``bytearray`` or an immutable ``bytes`` that
+    :meth:`write_pattern` maps to every page of one pattern phase.  Every
+    mutator swaps a shared page for a private copy before it writes
+    (copy-on-write); reads, the source side of :meth:`copy_from` and
+    :meth:`snapshot_into` leave it shared.
     """
 
     __slots__ = ("page_size", "_pages")
 
-    def __init__(self, page_size: int = 4096):
+    def __init__(self, page_size: int = 4096) -> None:
         self.page_size = page_size
-        self._pages: Dict[int, bytearray] = {}
+        self._pages: Dict[int, Union[bytes, bytearray]] = {}
+
+    def _writable(self, index: int) -> bytearray:
+        """Page ``index`` as a private buffer: made if absent, copied if
+        shared."""
+        page = self._pages.get(index)
+        if isinstance(page, bytearray):
+            return page
+        private = self._pages[index] = (bytearray(self.page_size)
+                                        if page is None else bytearray(page))
+        return private
 
     def read(self, address: int, size: int) -> bytes:
         if size <= 0:
@@ -53,7 +69,7 @@ class SparsePages:
             if page is None:
                 return bytes(size)
             return bytes(page[offset:offset + size])
-        parts = []
+        parts: List[Union[bytes, memoryview]] = []
         end = address + size
         for index in range(first, last + 1):
             base = index * page_size
@@ -72,8 +88,8 @@ class SparsePages:
         offset = address - index * page_size
         if offset + len(data) <= page_size:
             page = self._pages.get(index)
-            if page is None:
-                page = self._pages[index] = bytearray(page_size)
+            if not isinstance(page, bytearray):
+                page = self._writable(index)
             page[offset:offset + len(data)] = data
             return
         view = memoryview(data)
@@ -82,16 +98,46 @@ class SparsePages:
             base = index * page_size
             start = address - base if address > base else 0
             stop = end - base if end - base < page_size else page_size
-            page = self._pages.get(index)
-            if page is None:
-                page = self._pages[index] = bytearray(page_size)
             at = base + start - address
-            page[start:stop] = view[at:at + stop - start]
+            self._writable(index)[start:stop] = view[at:at + stop - start]
+
+    def write_pattern(self, address: int, unit: bytes, count: int) -> None:
+        """Write ``unit`` ``count`` times over from ``address``.
+
+        Reads back as ``write(address, unit * count)``.  Each whole page
+        inside the range maps to one shared ``bytes`` per pattern phase,
+        ``(page_base - address) % len(unit)``: a 640 B unit on 4 KiB pages
+        has five.  The edge pages are written as by :meth:`write`.
+        """
+        width = len(unit)
+        end = address + width * count
+        if end <= address:
+            return
+        page_size = self.page_size
+        first = -(-address // page_size)      # First whole page.
+        stop = end // page_size               # One past the last.
+        if first >= stop:
+            self.write(address, unit * count)
+            return
+        shared: Dict[int, bytes] = {}
+        for index in range(first, stop):
+            phase = (index * page_size - address) % width
+            page = shared.get(phase)
+            if page is None:
+                page = shared[phase] = _cycle(unit, phase, page_size)
+            self._pages[index] = page
+        head, tail = first * page_size, stop * page_size
+        if head > address:
+            self.write(address, _cycle(unit, 0, head - address))
+        if end > tail:
+            self.write(tail, _cycle(unit, (tail - address) % width,
+                                    end - tail))
 
     def zero(self, address: int, size: int) -> None:
         """Make ``[address, address + size)`` read as zeros by dropping the
-        pages it covers; a page shared with a neighbour is blanked in place
-        and dropped once nothing but zeros is left on it."""
+        pages it covers; an edge page a neighbour also uses is blanked (in a
+        private copy if it is a pattern page) and dropped once nothing but
+        zeros is left on it."""
         if size <= 0:
             return
         page_size = self.page_size
@@ -104,8 +150,8 @@ class SparsePages:
                       else [i for i in pages if i in inner]):
             pages.pop(index, None)
         for index in (first, last):
-            page = pages.get(index)
-            if page is not None:
+            if index in pages:
+                page = self._writable(index)
                 start = max(address - index * page_size, 0)
                 stop = min(end - index * page_size, page_size)
                 page[start:stop] = bytes(stop - start)
@@ -119,6 +165,8 @@ class SparsePages:
         index, offset = divmod(address, self.page_size)
         page = self._pages.get(index)
         if page is not None and offset + size <= self.page_size:
+            if not isinstance(page, bytearray):
+                page = self._writable(index)
             change(page, offset)
         else:
             image = bytearray(self.read(address, size))
@@ -128,7 +176,8 @@ class SparsePages:
     def copy_from(self, source: "SparsePages", address: int,
                   size: int) -> None:
         """Make ``[address, address + size)`` read as in ``source``, page by
-        page; where ``source`` has no page, zero rather than materialize."""
+        page; where ``source`` has no page, zero rather than materialize.
+        A whole shared page is shared, not copied."""
         if size <= 0:
             return
         page_size = self.page_size
@@ -140,23 +189,38 @@ class SparsePages:
             page = source._pages.get(index)
             if page is None:
                 self.zero(base + start, stop - start)
-                continue
-            mine = self._pages.get(index)
-            if mine is None:
-                mine = self._pages[index] = bytearray(page_size)
-            mine[start:stop] = memoryview(page)[start:stop]
+            elif isinstance(page, bytes) and stop - start == page_size:
+                self._pages[index] = page
+            else:
+                self._writable(index)[start:stop] = \
+                    memoryview(page)[start:stop]
 
     def clear(self) -> None:
         self._pages.clear()
 
     def snapshot_into(self, other: "SparsePages") -> None:
-        """Replace ``other``'s contents with a copy of this store."""
-        other._pages = {index: bytearray(page)
+        """Replace ``other``'s contents with a copy of this store; shared
+        pages stay shared."""
+        other._pages = {index: page if isinstance(page, bytes)
+                        else bytearray(page)
                         for index, page in self._pages.items()}
 
     @property
     def resident_bytes(self) -> int:
-        return len(self._pages) * self.page_size
+        """Bytes of page storage held, each distinct page object counted
+        once: a pattern page shared by many indices is one page."""
+        return len({id(page) for page in self._pages.values()}) \
+            * self.page_size
+
+
+def _cycle(unit: bytes, phase: int, length: int) -> bytes:
+    """``length`` bytes of ``unit`` repeated without end, from ``phase``."""
+    head = unit[phase:phase + length]
+    rest = length - len(head)
+    if not rest:
+        return head
+    whole, part = divmod(rest, len(unit))
+    return head + unit * whole + unit[:part]
 
 
 @dataclass(frozen=True)
@@ -186,7 +250,7 @@ class MemoryDevice:
     #: Whether contents survive power failure.
     durable = False
 
-    def __init__(self, size: int, name: str = "mem"):
+    def __init__(self, size: int, name: str = "mem") -> None:
         if size <= 0:
             raise ValueError("memory size must be positive")
         self.size = size
@@ -285,6 +349,13 @@ class MemoryDevice:
         self._check(address, len(data))
         self._data.write(address, data)
 
+    def write_pattern(self, address: int, unit: bytes, count: int) -> None:
+        """Write ``unit`` ``count`` times over from ``address``, storing each
+        whole page once per pattern phase (:meth:`SparsePages.write_pattern`).
+        """
+        self._check(address, len(unit) * count)
+        self._data.write_pattern(address, unit, count)
+
     def modify(self, address: int, size: int,
                change: Callable[[bytearray, int], None]) -> None:
         """Read-modify-write in place (a descriptor's flags byte):
@@ -326,7 +397,7 @@ class DRAM(MemoryDevice):
 
     durable = False
 
-    def __init__(self, size: int, name: str = "dram"):
+    def __init__(self, size: int, name: str = "dram") -> None:
         super().__init__(size, name)
 
 
@@ -343,7 +414,7 @@ class NVM(MemoryDevice):
 
     durable = True
 
-    def __init__(self, size: int, name: str = "nvm"):
+    def __init__(self, size: int, name: str = "nvm") -> None:
         super().__init__(size, name)
         self._durable_data = SparsePages()
 

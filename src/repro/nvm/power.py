@@ -23,7 +23,7 @@ class Volatile(Protocol):
 class PowerDomain:
     """A set of components that lose power together."""
 
-    def __init__(self, name: str = "host"):
+    def __init__(self, name: str = "host") -> None:
         self.name = name
         self.components: List[Volatile] = []
         self.failures = 0

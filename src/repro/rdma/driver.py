@@ -47,8 +47,8 @@ __all__ = ["WorkQueue", "RingFullError"]
 _PARSE_MEMO_ENTRIES = 512
 _parse_memo: Dict[bytes, DecodedWQE] = {}
 
-#: Most descriptors a list post repeats into one serialized run, or a flush
-#: reads in one go: a whole 4096-slot ring (655 KB) showed in peak RSS.
+#: Most descriptors a flush reads in one go: a whole 4096-slot ring
+#: (655 KB) showed in peak RSS.
 _CHUNK_WQES = 128
 
 # Plain ints, for comparing against raw ring bytes.
@@ -141,9 +141,11 @@ class WorkQueue:
         with ownership ``owned[i]``, ``times`` over; returns the first index.
 
         Ring bytes and ``tail`` end up as after one :meth:`post` per
-        descriptor, but each distinct WR object is encoded once and each
-        contiguous run of slots written once.  All-or-nothing: a list that
-        does not fit or does not encode changes neither bytes nor ``tail``.
+        descriptor, but each distinct WR object is encoded once and the
+        repeats go through :meth:`MemoryDevice.write_pattern`, which stores
+        each whole ring page once per phase of the block until an op first
+        patches it.  All-or-nothing: a list that does not fit or does not
+        encode changes neither bytes nor ``tail``.
         """
         if times < 0:
             raise ValueError("times must be non-negative")
@@ -158,18 +160,20 @@ class WorkQueue:
             if image is None:
                 image = images[id(wr), own] = encode_wqe(wr, owned=own)
             block.append(image)
-        # Serialized once per call, in whole blocks: a temporary per write
-        # fragments the heap between the ring pages it makes resident.
-        repeats = max(1, min(times, _CHUNK_WQES // max(1, len(block))))
-        run = b"".join(block) * repeats
-        run_wqes = len(block) * repeats
+        unit = b"".join(block)
         index = first
         while index < end:
             slot = index % self.num_slots
-            at = (index - first) % run_wqes
-            count = min(run_wqes - at, end - index, self.num_slots - slot)
-            self.memory.write(self.ring.address + slot * WQE_SIZE,
-                              run[at * WQE_SIZE:(at + count) * WQE_SIZE])
+            count = min(end - index, self.num_slots - slot)
+            # After the ring wraps, the block resumes part-way through.
+            at = (index - first) % len(block) * WQE_SIZE
+            turn = unit[at:] + unit[:at] if at else unit
+            whole, rest = divmod(count, len(block))
+            address = self.ring.address + slot * WQE_SIZE
+            self.memory.write_pattern(address, turn, whole)
+            if rest:
+                self.memory.write(address + whole * len(turn),
+                                  turn[:rest * WQE_SIZE])
             index += count
         self.tail = end
         return first

@@ -164,6 +164,16 @@ def poke(memory, queue):
     assert found[0].source_path == "repro/core/producer.py"
 
 
+def test_wq11_pattern_write_is_a_sink():
+    helper = WQ11_HELPER.replace('memory.write(addr, b"x" * 8)',
+                                 'memory.write_pattern(addr, b"x" * 8, 4)')
+    found = lint_sources([
+        ("repro/core/helpers.py", helper),
+        ("repro/core/writer.py", WQ11_CALLER),
+    ])
+    assert codes(found) == ["WQ11"]
+
+
 def test_wq11_driver_layer_is_allowed():
     # The same flow inside the driver module is the driver doing its job.
     found = lint_sources([

@@ -56,6 +56,12 @@ class TestDescriptorPoke:
                 memory.modify(wq.field_address(0, 1), 1, change)
             """)
 
+    def test_pattern_write_at_slot_address(self):
+        assert "WQ02" in codes("""
+            def stamp(memory, wq, block):
+                memory.write_pattern(wq.slot_address(0), block, 64)
+            """)
+
     def test_poke_from_nic_allowed(self):
         assert codes("""
             def writeback(self, wq):

@@ -9,6 +9,8 @@ submit loop is used.
 import pytest
 
 from repro import backend as backend_registry
+from repro.core.group import GroupConfig
+from repro.core.multiclient import SharedChain
 from repro.sim.units import ms, us
 
 
@@ -165,3 +167,37 @@ def test_close_returns_every_nic_object(cluster, backend):
         group.close()
     cluster.run(until=cluster.sim.now + us(100))
     assert nic_objects() == before
+
+
+def test_shared_chain_close_returns_every_nic_object(cluster):
+    """The same for a shared (SRQ) chain with two clients: three cycles of
+    create, attach, write and close leave every host with the QPs, CQs,
+    MRs and resident pages it had before the first chain."""
+    owner = cluster.add_host("sc-owner")
+    peer = cluster.add_host("sc-peer")
+    replicas = cluster.add_hosts(3, prefix="sc-replica")
+    hosts = (owner, peer, *replicas)
+
+    def held():
+        return [(host.name, len(host.nic.qps), len(host.nic.cqs),
+                 len(host.nic.mrs), host.memory._data.resident_bytes)
+                for host in hosts]
+
+    before = held()
+    for index in range(3):
+        chain = SharedChain(owner, replicas,
+                            GroupConfig(slots=16, region_size=1 << 20),
+                            name=f"sc{index}", max_clients=2)
+        clients = [chain.attach_client(host) for host in (owner, peer)]
+        writes = []
+        for client in clients:
+            client.write_local(0, b"x")
+            writes.append(client.gwrite(0, 1))
+        cluster.run(until=cluster.sim.now + ms(1))
+        assert all(done.ok for done in writes)
+        late = clients[1].gwrite(0, 1)
+        chain.close()
+        assert late.triggered and not late.ok
+        chain.close()                       # Idempotent.
+    cluster.run(until=cluster.sim.now + us(100))
+    assert held() == before

@@ -8,6 +8,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.chain import prepost_gated
 from repro.nvm.memory import NVM
 from repro.rdma import driver
 from repro.rdma.driver import RingFullError, WorkQueue
@@ -299,34 +300,57 @@ class TestListPost:
         with pytest.raises(ValueError):
             wq.post_list([WorkRequest(Opcode.NOP)], [True], times=-1)
 
-    def test_each_distinct_wr_is_encoded_once_and_each_run_written_once(
-            self, monkeypatch):
-        (memory, wq), _ = _twin_rings(slots=1024, offset=1000)
-        calls = {"encode": 0, "write": 0}
-        encode, write = driver.encode_wqe, memory.write
+    def test_each_distinct_wr_is_encoded_once(self, monkeypatch):
+        (memory, wq), (mem_each, wq_each) = _twin_rings(slots=1024,
+                                                        offset=1002)
+        wait, nop = _wr_pool()[1], _wr_pool()[0]
+        for _ in range(256):
+            for wr, own in ((wait, True), (nop, False), (nop, False),
+                            (nop, False)):
+                wq_each.post(wr, owned=own)
+        encodes = []
+        encode = driver.encode_wqe
 
         def counting_encode(wr, owned):
-            calls["encode"] += 1
+            encodes.append(wr)
             return encode(wr, owned)
 
-        def counting_write(address, data):
-            calls["write"] += 1
-            write(address, data)
-
         monkeypatch.setattr(driver, "encode_wqe", counting_encode)
-        monkeypatch.setattr(memory, "write", counting_write)
-        wait, nop = _wr_pool()[1], _wr_pool()[0]
         wq.post_list([wait, nop, nop, nop], [True, False, False, False],
                      times=256)
-        # WAIT and the unowned placeholder; the run up to the ring end (24
-        # slots), then ceil(1000 / _CHUNK_WQES) runs from slot 0.
-        assert calls["encode"] == 2
-        assert calls["write"] == 1 + -(-1000 // driver._CHUNK_WQES)
+        # WAIT and the unowned placeholder, though the ring wraps two
+        # descriptors into a block, onto 160 pattern pages.
+        assert len(encodes) == 2
         assert wq.outstanding == 1024
+        assert _ring_bytes(memory, wq) == _ring_bytes(mem_each, wq_each)
         # The same WR posted owned and unowned is two images.
         wq.head = wq.tail
         wq.post_list([nop, nop], [True, False])
-        assert calls["encode"] == 4
+        assert len(encodes) == 4
+
+    def test_a_gated_ring_stores_one_page_per_pattern_phase(self, cluster):
+        """1 024 slots of ``[WAIT, NOP x 3]`` (640 B) fill 160 ring pages;
+        all but the two edge pages are one of five shared objects."""
+        host = cluster.add_host("pp")
+        cq = host.nic.create_cq()
+        qp = host.nic.create_qp(cq, cq, sq_slots=4 * 1024, rq_slots=8)
+        qp.connect(qp)
+        prepost_gated(qp, cq, 3, 1024)
+        ring, store = qp.sq.ring, host.memory._data
+        first = ring.address // store.page_size
+        last = (ring.end - 1) // store.page_size
+        held = {index: store._pages[index]
+                for index in range(first, last + 1)}
+        shared = {id(page) for page in held.values()
+                  if isinstance(page, bytes)}
+        private = [index for index, page in held.items()
+                   if not isinstance(page, bytes)]
+        assert len(shared) <= 5
+        assert set(private) <= {first, last}
+        block = b"".join(
+            host.memory.read(qp.sq.slot_address(index), WQE_SIZE)
+            for index in range(4))
+        assert host.memory.read(ring.address, ring.size) == block * 1024
 
 
 class TestFlush:
@@ -359,3 +383,105 @@ class TestFlush:
         assert wq.head == 2
         with pytest.raises(ValueError):  # What the NIC would have hit.
             wq.peek_head()
+
+
+class TestPatternRings:
+    """Copy-on-write at ring level: two gated rings of one storage host
+    are pre-posted from one block, so every whole page of either is one of
+    a few shared objects, and one op then patches a single slot."""
+
+    SLOTS = 64                       # 256 descriptors, 10 ring pages.
+    START = 4 * (SLOTS // 2)         # Mid-ring: a whole, shared page.
+
+    def test_a_patched_slot_changes_nothing_else(self, cluster):
+        client = cluster.add_host("cow-client")
+        replica = cluster.add_host("cow-replica")
+        nic, memory = replica.nic, replica.memory
+        up_cq = nic.create_cq()
+        rings = []
+        for _ in range(2):
+            loop_cq = nic.create_cq()
+            qp = nic.create_qp(loop_cq, loop_cq, sq_slots=4 * self.SLOTS,
+                               rq_slots=8)
+            qp.connect(qp)
+            qp.sq.cyclic = True
+            qp.sq.head = qp.sq.tail = self.START
+            prepost_gated(qp, up_cq, 3, self.SLOTS)
+            # Persisted, as a driver would flush them, so that a power
+            # failure keeps them (and the durable image shares their pages).
+            memory.persist(qp.sq.ring.address, qp.sq.ring.size)
+            rings.append(qp)
+        target, other = rings
+
+        def image(qp):
+            return memory.read(qp.sq.ring.address, qp.sq.ring.size)
+
+        def durable(qp):
+            return memory.read_durable(qp.sq.ring.address, qp.sq.ring.size)
+
+        before_target, before_other = image(target), image(other)
+        assert before_target == before_other
+        patched = slice(target.sq.slot_address(self.START + 1)
+                        - target.sq.ring.address,
+                        target.sq.slot_address(self.START + 4)
+                        - target.sq.ring.address)
+        page = target.sq.slot_address(self.START + 1) // 4096
+        assert isinstance(memory._data._pages[page], bytes)
+        assert isinstance(memory._durable_data._pages[page], bytes)
+
+        # One op: the metadata SEND scatters three owned NOPs onto the
+        # slot's placeholders; its RECV completion opens the WAIT; the NIC
+        # runs them and its write-back clears OWNED again.
+        patches = [WorkRequest(Opcode.NOP, wr_id=0x5A + hop, signaled=False)
+                   for hop in range(3)]
+        up_qp = nic.create_qp(loop_cq, up_cq, sq_slots=8, rq_slots=8)
+        up_qp.post_recv(WorkRequest(Opcode.RECV, [
+            Sge(target.sq.slot_address(self.START + hop), WQE_SIZE)
+            for hop in (1, 2, 3)]))
+        out_cq = client.nic.create_cq()
+        out_qp = client.nic.create_qp(out_cq, out_cq, sq_slots=8, rq_slots=8)
+        out_qp.connect(up_qp)
+        metadata = client.memory.allocate(3 * WQE_SIZE, "metadata")
+        client.memory.write(metadata.address, b"".join(
+            encode_wqe(wr, owned=True) for wr in patches))
+        out_qp.post_send(WorkRequest(Opcode.SEND,
+                                     [Sge(metadata.address, 3 * WQE_SIZE)]))
+        cluster.run(until=cluster.sim.now + 1_000_000)
+        assert target.sq.head == self.START + 4
+
+        def rest(ring_bytes):
+            return ring_bytes[:patched.start] + ring_bytes[patched.stop:]
+
+        ran = image(target)
+        assert ran[patched] == b"".join(encode_wqe(wr, owned=False)
+                                        for wr in patches)
+        assert rest(ran) == rest(before_target)
+        assert image(other) == before_other
+        # The NIC cache wrote the scattered range back after the NIC ran
+        # it, so the durable image holds the slot as run.
+        assert durable(target) == ran
+        assert durable(other) == before_other
+
+        replica.fail_power()
+        assert image(target) == durable(target) == ran
+        assert image(other) == durable(other) == before_other
+
+        # The group closes: the target's ring goes back to zeros.
+        address, size = target.sq.ring.address, target.sq.ring.size
+        nic.destroy_qp(target)
+        assert memory.read(address, size) == bytes(size)
+        assert memory.read_durable(address, size) == bytes(size)
+        assert image(other) == durable(other) == before_other
+
+        # The driver grants one placeholder of the other ring, on a page
+        # the power failure left shared with the durable image: one flags
+        # byte changes, in the visible image only.
+        granted = self.START + 4 * 8 + 1
+        at = other.sq.field_address(granted, 1) - other.sq.ring.address
+        assert isinstance(memory._data._pages[
+            other.sq.slot_address(granted) // 4096], bytes)
+        other.sq.grant(granted)
+        want = bytearray(before_other)
+        want[at] |= 1
+        assert image(other) == bytes(want)
+        assert durable(other) == before_other
