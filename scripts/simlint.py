@@ -6,17 +6,14 @@ Usage::
     python scripts/simlint.py src tests              # lint the live tree
     python scripts/simlint.py src --json             # machine-readable
     python scripts/simlint.py --list-rules           # what is enforced
-    python scripts/simlint.py src --select DET01,DET03
-    python scripts/simlint.py src --disable slots-required
+    python scripts/simlint.py src --select DET03,DET04
+    python scripts/simlint.py src --disable blocking-call
 
 Exit status: 0 clean, 1 violations found, 2 usage error.
 
-Per-file rules see one module; the simflow rules (RC/WQ1x/KP1x) see the
-whole program — cross-file findings print a ``source:`` line pointing at
-the function that causes them.  Suppress deliberate exceptions in source
-with ``# simlint: disable=RULE`` (line) or ``# simlint: disable-file=RULE``
-(module); for interprocedural findings the pragma works on the flagged
-line *or* on the ``def`` line of the source function.
+Every rule sees one module at a time.  Suppress deliberate exceptions in
+source with ``# simlint: disable=RULE`` (line) or
+``# simlint: disable-file=RULE`` (module).
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """The simlint rule model: violations, rule registry, shared AST helpers.
 
-A rule is a singleton object with a stable ``code`` (``DET01`` …), a
-human-readable ``name`` (``wall-clock`` …), and a ``check`` method that walks
+A rule is a singleton object with a stable ``code`` (``DET03`` …), a
+human-readable ``name`` (``set-iteration`` …), and a ``check`` method that walks
 a parsed module and yields :class:`Violation` records.  Rules are registered
 at import time by :func:`register`; the runner iterates the registry in code
 order so reports are stable.
@@ -16,43 +16,31 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "Violation",
     "RuleContext",
     "Rule",
-    "FlowRule",
     "register",
     "all_rules",
     "get_rule",
     "rule_codes",
     "dotted_name",
-    "own_nodes",
-    "iter_own_functions",
 ]
 
 
 @dataclass(frozen=True, slots=True)
 class Violation:
-    """One rule breach at a source location.
+    """One rule breach at a source location."""
 
-    Interprocedural (flow) violations additionally carry the *source* of
-    the finding — the function whose behaviour makes the sink wrong (the
-    process generator consuming a helper, the function where a tainted
-    descriptor address originates).  ``source_path``/``source_line`` point
-    at that function's ``def`` line; pragmas are honoured at both ends.
-    """
-
-    code: str       # e.g. "DET02"
-    name: str       # e.g. "wall-clock"
+    code: str       # e.g. "DET03"
+    name: str       # e.g. "set-iteration"
     path: str       # Path as given to the runner.
     line: int
     col: int
     message: str
     fixit: str = ""
-    source_path: str = ""      # Interprocedural findings: the source file…
-    source_line: int = 0       # …and the def line of the source function.
 
     def key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.code)
@@ -93,7 +81,7 @@ class Rule:
 
     code: str = ""
     name: str = ""
-    family: str = ""        # "determinism" | "kernel-protocol" | "wqe-ownership"
+    family: str = ""        # "determinism" | "kernel-protocol" | "race"
     description: str = ""
     fixit: str = ""
 
@@ -111,23 +99,6 @@ class Rule:
             message=message,
             fixit=self.fixit if fixit is None else fixit,
         )
-
-
-class FlowRule(Rule):
-    """Base class for whole-program (interprocedural) rules.
-
-    Flow rules do not see one module at a time; the runner hands them a
-    :class:`repro.analysis.flow.index.ProjectIndex` spanning every file of
-    the run and they yield :class:`Violation` records whose ``source_path``
-    / ``source_line`` identify the originating function.  ``check`` (the
-    per-file entry point) is intentionally empty.
-    """
-
-    def check(self, ctx: RuleContext) -> Iterator[Violation]:
-        return iter(())
-
-    def check_project(self, project: "object") -> Iterator[Violation]:
-        raise NotImplementedError
 
 
 _REGISTRY: Dict[str, Rule] = {}
@@ -154,7 +125,7 @@ def rule_codes() -> List[str]:
 
 
 def get_rule(code_or_name: str) -> Optional[Rule]:
-    """Look a rule up by code (``DET01``) or name (``unseeded-random``)."""
+    """Look a rule up by code (``DET03``) or name (``set-iteration``)."""
     rule = _REGISTRY.get(code_or_name.upper())
     if rule is not None:
         return rule
@@ -177,45 +148,6 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Name):
         parts.append(node.id)
         return ".".join(reversed(parts))
-    return None
-
-
-def own_nodes(func: ast.AST) -> Iterator[ast.AST]:
-    """Walk a function body without descending into nested def/class scopes.
-
-    Used to attribute ``yield`` statements and calls to the generator that
-    actually executes them.
-    """
-    stack: List[ast.AST] = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef, ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def iter_own_functions(tree: ast.AST) -> Iterator[ast.FunctionDef]:
-    """All function definitions in a module, including nested ones."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node  # type: ignore[misc]
-
-
-def call_attr(node: ast.AST) -> Optional[str]:
-    """The attribute name of an ``obj.attr(...)`` call, else None."""
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-        return node.func.attr
-    return None
-
-
-def contains_call_attr(node: ast.AST, attrs: Sequence[str]) -> Optional[ast.Call]:
-    """First ``*.attr(...)`` call anywhere inside ``node`` with attr in attrs."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute) \
-                and sub.func.attr in attrs:
-            return sub
     return None
 
 
@@ -248,44 +180,5 @@ def iterable_is_hash_ordered(node: ast.AST) -> bool:
     return False
 
 
-def literal_constant_kind(node: ast.AST) -> Optional[str]:
-    """Classify a yield payload that is statically known to be invalid.
-
-    Returns a short description for str/bytes/float/bool/None constants,
-    negative int literals, and container literals; None when the payload
-    cannot be proven bad (names, calls, attributes …).
-    """
-    if isinstance(node, ast.Constant):
-        value = node.value
-        if isinstance(value, bool):
-            return "bool"
-        if isinstance(value, int):
-            return "negative int" if value < 0 else None
-        if value is None:
-            return "None"
-        return type(value).__name__
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub) \
-            and isinstance(node.operand, ast.Constant) \
-            and isinstance(node.operand.value, (int, float)) \
-            and not isinstance(node.operand.value, bool):
-        return "negative " + type(node.operand.value).__name__
-    if isinstance(node, (ast.List, ast.Tuple, ast.Dict, ast.Set)):
-        return "container literal"
-    return None
-
-
-def first_arg(call: ast.Call) -> Optional[ast.AST]:
-    return call.args[0] if call.args else None
-
-
 def is_name(node: ast.AST, *names: str) -> bool:
     return isinstance(node, ast.Name) and node.id in names
-
-
-def iter_assign_targets(node: ast.AST) -> Iterable[ast.AST]:
-    """Targets of Assign/AnnAssign/AugAssign statements."""
-    if isinstance(node, ast.Assign):
-        return node.targets
-    if isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-        return [node.target]
-    return []

@@ -5,17 +5,16 @@ Two forms, matching the usual linter conventions:
 * line pragma — suppresses matching rules for violations reported on that
   physical line::
 
-      started = time.time()  # simlint: disable=wall-clock
+      for name in set(names):  # simlint: disable=set-iteration
 
 * file pragma — on a line of its own (typically near the top), suppresses
   matching rules for the whole module::
 
-      # simlint: disable-file=slots-required
+      # simlint: disable-file=blocking-call
 
-Rules can be referenced by code (``DET02``), by name (``wall-clock``), or
-with ``all``.  Multiple rules are comma-separated.  Unknown rule references
-are kept verbatim so a typo never silently re-enables a rule the author
-meant to suppress — the runner reports unmatched pragma targets instead.
+Rules can be referenced by code (``DET03``), by name (``set-iteration``), or
+with ``all``.  Multiple rules are comma-separated.  References are not
+validated: an unknown code or name is kept verbatim and matches nothing.
 """
 
 from __future__ import annotations

@@ -26,9 +26,8 @@ def assert_tree_clean(paths: Optional[Sequence[str]] = None,
                       disable: Optional[Sequence[str]] = None) -> LintReport:
     """Fail the calling test if any simlint rule fires on ``paths``.
 
-    ``paths`` defaults to the live ``repro`` package; per-file *and*
-    whole-program (simflow) rules run over them as one program, exactly
-    like the CLI.
+    ``paths`` defaults to the live ``repro`` package; every rule runs
+    over them exactly as the CLI runs it.
     """
     if paths is None:
         paths = [str(repro_src_root())]

@@ -173,10 +173,10 @@ def main(argv) -> int:
         description, fn = EXPERIMENTS[name]
         print(f"\n=== {description} ===")
         # Wall-clock here is progress reporting for the human running the
-        # CLI, not simulation input — the sanctioned exception.
-        started = time.time()  # simlint: disable=wall-clock
+        # CLI, not simulation input.
+        started = time.time()
         fn(backend, jobs)
-        elapsed = time.time() - started  # simlint: disable=wall-clock
+        elapsed = time.time() - started
         print(f"[{name} done in {elapsed:.1f}s wall]")
     return 0
 

@@ -135,9 +135,9 @@ class SparsePages:
 
     def zero(self, address: int, size: int) -> None:
         """Make ``[address, address + size)`` read as zeros by dropping the
-        pages it covers; an edge page a neighbour also uses is blanked (in a
-        private copy if it is a pattern page) and dropped once nothing but
-        zeros is left on it."""
+        pages it covers whole; an edge page a neighbour also uses is blanked
+        (in a private copy if it is a pattern page) and dropped once nothing
+        but zeros is left on it."""
         if size <= 0:
             return
         page_size = self.page_size
@@ -150,13 +150,16 @@ class SparsePages:
                       else [i for i in pages if i in inner]):
             pages.pop(index, None)
         for index in (first, last):
-            if index in pages:
+            if index not in pages:
+                continue
+            start = max(address - index * page_size, 0)
+            stop = min(end - index * page_size, page_size)
+            if stop - start < page_size:
                 page = self._writable(index)
-                start = max(address - index * page_size, 0)
-                stop = min(end - index * page_size, page_size)
                 page[start:stop] = bytes(stop - start)
-                if not any(page):
-                    del pages[index]
+                if any(page):
+                    continue
+            del pages[index]
 
     def modify(self, address: int, size: int,
                change: Callable[[bytearray, int], None]) -> None:

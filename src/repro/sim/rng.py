@@ -32,7 +32,7 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 #: Seed for generators constructed without an explicit stream.  Fixed, not
 #: OS entropy: a bare ``ZipfianGenerator(n)`` must still be reproducible
-#: run to run (simlint DET01 forbids unseeded ``random.Random()``).
+#: run to run (an unseeded ``random.Random()`` would not be).
 _DEFAULT_SEED = 0x5EED
 
 

@@ -13,105 +13,6 @@ def codes(source: str, module: str = "repro/core/fixture.py"):
     return [v.code for v in lint_source(dedent(source), module=module)]
 
 
-class TestUnseededRandom:
-    def test_from_random_import_function(self):
-        assert "DET01" in codes("""
-            from random import randint
-
-            def draw():
-                return randint(0, 10)
-            """)
-
-    def test_global_random_call(self):
-        assert "DET01" in codes("""
-            import random
-
-            def jitter():
-                return random.random()
-            """)
-
-    def test_unseeded_random_instance(self):
-        assert "DET01" in codes("""
-            import random
-
-            rng = random.Random()
-            """)
-
-    def test_seeded_random_instance_is_clean(self):
-        assert codes("""
-            import random
-
-            rng = random.Random(1234)
-            """) == []
-
-    def test_from_import_of_random_class_seeded_is_clean(self):
-        assert codes("""
-            from random import Random
-
-            rng = Random(7)
-            """) == []
-
-    def test_from_import_of_random_class_unseeded_flagged(self):
-        assert "DET01" in codes("""
-            from random import Random
-
-            rng = Random()
-            """)
-
-    def test_named_stream_idiom_is_clean(self):
-        assert codes("""
-            from repro.sim.rng import RandomStreams
-
-            def make(seed):
-                return RandomStreams(seed).stream("scheduler")
-            """) == []
-
-
-class TestWallClock:
-    def test_time_time_call(self):
-        assert "DET02" in codes("""
-            import time
-
-            def stamp():
-                return time.time()
-            """)
-
-    def test_perf_counter_call(self):
-        assert "DET02" in codes("""
-            import time
-
-            def stamp():
-                return time.perf_counter()
-            """)
-
-    def test_datetime_now(self):
-        assert "DET02" in codes("""
-            import datetime
-
-            def today():
-                return datetime.datetime.now()
-            """)
-
-    def test_os_urandom(self):
-        assert "DET02" in codes("""
-            import os
-
-            def entropy():
-                return os.urandom(8)
-            """)
-
-    def test_forbidden_from_import(self):
-        assert "DET02" in codes("""
-            from time import perf_counter
-            """)
-
-    def test_sim_now_is_clean(self):
-        assert codes("""
-            def stamp(sim):
-                return sim.now
-            """) == []
-
-
 class TestSetIteration:
     def test_for_over_set_literal(self):
         assert "DET03" in codes("""

@@ -7,10 +7,22 @@ the full experiment pipeline — scenario construction through the backend
 registry, group wiring, tenant load, and the latency/throughput drivers.
 Exact float equality is intentional: any drift in simulation-event
 ordering shows up here first, before it silently changes every figure.
+The goldens are also recomputed in subprocesses under hostile
+``PYTHONHASHSEED`` values, so hash order reaching anything a figure reads
+fails here too.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
 from repro.experiments import fig8, fig9
 
 FIG8_GOLDEN = [
@@ -44,6 +56,29 @@ def test_fig8_rows_match_golden():
 def test_fig9_rows_match_golden():
     rows = fig9.run(sizes=[4096], total_bytes=2 * (1 << 20), seed=5)
     assert rows == FIG9_GOLDEN
+
+
+_GOLDENS_SNIPPET = """\
+import json
+from repro.experiments import fig8, fig9
+print(json.dumps([
+    fig8.run(op="gwrite", sizes=[256, 1024], count=200, seed=3),
+    fig9.run(sizes=[4096], total_bytes=2 * (1 << 20), seed=5)]))
+"""
+
+
+@pytest.mark.parametrize("hashseed", ["0", "12345"])
+def test_goldens_hold_under_any_hash_seed(hashseed):
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONHASHSEED=hashseed,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    output = subprocess.run(
+        [sys.executable, "-c", _GOLDENS_SNIPPET], env=env,
+        capture_output=True, text=True, check=True).stdout
+    fig8_rows, fig9_rows = json.loads(output)
+    assert fig8_rows == FIG8_GOLDEN
+    assert fig9_rows == FIG9_GOLDEN
 
 
 def test_same_seed_same_rows_within_process():

@@ -382,3 +382,21 @@ class TestWritePattern:
         unit = bytes(range(150))
         pages.write_pattern(5, unit, 3)
         assert pages.read(0, 500) == bytes(5) + unit * 3 + bytes(45)
+
+    def test_page_aligned_zero_drops_pattern_pages_without_copying(
+            self, monkeypatch):
+        """Freeing a pattern range that starts and ends on page boundaries
+        pops its edge pages; no shared page is copied only to be blanked."""
+        pages = SparsePages(page_size=64)
+        pages.write_pattern(0, bytes(range(1, 33)), 16)    # Pages 0..7.
+        pages.write(512, b"next")
+
+        def no_copy(self, index):
+            raise AssertionError(f"page {index} made private")
+
+        monkeypatch.setattr(SparsePages, "_writable", no_copy)
+        pages.zero(64, 128)                                # Pages 1, 2.
+        pages.zero(0, 64)                                  # Page 0 alone.
+        pages.zero(192, 320)                               # Pages 3..7.
+        assert sorted(pages._pages) == [8]
+        assert pages.read(0, 516) == bytes(512) + b"next"

@@ -1,7 +1,4 @@
 """Tests for the modified userspace driver: descriptor rings."""
-# These tests exercise driver/NIC descriptor internals (peek_head,
-# advance_head, grant, raw ring writes) from test code by design.
-# simlint: disable-file=WQ01,WQ02,WQ03
 
 from dataclasses import FrozenInstanceError
 

@@ -234,7 +234,7 @@ class TestListPostedDescriptors:
         for index in range(self.SLOTS):
             view.head = index
             raw = pair.mem_b.read(view.slot_address(index), WQE_SIZE)
-            wqe = view.peek_head()  # simlint: disable=WQ03 (the NIC's look, on a shadow queue)
+            wqe = view.peek_head()
             if index == patched:
                 assert raw == image
                 assert wqe.owned and wqe.opcode is Opcode.SEND
@@ -333,19 +333,19 @@ class TestFlagFlipInPlace:
             return memory.read(wq.slot_address(index), WQE_SIZE)
 
         for index in range(len(self.WRS)):  # Parse every owned image first.
-            assert wq.peek_head().owned  # simlint: disable=WQ03 (the NIC's look)
-            wq.advance_head()  # simlint: disable=WQ03 (the NIC's write-back)
+            assert wq.peek_head().owned
+            wq.advance_head()
             assert slot(index) == armed[index]
         assert (wq.head, wq.tail) == (len(self.WRS), 2 * len(self.WRS))
         for index in range(len(self.WRS)):
-            wqe = wq.peek_head()  # simlint: disable=WQ03 (the NIC's look)
+            wqe = wq.peek_head()
             assert wqe.owned is (index not in self.PLAIN)
             assert driver._parse_memo[slot(index)] == wqe
             if index in self.PLAIN:
-                wq.grant(wq.head)  # simlint: disable=WQ01 (the driver's grant)
+                wq.grant(wq.head)
                 assert slot(index) == posted[index]
-                assert wq.peek_head().owned  # simlint: disable=WQ03 (the NIC's look)
-            wq.advance_head()  # simlint: disable=WQ03 (the NIC's write-back)
+                assert wq.peek_head().owned
+            wq.advance_head()
         assert b"".join(map(slot, range(len(self.WRS)))) == b"".join(armed)
         domain.fail()
         assert memory.read(ring.address, ring.size) == b"".join(posted)

@@ -100,7 +100,7 @@ class TestFieldOffsets:
         this is what remote manipulation relies on."""
         raw = bytearray(encode_wqe(WorkRequest(Opcode.WRITE), owned=False))
         assert not decode_wqe(bytes(raw)).owned
-        raw[OFF_FLAGS] |= WQEFlags.OWNED  # simlint: disable=WQ02 (codec test on a local bytearray)
+        raw[OFF_FLAGS] |= WQEFlags.OWNED
         assert decode_wqe(bytes(raw)).owned
 
     def test_opcode_byte_in_place(self):

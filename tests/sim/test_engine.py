@@ -321,7 +321,7 @@ class TestSimulatorRun:
 
     def test_yield_non_event_errors_process(self, sim):
         def proc(sim):
-            yield "not an event"  # simlint: disable=KP01 (deliberate misuse under test)
+            yield "not an event"
 
         process = sim.process(proc(sim))
         with pytest.raises(SimulationError):
@@ -331,7 +331,7 @@ class TestSimulatorRun:
     def test_yield_non_event_can_be_caught(self, sim):
         def proc(sim):
             try:
-                yield "not an event"  # simlint: disable=KP01 (deliberate misuse under test)
+                yield "not an event"
             except SimulationError:
                 return "recovered"
 

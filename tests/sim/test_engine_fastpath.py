@@ -52,7 +52,7 @@ class TestBareDelay:
     def test_negative_delay_is_catchable_misuse(self, sim):
         def proc(sim):
             try:
-                yield -5  # simlint: disable=KP01 (deliberate misuse under test)
+                yield -5
             except SimulationError:
                 return "caught"
 
