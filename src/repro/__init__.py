@@ -29,7 +29,6 @@ importable for advanced use.
 
 from . import backend
 from .host import Cluster, Host, HostParams
-from .backend import ReplicationBackend
 from .cluster import Scenario, ScenarioConfig, build_scenario
 from .core.fanout import FanoutGroup
 from .core.multiclient import SharedChain, SharedChainClient
@@ -50,7 +49,6 @@ __all__ = [
     "Cluster",
     "Host",
     "HostParams",
-    "ReplicationBackend",
     "Scenario",
     "ScenarioConfig",
     "build_scenario",

@@ -47,8 +47,8 @@ class CacheConfig:
 class ReplicatedCache:
     """A replication-group-backed cache with Redis-flavoured operations.
 
-    ``group`` is any :class:`~repro.backend.api.ReplicationBackend`
-    implementation.
+    ``group`` is any :class:`~repro.backend.base.GroupBase` whose
+    ``primitives`` include gWRITE, gCAS and READ.
     """
 
     def __init__(self, group, config: Optional[CacheConfig] = None,

@@ -17,9 +17,10 @@ store into a replicated one "with only a few modifications":
   periodically off the critical path to bring the in-memory snapshot in
   sync with NVM").
 
-Works unchanged over any :class:`~repro.backend.api.ReplicationBackend` —
-every registered backend (``repro.backend.names()``) provides the same
-write/append/gCAS/flush/read surface.
+Works unchanged over any :class:`~repro.backend.base.GroupBase` that
+declares all five ``primitives`` — every registered backend
+(``repro.backend.names()``) provides the same write/append/gCAS/flush/read
+surface.
 """
 
 from __future__ import annotations

@@ -1,7 +1,11 @@
 """Replication backends: the pluggable layer under every consumer.
 
-* :class:`ReplicationBackend` — the protocol (``api.py``);
-* :class:`GroupBase` — shared client-side machinery (``base.py``);
+* :class:`GroupBase` — the backend contract and shared client-side
+  machinery (``base.py``): Table 1's primitives, reads, flow control,
+  recovery and membership hooks; each class declares its ``primitives``
+  and replica bounds;
+* :class:`OpKind` / :class:`OpSpec` / :class:`OpResult` — what an op is
+  and what it completes with (``ops.py``);
 * the registry — :func:`register` / :func:`get` / :func:`create` /
   :func:`names` (``registry.py``).
 
@@ -10,16 +14,15 @@ paper's contribution), ``naive`` (CPU-forwarded baseline) and ``fanout``
 (NIC-offloaded primary/backup star, the §7 extension).
 """
 
-from .api import OpResult, ReplicationBackend
 from .base import GroupBase
-from .ops import OpKind, OpSpec
+from .ops import READ, OpKind, OpResult, OpSpec
 from .registry import BackendSpec, create, get, names, register, specs
 
 __all__ = [
     "OpKind",
     "OpSpec",
     "OpResult",
-    "ReplicationBackend",
+    "READ",
     "GroupBase",
     "BackendSpec",
     "create",

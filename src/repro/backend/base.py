@@ -1,39 +1,67 @@
-"""Shared client-side machinery for replication backends.
+"""The backend contract and its shared client-side machinery.
 
 Every backend in this tree — the NIC-offloaded chain
 (:class:`~repro.core.group.HyperLoopGroup`), the CPU-forwarded baseline
-(:class:`~repro.baseline.naive.NaiveGroup`) and the NIC-offloaded fan-out
-(:class:`~repro.core.fanout.FanoutGroup`) — shares the same *client-side*
-contract: a bounded submission pipeline (``slots`` ops in flight), a
-slot-indexed ACK table, local region accessors, and abort/teardown hooks.
-Only the wire topology and per-node engines differ.
+(:class:`~repro.baseline.naive.NaiveGroup`), the NIC-offloaded fan-out
+(:class:`~repro.core.fanout.FanoutGroup`) — and a shared chain's client
+(:class:`~repro.core.multiclient.SharedChainClient`) is a
+:class:`GroupBase`: the one statement of what a group offers (the
+primitives its class declares, region access, flow control, drain, abort,
+close).  Only the wire topology and per-node engines differ.
 
-:class:`GroupBase` holds that shared half, including the submit loop
-(:meth:`GroupBase._submitter`) that posts every op to the head the same
-way, and the completion path (:func:`ack_loop`) that completes them.  A
-backend implementation is reduced to: per-node engine setup, the metadata
-message its head consumes (``_metadata(op, slot)``) and what building it
-costs the client CPU (``_build_ns``), plus :meth:`GroupBase._route` /
-:meth:`GroupBase._result_map` if its ACKs are not one WRITE_WITH_IMM per
-op carrying the slot.  Subclasses must provide the attributes listed under
-:attr:`GroupBase` and may override :meth:`_region_limit` (e.g. to reserve
-scratch space at the region tail).
+:class:`GroupBase` holds the shared half: identity and the replica-count
+check (:func:`check_replicas`), the ACK hub (:func:`open_ack_hub` /
+:func:`close_ack_hub`), the submit loop (:meth:`GroupBase._submitter`)
+that posts every op to the head the same way, the completion path
+(:func:`ack_loop`) and teardown (:meth:`GroupBase.close`).  A backend
+implementation is reduced to: per-node engines (each with a ``close()``),
+the metadata message its head consumes (``_metadata(op, slot)``) and what
+building it costs the client CPU (``_build_ns``), plus
+:meth:`GroupBase._route` / :meth:`GroupBase._result_map` if its ACKs are
+not one WRITE_WITH_IMM per op carrying the slot.  Subclasses must provide
+the attributes listed under :attr:`GroupBase` and may override
+:meth:`_region_limit` (e.g. to reserve scratch space at the region tail).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Deque,
+    Dict,
+    FrozenSet,
+    Generator,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+    Union,
+)
 
 from ..host import Host
-from ..rdma.verbs import WorkCompletion
+from ..rdma.verbs import Access, WorkCompletion
 from ..rdma.wqe import Opcode, Sge, WorkRequest
 from ..sim.cpu import Thread
 from ..sim.engine import Event
-from .api import OpResult
-from .ops import OpKind, OpSpec
+from .ops import READ, OpKind, OpResult, OpSpec
 
-__all__ = ["GroupBase", "ack_loop", "close_ack_hub"]
+__all__ = ["GroupBase", "ack_loop", "check_replicas", "open_ack_hub",
+           "close_ack_hub"]
+
+
+def check_replicas(owner: Type, count: int) -> None:
+    """The one replica-count check: ``owner`` (a group class or a shared
+    chain) takes ``owner.min_replicas`` .. ``owner.max_replicas``
+    replicas, inclusive; a ``max_replicas`` of None is unbounded."""
+    low, high = owner.min_replicas, owner.max_replicas
+    if count < low or (high is not None and count > high):
+        raise ValueError(
+            f"{owner.__name__} supports {low}.."
+            f"{'unbounded' if high is None else high} replicas, "
+            f"got {count}")
 
 
 def ack_loop(hub: Any) -> Generator:
@@ -65,12 +93,47 @@ def ack_loop(hub: Any) -> Generator:
                 client._finish(done, slot, client._result_map(slot))
 
 
-def close_ack_hub(hub: Any, host: Host, ack_qps: Sequence) -> None:
-    """Return an ACK hub's QPs, CQ, MR and buffer on ``host``.  With the
-    CQ gone nothing notifies :func:`ack_loop`'s channel again, so the loop
-    stays parked for good."""
+def open_ack_hub(hub: Any, host: Host, stride: int,
+                 qp_names: Sequence[str], out_sq_slots: int = 0) -> None:
+    """Build the ACK hub :func:`ack_loop` serves on ``host``: ``hub.ack_buf``
+    (``stride`` bytes per slot) and ``hub.ack_mr``, the channel-backed
+    ``hub.ack_cq``, and ``hub.ack_qps``, one per name, each with a cyclic
+    receive ring of ``slots`` RECVs posted once and re-armed by the NIC.
+
+    ``hub`` is a :class:`GroupBase` or the owner side of a shared chain.
+    A group also gets its ``out_cq`` and ``qp_out`` (``out_sq_slots`` send
+    slots) here, made after the ACK MR and before the ACK QPs, so every
+    client's verbs objects and rings come in one fixed order."""
+    config, name = hub.config, hub.name
+    memory, nic = host.memory, host.nic
+    hub.ack_stride = stride
+    hub.ack_buf = memory.allocate(stride * config.slots, f"{name}.ack")
+    hub.ack_mr = nic.register_mr(
+        hub.ack_buf.address, hub.ack_buf.size,
+        Access.LOCAL_WRITE | Access.REMOTE_WRITE, name=f"{name}.ackmr")
+    if out_sq_slots:
+        hub.out_cq = nic.create_cq(name=f"{name}.outcq")
+    hub.ack_cq = nic.create_cq(with_channel=True, name=f"{name}.ackcq")
+    if out_sq_slots:
+        hub.qp_out = nic.create_qp(hub.out_cq, hub.out_cq,
+                                   sq_slots=out_sq_slots, rq_slots=8,
+                                   name=f"{name}.out")
+    hub.ack_qps = [nic.create_qp(hub.ack_cq, hub.ack_cq, sq_slots=8,
+                                 rq_slots=config.slots,
+                                 name=f"{name}.{qp_name}")
+                   for qp_name in qp_names]
+    for qp in hub.ack_qps:
+        qp.rq.cyclic = True
+        qp.post_recv_list([WorkRequest(Opcode.RECV, [], wr_id=0)],
+                          times=config.slots)
+
+
+def close_ack_hub(hub: Any, host: Host) -> None:
+    """Return what :func:`open_ack_hub` built on ``host``, but the out QP
+    and CQ.  With the CQ gone nothing notifies :func:`ack_loop`'s channel
+    again, so the loop stays parked for good."""
     nic = host.nic
-    for qp in ack_qps:
+    for qp in hub.ack_qps:
         nic.destroy_qp(qp)
     nic.destroy_cq(hub.ack_cq)
     nic.deregister_mr(hub.ack_mr)
@@ -78,30 +141,51 @@ def close_ack_hub(hub: Any, host: Host, ack_qps: Sequence) -> None:
 
 
 class GroupBase:
-    """Client-side half of a replication backend.
+    """Client-side half of a replication backend, and the backend contract.
 
-    Subclasses set (typically in ``__init__``): ``config`` (with ``slots``,
-    ``region_size`` and ``post_ns``), ``name``, ``client_host``, ``sim``,
-    ``group_size``, ``replicas`` (node engines with ``.host``, ``.region``
-    and ``.region_mr``; ``replicas[0]`` is the head), ``region`` (the
-    client's own copy of the replicated region), ``md_buf`` /
-    ``md_stride`` (one metadata message of exactly ``md_stride`` bytes
-    per slot), ``qp_out`` (connected to the head) and its ``out_cq``,
-    ``_build_ns`` and
-    ``_metadata`` (see :meth:`_submitter`) and ``read_path`` (a
-    :class:`~repro.core.readpath.ClientReadPath`), then call
-    :meth:`_init_op_state` and :meth:`_start_client`, whose ACK loop also
-    needs ``ack_cq``, ``ack_buf`` and ``ack_stride``.
+    ``GroupBase(client_host, replica_hosts, config=None, name="")`` sets
+    the identity every group shares — ``config`` (default
+    ``config_cls()``), ``name`` (default the class's ``_prefix`` and next
+    ``_ids`` number), ``client_host``, ``sim``, ``group_size`` — after
+    :func:`check_replicas`, and the op-state tables.  Subclasses then set
+    ``replicas`` (node engines with ``.host``, ``.region``,
+    ``.region_mr`` and ``close()``; ``replicas[0]`` is the head),
+    ``region`` (the client's own copy of the replicated region),
+    ``md_buf`` / ``md_stride`` (one metadata message of exactly
+    ``md_stride`` bytes per slot), ``qp_out`` (connected to the head) and
+    its ``out_cq`` (both from :func:`open_ack_hub`), ``_build_ns`` and
+    ``_metadata`` (see :meth:`_submitter`) and, when they declare
+    :data:`~repro.backend.ops.READ`, ``read_path`` (a
+    :class:`~repro.core.readpath.ClientReadPath`); then call
+    :meth:`_start_client`.
     """
 
+    #: The primitives this client serves: Table 1's four kinds and
+    #: one-sided READ.  :meth:`submit` and :meth:`remote_read` refuse the
+    #: rest with one NotImplementedError.
+    primitives: FrozenSet[Union[OpKind, str]] = frozenset(OpKind) | {READ}
+    #: Inclusive replica-count bounds (None: unbounded above), checked by
+    #: :func:`check_replicas`.
+    min_replicas = 1
+    max_replicas: Optional[int] = None
+    #: The backend's config dataclass; a group built without one gets
+    #: ``config_cls()``.
+    config_cls: Type
+    #: Default-name prefix and counter; each group class owns its own.
+    _prefix: str
+    _ids: Iterator[int]
     #: Busy-polling ACK thread (poll mode), or None (event mode).
     poller: Optional[Thread] = None
     _closed = False
 
-    # ------------------------------------------------------------------
-    # Shared state
-    # ------------------------------------------------------------------
-    def _init_op_state(self) -> None:
+    def __init__(self, client_host: Host, replica_hosts: Sequence[Host],
+                 config: Any = None, name: str = "") -> None:
+        check_replicas(type(self), len(replica_hosts))
+        self.config = config or self.config_cls()
+        self.name = name or f"{self._prefix}{next(self._ids)}"
+        self.client_host = client_host
+        self.sim = client_host.sim
+        self.group_size = len(replica_hosts)
         self._next_slot = 0
         self._acked = 0
         self._ack_events: Dict[int, Event] = {}
@@ -163,6 +247,8 @@ class GroupBase:
 
     def submit(self, op: OpSpec) -> Event:
         """Queue an operation; the event fires with its :class:`OpResult`."""
+        if op.kind not in self.primitives:
+            raise self._unsupported(op.kind.value)
         if self._closed:
             raise RuntimeError(f"{self.name} is closed")
         done = self.sim.event()
@@ -192,8 +278,15 @@ class GroupBase:
 
     def remote_read(self, hop: int, offset: int, size: int) -> Event:
         """One-sided READ of ``region[offset:offset+size]`` on replica ``hop``."""
+        if READ not in self.primitives:
+            raise self._unsupported(READ)
         self._check_range(offset, size)
         return self.read_path.read(hop, offset, size)
+
+    def _unsupported(self, primitive: str) -> NotImplementedError:
+        return NotImplementedError(
+            f"{type(self).__name__} {self.name!r} does not support "
+            f"{primitive}")
 
     def _region_limit(self) -> int:
         """Bytes of the region addressable by callers (override to reserve
@@ -335,6 +428,22 @@ class GroupBase:
         self._release_drain_waiters()
         return aborted
 
+    def close(self) -> None:
+        """Tear the whole group down and return every carved resource.
+
+        Pending operations fail with a RuntimeError; each node engine
+        closes, then the client's own resources go back, zeroed and
+        reusable (recovery rebuilds call this on the superseded group
+        after copying its state out).
+        """
+        if not self._begin_close():
+            return
+        for node in self.replicas:
+            node.close()
+        self._close_client()
+        close_ack_hub(self, self.client_host)
+        self.read_path.close()
+
     def _begin_close(self) -> bool:
         """Idempotence guard + in-flight abort; True if teardown should run."""
         if self._closed:
@@ -345,20 +454,13 @@ class GroupBase:
             self.poller.stop()
         return True
 
-    def _close_client(self, ack_qps: Optional[Sequence]) -> None:
-        """Return the client-side resources: the out QP and CQ and the
-        region and metadata buffers; then, given ``ack_qps`` (the QPs of
-        the client's own ACK hub), that hub (:func:`close_ack_hub`) and the
-        read path.  A shared-chain client passes None: its chain owns the
-        hub."""
+    def _close_client(self) -> None:
+        """Return the out QP and CQ and the region and metadata buffers."""
         nic, memory = self.client_host.nic, self.client_host.memory
         nic.destroy_qp(self.qp_out)
         nic.destroy_cq(self.out_cq)
         memory.free(self.region)
         memory.free(self.md_buf)
-        if ack_qps is not None:
-            close_ack_hub(self, self.client_host, ack_qps)
-            self.read_path.close()
 
     # ------------------------------------------------------------------
     # Client processes and their building blocks

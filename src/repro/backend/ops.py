@@ -1,20 +1,21 @@
 """Backend-agnostic operation descriptions (Table 1).
 
 :class:`OpSpec` is what a caller hands to
-:meth:`~repro.backend.base.GroupBase.submit`; how it becomes wire traffic
-is each backend's business (descriptor images for the HyperLoop chain,
-headers for the CPU baseline, per-backup blocks for the fan-out).  Kept
-here — below every backend — so the protocol layer has no dependency on
-any particular implementation's metadata format.
+:meth:`~repro.backend.base.GroupBase.submit` and :class:`OpResult` what
+its event fires with; how an op becomes wire traffic is each backend's
+business (descriptor images for the HyperLoop chain, headers for the CPU
+baseline, per-backup blocks for the fan-out).  Kept here — below every
+backend — so :mod:`repro.backend.base` and :mod:`repro.core.metadata`
+share them without depending on any implementation's metadata format.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
-__all__ = ["OpKind", "OpSpec"]
+__all__ = ["OpKind", "OpSpec", "OpResult", "READ"]
 
 
 class OpKind(Enum):
@@ -22,6 +23,12 @@ class OpKind(Enum):
     GCAS = "gcas"
     GMEMCPY = "gmemcpy"
     GFLUSH = "gflush"
+
+
+#: The one-sided READ of a replica's region
+#: (:meth:`~repro.backend.base.GroupBase.remote_read`): the primitive a
+#: client may declare beside the four :class:`OpKind`\ s.
+READ = "read"
 
 
 @dataclass
@@ -46,3 +53,17 @@ class OpSpec:
                 f"group of {group_size}")
         if self.size < 0 or self.offset < 0:
             raise ValueError("offset/size must be non-negative")
+
+
+@dataclass
+class OpResult:
+    """Completion record for one group operation."""
+
+    slot: int
+    latency_ns: int
+    result_map: bytes
+
+    def cas_results(self) -> List[int]:
+        """Per-replica original values from a gCAS (zero where skipped)."""
+        return [int.from_bytes(self.result_map[i:i + 8], "little")
+                for i in range(0, len(self.result_map), 8)]

@@ -13,10 +13,11 @@ Construction keyword arguments are backend-specific: anything accepted by
 the backend's config dataclass (``slots``, ``region_size``,
 ``client_mode``, the naive baseline's ``mode``, …) plus ``name=`` for the
 group's display name, or a ready-made ``config=`` object.  A third-party
-backend only needs to subclass
-:class:`~repro.backend.base.GroupBase` (or implement the protocol
-directly) and call :func:`register` — every experiment, benchmark and
-example then reaches it via ``--backend <name>`` /
+backend subclasses :class:`~repro.backend.base.GroupBase` — the contract:
+it declares ``config_cls``, its replica bounds (``min_replicas`` /
+``max_replicas``) and the ``primitives`` it serves as class attributes —
+and calls :func:`register`; every experiment, benchmark and example then
+reaches it via ``--backend <name>`` /
 :class:`~repro.cluster.ScenarioConfig`.
 """
 
@@ -24,10 +25,10 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Type
+from typing import Callable, Dict, List, Sequence, Type
 
 from ..host import Host
-from .api import ReplicationBackend
+from .base import GroupBase
 
 __all__ = ["BackendSpec", "register", "get", "create", "names", "specs"]
 
@@ -45,61 +46,46 @@ _builtins_loaded = False
 
 @dataclass
 class BackendSpec:
-    """One registered backend: its class, config type, and capabilities."""
+    """One registered backend: its group class and a one-line description.
+
+    The class declares the rest: ``config_cls``, ``min_replicas`` /
+    ``max_replicas`` and ``primitives``."""
 
     name: str
-    group_cls: Type
-    config_cls: Type
+    group_cls: Type[GroupBase]
     description: str = ""
-    #: Inclusive replica-count bounds (None = unbounded above).
-    min_replicas: int = 1
-    max_replicas: Optional[int] = None
-    #: Extra constructor kwargs accepted besides the config fields.
-    extra_kwargs: tuple = ()
-
-    def make_config(self, **kwargs):
-        """Build this backend's config dataclass from keyword arguments."""
-        return self.config_cls(**kwargs)
 
     def create(self, client_host: Host, replica_hosts: Sequence[Host],
-               config=None, name: str = "", **kwargs) -> ReplicationBackend:
+               config=None, name: str = "", **kwargs) -> GroupBase:
         """Instantiate the backend over concrete hosts.
 
         ``kwargs`` populate the backend's config dataclass; alternatively
         pass a ready ``config=`` object (the two are mutually exclusive).
+        The group's constructor checks the replica count.
         """
         if config is not None and kwargs:
             raise TypeError(
                 f"backend {self.name!r}: pass either config= or field "
                 f"kwargs, not both ({sorted(kwargs)})")
-        count = len(replica_hosts)
-        if count < self.min_replicas or (self.max_replicas is not None
-                                         and count > self.max_replicas):
-            upper = self.max_replicas if self.max_replicas is not None \
-                else "unbounded"
-            raise ValueError(
-                f"backend {self.name!r} supports {self.min_replicas}.."
-                f"{upper} replicas, got {count}")
         if config is None:
-            config = self.make_config(**kwargs)
+            config = self.group_cls.config_cls(**kwargs)
         return self.group_cls(client_host, replica_hosts, config, name=name)
 
 
-def register(name: str, *, config_cls: Type, description: str = "",
-             min_replicas: int = 1, max_replicas: Optional[int] = None
-             ) -> Callable[[Type], Type]:
-    """Class decorator registering a backend under ``name``.
+def register(name: str, *, description: str = ""
+             ) -> Callable[[Type[GroupBase]], Type[GroupBase]]:
+    """Class decorator registering a :class:`GroupBase` subclass under
+    ``name``.
 
     Re-registration under the same name replaces the previous spec (latest
     wins), so plugins may shadow built-ins deliberately.
     """
 
-    def decorate(group_cls: Type) -> Type:
+    def decorate(group_cls: Type[GroupBase]) -> Type[GroupBase]:
         _REGISTRY[name] = BackendSpec(
-            name=name, group_cls=group_cls, config_cls=config_cls,
+            name=name, group_cls=group_cls,
             description=description or (group_cls.__doc__ or "").strip()
-            .splitlines()[0],
-            min_replicas=min_replicas, max_replicas=max_replicas)
+            .splitlines()[0])
         return group_cls
 
     return decorate
@@ -127,7 +113,7 @@ def get(name: str) -> BackendSpec:
 
 
 def create(name: str, client_host: Host, replica_hosts: Sequence[Host],
-           config=None, group_name: str = "", **kwargs) -> ReplicationBackend:
+           config=None, group_name: str = "", **kwargs) -> GroupBase:
     """Shorthand for ``get(name).create(...)``."""
     return get(name).create(client_host, replica_hosts, config=config,
                             name=group_name, **kwargs)

@@ -28,14 +28,15 @@ from __future__ import annotations
 import itertools
 import struct
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-from ..backend.base import GroupBase
+from ..backend.base import GroupBase, open_ack_hub
 from ..backend.ops import OpKind, OpSpec
 from ..backend.registry import register
+from ..core.chain import wire_chain
 from ..core.readpath import ClientReadPath
 from ..host import Host
-from ..rdma.verbs import Access, WorkCompletion
+from ..rdma.verbs import Access
 from ..rdma.wqe import Opcode, Sge, WorkRequest
 
 __all__ = ["NaiveConfig", "NaiveGroup", "HEADER_SIZE"]
@@ -131,6 +132,20 @@ class _NaiveReplica:
         for slot in range(config.slots):
             self._post_recv(slot)
         host.sim.process(self._handler(), name=f"{self.name}.handler")
+
+    def close(self) -> None:
+        """Stop the poller, destroy QPs and CQs, deregister the region MR,
+        and return the region and message buffer."""
+        if self.poller is not None:
+            self.poller.stop()
+        nic, memory = self.host.nic, self.host.memory
+        nic.destroy_qp(self.qp_up)
+        nic.destroy_qp(self.qp_down)
+        nic.destroy_cq(self.up_cq)
+        nic.destroy_cq(self.down_cq)
+        nic.deregister_mr(self.region_mr)
+        memory.free(self.region)
+        memory.free(self.msg_buf)
 
     def msg_addr(self, slot: int) -> int:
         return self.msg_buf.address + (slot % self.group.config.slots) \
@@ -244,90 +259,36 @@ class _NaiveReplica:
             signaled=False))
 
 
-@register("naive", config_cls=NaiveConfig,
+@register("naive",
           description="CPU-forwarded chain replication (Naïve-RDMA baseline)")
 class NaiveGroup(GroupBase):
     """Drop-in alternative to :class:`HyperLoopGroup` using CPU forwarding."""
 
+    config_cls = NaiveConfig
+    _prefix = "naive"
     _ids = itertools.count()
 
     def __init__(self, client_host: Host, replica_hosts: Sequence[Host],
                  config: Optional[NaiveConfig] = None, name: str = ""):
-        if not replica_hosts:
-            raise ValueError("a group needs at least one replica")
-        self.config = config or NaiveConfig()
-        self.name = name or f"naive{next(NaiveGroup._ids)}"
-        self.client_host = client_host
-        self.sim = client_host.sim
-        self.group_size = len(replica_hosts)
-        self._build_ns = self.config.build_ns
+        super().__init__(client_host, replica_hosts, config, name)
+        config = self.config
+        self._build_ns = config.build_ns
         self.replicas = [_NaiveReplica(host, self, hop)
                          for hop, host in enumerate(replica_hosts)]
-        self._build_client_side()
-        self._wire_chain()
-        self._init_op_state()
-        self._start_client(self.config.client_mode == "polling",
-                           self.config.ack_dispatch_ns)
-        self.read_path = ClientReadPath(client_host, self.replicas, self.name)
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def _build_client_side(self) -> None:
-        config, memory, nic = self.config, self.client_host.memory, \
-            self.client_host.nic
-        self.region = memory.allocate(config.region_size, f"{self.name}.cregion")
+        memory = client_host.memory
+        self.region = memory.allocate(config.region_size,
+                                      f"{self.name}.cregion")
         self.md_stride = HEADER_SIZE + 8 * self.group_size
         self.md_buf = memory.allocate(self.md_stride * config.slots,
                                       f"{self.name}.msgs")
-        self.ack_stride = 8 * self.group_size
-        self.ack_buf = memory.allocate(self.ack_stride * config.slots,
-                                       f"{self.name}.ack")
-        self.ack_mr = nic.register_mr(
-            self.ack_buf.address, self.ack_buf.size,
-            Access.LOCAL_WRITE | Access.REMOTE_WRITE, name=f"{self.name}.ackmr")
-        self.out_cq = nic.create_cq(name=f"{self.name}.outcq")
-        self.ack_cq = nic.create_cq(with_channel=True, name=f"{self.name}.ackcq")
-        self.qp_out = nic.create_qp(self.out_cq, self.out_cq,
-                                    sq_slots=4 * config.slots + 16, rq_slots=8,
-                                    name=f"{self.name}.out")
-        self.qp_ack = nic.create_qp(self.ack_cq, self.ack_cq, sq_slots=8,
-                                    rq_slots=config.slots + 8,
-                                    name=f"{self.name}.ackqp")
-        for _ in range(config.slots):
-            self.qp_ack.post_recv(WorkRequest(Opcode.RECV, [], wr_id=0))
-
-    def _wire_chain(self) -> None:
+        open_ack_hub(self, client_host, 8 * self.group_size, ["ackqp"],
+                     out_sq_slots=4 * config.slots + 16)
         self.qp_out.connect(self.replicas[0].qp_up)
-        for prev, nxt in zip(self.replicas, self.replicas[1:]):
-            prev.qp_down.connect(nxt.qp_up)
-        self.replicas[-1].qp_down.connect(self.qp_ack)
+        wire_chain(self.replicas, self.ack_qps[0])
+        self._start_client(config.client_mode == "polling",
+                           config.ack_dispatch_ns)
+        self.read_path = ClientReadPath(client_host, self.replicas, self.name)
 
-    def close(self) -> None:
-        """Tear the group down and return every carved resource."""
-        if not self._begin_close():
-            return
-        for replica in self.replicas:
-            if replica.poller is not None:
-                replica.poller.stop()
-            nic, memory = replica.host.nic, replica.host.memory
-            nic.destroy_qp(replica.qp_up)
-            nic.destroy_qp(replica.qp_down)
-            nic.destroy_cq(replica.up_cq)
-            nic.destroy_cq(replica.down_cq)
-            nic.deregister_mr(replica.region_mr)
-            memory.free(replica.region)
-            memory.free(replica.msg_buf)
-        self._close_client([self.qp_ack])
-
-    # ------------------------------------------------------------------
-    # Metadata and ACK routing
-    # ------------------------------------------------------------------
     def _metadata(self, op: OpSpec, slot: int) -> bytes:
         return encode_header(op, slot, 0, self.group_size) \
             + bytes(8 * self.group_size)
-
-    def _route(self, wc: WorkCompletion) -> Optional[Tuple[GroupBase, int]]:
-        # ACK RECVs are not cyclic here: re-arm the one this ACK consumed.
-        self.qp_ack.post_recv(WorkRequest(Opcode.RECV, [], wr_id=0))
-        return self, wc.imm

@@ -63,7 +63,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..faults.injector import FaultTargets
 
 from .. import backend as backend_registry
-from ..backend.api import ReplicationBackend
+from ..backend.base import GroupBase, check_replicas
 from ..host import Cluster, Host, HostParams
 from ..sim.engine import Event, Simulator
 from ..traffic.admission import AdmissionConfig, AdmissionQueue
@@ -115,8 +115,6 @@ class ShardedConfig:
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {self.replicas}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.record_size < _RECORD_HEADER.size:
@@ -136,6 +134,8 @@ class ShardedConfig:
             raise ValueError(
                 f"unknown replication backend {self.backend!r}; "
                 f"registered: {', '.join(known)}")
+        check_replicas(backend_registry.get(self.backend).group_cls,
+                       self.replicas)
         if self.placement not in PLACEMENTS:
             raise ValueError(
                 f"unknown placement policy {self.placement!r}; "
@@ -171,7 +171,7 @@ class GroupHandle:
                  "capacity", "state", "ops", "admission", "_next_record",
                  "_free", "_resume_waiters", "sim")
 
-    def __init__(self, shard_id: int, group: ReplicationBackend,
+    def __init__(self, shard_id: int, group: GroupBase,
                  assignment: Assignment, record_size: int,
                  capacity: int, sim: Simulator,
                  admission: Optional[AdmissionQueue] = None) -> None:
@@ -236,8 +236,8 @@ class GroupHandle:
         self._resume_waiters.append(waiter)
         return waiter
 
-    def swap_group(self, group: ReplicationBackend,
-                   assignment: Assignment) -> ReplicationBackend:
+    def swap_group(self, group: GroupBase,
+                   assignment: Assignment) -> GroupBase:
         """Point the handle at a successor group; returns the old one."""
         old, self.group = self.group, group
         self.assignment = assignment

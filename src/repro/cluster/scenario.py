@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
 from .. import backend as backend_registry
-from ..backend.api import ReplicationBackend
+from ..backend.base import GroupBase, check_replicas
 from ..host import Cluster, Host, HostParams
 
 __all__ = ["ScenarioConfig", "Scenario", "build_scenario"]
@@ -69,9 +69,6 @@ class ScenarioConfig:
         # Fail at construction, not deep inside build_scenario: a config is
         # data that travels (through sweep points, pickles, CLI parsing), so
         # the place it was *made* is the place a typo is debuggable.
-        if self.replicas < 1:
-            raise ValueError(
-                f"replicas must be >= 1, got {self.replicas}")
         if self.seed < 0:
             raise ValueError(
                 f"seed must be non-negative, got {self.seed}")
@@ -80,6 +77,8 @@ class ScenarioConfig:
             raise ValueError(
                 f"unknown replication backend {self.backend!r}; "
                 f"registered: {', '.join(known)}")
+        check_replicas(backend_registry.get(self.backend).group_cls,
+                       self.replicas)
 
     def tenants_per_core(self) -> float:
         return self.replica_tenants / self.cores if self.cores else 0.0
@@ -94,7 +93,7 @@ class Scenario:
     client: Host
     replicas: List[Host]
 
-    def build_group(self, name: str = "", **overrides: Any) -> ReplicationBackend:
+    def build_group(self, name: str = "", **overrides: Any) -> GroupBase:
         """Construct the configured backend over this scenario's hosts.
 
         ``overrides`` are merged over ``config.backend_kwargs`` (overrides
@@ -119,17 +118,9 @@ def build_scenario(config: Optional[ScenarioConfig] = None,
     if config is None:
         config = ScenarioConfig()
     if overrides:
+        # Re-validates, so a bad name or replica count fails before hosts
+        # are built.
         config = replace(config, **overrides)
-    # Validate the backend name (and replica-count bounds) up front, so a
-    # typo fails before hosts are built.
-    spec = backend_registry.get(config.backend)
-    if config.replicas < spec.min_replicas or \
-            (spec.max_replicas is not None
-             and config.replicas > spec.max_replicas):
-        upper = spec.max_replicas if spec.max_replicas is not None else "∞"
-        raise ValueError(
-            f"backend {config.backend!r} supports {spec.min_replicas}.."
-            f"{upper} replicas, asked for {config.replicas}")
     cluster = Cluster(seed=config.seed,
                       host_params=HostParams(cores=config.cores))
     client = cluster.add_host("client")

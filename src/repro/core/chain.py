@@ -38,7 +38,15 @@ from ..rdma.verbs import Access
 from ..rdma.wqe import WQE_SIZE, Opcode, Sge, WorkRequest
 from .metadata import NodeLayout, max_staging_len, staging_len
 
-__all__ = ["ReplicaEngine", "prepost_gated"]
+__all__ = ["ReplicaEngine", "prepost_gated", "wire_chain"]
+
+
+def wire_chain(replicas, ack_qp) -> None:
+    """Connect each replica's down QP to the next one's up QP, and the
+    tail's to the client's ACK QP ``ack_qp``."""
+    for prev, nxt in zip(replicas, replicas[1:]):
+        prev.qp_down.connect(nxt.qp_up)
+    replicas[-1].qp_down.connect(ack_qp)
 
 
 def prepost_gated(qp, wait_cq, placeholders: int, count: int) -> int:

@@ -4,9 +4,9 @@ This is the layer the paper's case studies program against:
 
 * ``Initialize`` — set up the replicated region (lock table + write-ahead
   log + database area) over a group: any
-  :class:`~repro.backend.api.ReplicationBackend` implementation (see
-  ``repro.backend.names()``) — the case-study applications are
-  backend-agnostic, exactly as the paper's APIs are.
+  :class:`~repro.backend.base.GroupBase` (see ``repro.backend.names()``)
+  whose ``primitives`` cover the calls made — the case-study applications
+  are backend-agnostic, exactly as the paper's APIs are.
 * ``Append(log_record)`` — replicate a redo record to every replica's WAL,
   durably, "implemented using gWRITE and gFLUSH operations".
 * ``ExecuteAndAdvance`` — process the record at the WAL head: one

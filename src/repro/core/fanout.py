@@ -34,10 +34,10 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Optional, Sequence, Tuple
 
-from ..backend.base import GroupBase
+from ..backend.base import GroupBase, open_ack_hub
 from ..backend.registry import register
 from ..host import Host
-from ..rdma.verbs import Access, WorkCompletion
+from ..rdma.verbs import WorkCompletion
 from ..rdma.wqe import MAX_SGE, WQE_SIZE, Opcode, Sge, WorkRequest, encode_wqe
 from .fanout_nodes import (
     _BACKUP_MSG_SIZE,
@@ -51,12 +51,8 @@ from .readpath import ClientReadPath
 
 __all__ = ["FanoutGroup"]
 
-_MAX_REPLICAS = 1 + (MAX_SGE - 2) // 2
-
-
-@register("fanout", config_cls=GroupConfig,
-          description="NIC-offloaded primary/backup fan-out (§7 extension)",
-          min_replicas=2, max_replicas=_MAX_REPLICAS)
+@register("fanout",
+          description="NIC-offloaded primary/backup fan-out (§7 extension)")
 class FanoutGroup(GroupBase):
     """FaRM-style fan-out replication with the coordination NIC-offloaded.
 
@@ -66,77 +62,26 @@ class FanoutGroup(GroupBase):
     the scatter-gather budget — see :mod:`repro.core.fanout_nodes`.
     """
 
+    config_cls = GroupConfig
+    #: A primary plus the backups the primary's scatter list can patch.
+    min_replicas = 2
+    max_replicas = 1 + (MAX_SGE - 2) // 2
+    _prefix = "fanout"
     _ids = itertools.count()
 
     def __init__(self, client_host: Host, replica_hosts: Sequence[Host],
                  config: Optional[GroupConfig] = None, name: str = ""):
-        if not 2 <= len(replica_hosts) <= _MAX_REPLICAS:
-            raise ValueError(
-                "fan-out groups support 2..3 replicas (primary + <=2 "
-                "backups) with the current MAX_SGE")
-        self.config = config or GroupConfig()
-        self.name = name or f"fanout{next(FanoutGroup._ids)}"
-        self.client_host = client_host
-        self.sim = client_host.sim
-        self.group_size = len(replica_hosts)
-        self._build_ns = (self.config.meta_build_base_ns
-                          + self.config.meta_build_per_hop_ns * self.group_size)
+        super().__init__(client_host, replica_hosts, config, name)
+        config = self.config
+        self._build_ns = (config.meta_build_base_ns
+                          + config.meta_build_per_hop_ns * self.group_size)
         self.backup_count = self.group_size - 1
         self.primary = _FanoutPrimary(replica_hosts[0], self)
         self.backups = [_FanoutBackup(host, self, i)
                         for i, host in enumerate(replica_hosts[1:])]
-        self._build_client_side()
-        self._wire()
-        self.primary.prepost(self.config.slots)
-        for backup in self.backups:
-            backup.prepost(self.config.slots)
-        self._init_op_state()
-        self._ack_counts: Dict[int, int] = {}
-        self._start_client(True, self.config.event_wakeup_service_ns)
-        self.read_path = ClientReadPath(client_host, self.replicas,
-                                        self.name)
-
-    @property
-    def replicas(self):
-        """All member nodes, primary first (chain-API parity)."""
-        return [self.primary] + list(self.backups)
-
-    def close(self) -> None:
-        """Tear the group down and return every carved resource."""
-        if not self._begin_close():
-            return
-        primary = self.primary
-        nic, memory = primary.host.nic, primary.host.memory
-        for qp in ([primary.qp_up, primary.qp_local, primary.qp_ack]
-                   + primary.qp_backups):
-            nic.destroy_qp(qp)
-        for cq in (primary.up_cq, primary.local_cq, primary.out_cq):
-            nic.destroy_cq(cq)
-        nic.deregister_mr(primary.region_mr)
-        memory.free(primary.region)
-        memory.free(primary.staging)
-        for backup in self.backups:
-            nic, memory = backup.host.nic, backup.host.memory
-            for qp in (backup.qp_up, backup.qp_local, backup.qp_ack):
-                nic.destroy_qp(qp)
-            for cq in (backup.up_cq, backup.local_cq):
-                nic.destroy_cq(cq)
-            nic.deregister_mr(backup.region_mr)
-            memory.free(backup.region)
-        self._close_client(self.ack_qps)
-
-    def abort_in_flight(self, reason: Exception) -> int:
-        """Fail every unacknowledged operation (failure detected)."""
-        aborted = super().abort_in_flight(reason)
-        self._ack_counts.clear()
-        return aborted
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def _build_client_side(self) -> None:
-        config, memory, nic = self.config, self.client_host.memory, \
-            self.client_host.nic
+        #: All member nodes, primary first (chain-API parity).
+        self.replicas = [self.primary] + self.backups
+        memory = client_host.memory
         self.region = memory.allocate(config.region_size,
                                       f"{self.name}.cregion")
         self.md_stride = ((1 + _PRIMARY_BLOCK_WQES * self.backup_count)
@@ -145,36 +90,27 @@ class FanoutGroup(GroupBase):
                           + _BACKUP_MSG_SIZE * self.backup_count)
         self.md_buf = memory.allocate(self.md_stride * config.slots,
                                       f"{self.name}.md")
-        self.ack_stride = 8 * self.group_size
-        self.ack_buf = memory.allocate(self.ack_stride * config.slots,
-                                       f"{self.name}.ack")
-        self.ack_mr = nic.register_mr(
-            self.ack_buf.address, self.ack_buf.size,
-            Access.LOCAL_WRITE | Access.REMOTE_WRITE,
-            name=f"{self.name}.ackmr")
-        self.out_cq = nic.create_cq(name=f"{self.name}.outcq")
-        self.ack_cq = nic.create_cq(with_channel=True,
-                                    name=f"{self.name}.ackcq")
-        self.qp_out = nic.create_qp(self.out_cq, self.out_cq,
-                                    sq_slots=4 * config.slots, rq_slots=8,
-                                    name=f"{self.name}.out")
         # One inbound ACK QP per replica, all feeding one CQ.
-        self.ack_qps = [
-            nic.create_qp(self.ack_cq, self.ack_cq, sq_slots=8,
-                          rq_slots=config.slots,
-                          name=f"{self.name}.ackin{i}")
-            for i in range(self.group_size)]
-        for qp in self.ack_qps:
-            qp.rq.cyclic = True
-            qp.post_recv_list([WorkRequest(Opcode.RECV, [], wr_id=0)],
-                              times=self.config.slots)
-
-    def _wire(self) -> None:
+        open_ack_hub(self, client_host, 8 * self.group_size,
+                     [f"ackin{i}" for i in range(self.group_size)],
+                     out_sq_slots=4 * config.slots)
         self.qp_out.connect(self.primary.qp_up)
         self.primary.qp_ack.connect(self.ack_qps[0])
         for i, backup in enumerate(self.backups):
             self.primary.qp_backups[i].connect(backup.qp_up)
             backup.qp_ack.connect(self.ack_qps[1 + i])
+        for node in self.replicas:
+            node.prepost(config.slots)
+        self._ack_counts: Dict[int, int] = {}
+        self._start_client(True, config.event_wakeup_service_ns)
+        self.read_path = ClientReadPath(client_host, self.replicas,
+                                        self.name)
+
+    def abort_in_flight(self, reason: Exception) -> int:
+        """Fail every unacknowledged operation (failure detected)."""
+        aborted = super().abort_in_flight(reason)
+        self._ack_counts.clear()
+        return aborted
 
     # ------------------------------------------------------------------
     # Metadata construction
@@ -250,10 +186,6 @@ class FanoutGroup(GroupBase):
         message = b"".join(parts)
         assert len(message) == self.md_stride
         return message
-
-    def read_replica(self, hop: int, offset: int, size: int) -> bytes:
-        node = self.primary if hop == 0 else self.backups[hop - 1]
-        return node.host.memory.read(node.region.address + offset, size)
 
     def _region_limit(self) -> int:
         # The last 64 bytes of each region are reserved for per-node CAS

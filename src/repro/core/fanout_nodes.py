@@ -71,6 +71,18 @@ class _FanoutPrimary:
             qp.sq.cyclic = True
         self.posted_slots = 0
 
+    def close(self) -> None:
+        """Destroy QPs and CQs, deregister the region MR, and return the
+        carved memory."""
+        nic, memory = self.host.nic, self.host.memory
+        for qp in [self.qp_up, self.qp_local, self.qp_ack] + self.qp_backups:
+            nic.destroy_qp(qp)
+        for cq in (self.up_cq, self.local_cq, self.out_cq):
+            nic.destroy_cq(cq)
+        nic.deregister_mr(self.region_mr)
+        memory.free(self.region)
+        memory.free(self.staging)
+
     def staging_slot(self, slot: int, backup: int) -> int:
         config = self.group.config
         per_slot = _BACKUP_MSG_SIZE * self.group.backup_count
@@ -137,6 +149,17 @@ class _FanoutBackup:
         self.qp_local.sq.cyclic = True
         self.qp_ack.sq.cyclic = True
         self.posted_slots = 0
+
+    def close(self) -> None:
+        """Destroy QPs and CQs, deregister the region MR, and return the
+        region."""
+        nic = self.host.nic
+        for qp in (self.qp_up, self.qp_local, self.qp_ack):
+            nic.destroy_qp(qp)
+        for cq in (self.up_cq, self.local_cq):
+            nic.destroy_cq(cq)
+        nic.deregister_mr(self.region_mr)
+        self.host.memory.free(self.region)
 
     def prepost(self, count: int) -> None:
         local = prepost_gated(self.qp_local, self.up_cq, 1, count)

@@ -12,11 +12,12 @@ turns each submitted :class:`~repro.backend.ops.OpSpec` into one metadata
 SEND (plus payload WRITE / flush READ) so the replicas' NICs execute the
 whole operation without touching their CPUs.
 
-The shared client-side machinery (the submit loop, submission pipeline,
-ACK table, region accessors, abort/close) comes from
-:class:`~repro.backend.base.GroupBase`; this class contributes only what
-is chain-specific: the metadata message.  Completions run through the
-shared :func:`~repro.backend.base.ack_loop`.
+The shared client-side machinery (identity, the ACK hub, the submit
+loop, submission pipeline, ACK table, region accessors, abort/close)
+comes from :class:`~repro.backend.base.GroupBase`; this class contributes
+only what is chain-specific: the replica engines, the chain wiring and
+the metadata message.  Completions run through the shared
+:func:`~repro.backend.base.ack_loop`.
 """
 
 from __future__ import annotations
@@ -25,13 +26,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..backend.api import OpResult
-from ..backend.base import GroupBase
+from ..backend.base import GroupBase, open_ack_hub
+from ..backend.ops import OpResult
 from ..backend.registry import register
 from ..host import Host
-from ..rdma.verbs import Access
-from ..rdma.wqe import Opcode, WorkRequest
-from .chain import ReplicaEngine
+from .chain import ReplicaEngine, wire_chain
 from .metadata import (
     ClientLayout,
     OpSpec,
@@ -58,7 +57,7 @@ class GroupConfig:
     event_wakeup_service_ns: int = 1000  # Event-mode post-wakeup handling.
 
 
-@register("hyperloop", config_cls=GroupConfig,
+@register("hyperloop",
           description="NIC-offloaded chain replication (the paper's design)")
 class HyperLoopGroup(GroupBase):
     """Client-side handle: build the chain once, then issue group ops.
@@ -68,83 +67,37 @@ class HyperLoopGroup(GroupBase):
     :meth:`gflush` (Table 1) and wait on the returned events.
     """
 
+    config_cls = GroupConfig
+    _prefix = "group"
     _ids = itertools.count()
 
     def __init__(self, client_host: Host, replica_hosts: Sequence[Host],
                  config: Optional[GroupConfig] = None, name: str = ""):
-        if not replica_hosts:
-            raise ValueError("a group needs at least one replica")
-        self.config = config or GroupConfig()
-        self.name = name or f"group{next(HyperLoopGroup._ids)}"
-        self.client_host = client_host
-        self.sim = client_host.sim
-        self.group_size = len(replica_hosts)
-        self._build_ns = (self.config.meta_build_base_ns
-                          + self.config.meta_build_per_hop_ns * self.group_size)
-        self.replicas = [ReplicaEngine(host, self.name, hop, self.group_size,
-                                       self.config)
+        super().__init__(client_host, replica_hosts, config, name)
+        config, g = self.config, self.group_size
+        self._build_ns = (config.meta_build_base_ns
+                          + config.meta_build_per_hop_ns * g)
+        self.replicas = [ReplicaEngine(host, self.name, hop, g, config)
                          for hop, host in enumerate(replica_hosts)]
         self.layouts = [replica.layout() for replica in self.replicas]
-        self._build_client_side()
-        self._wire_chain()
-        for replica in self.replicas:
-            replica.prepost(self.config.slots)
-        self._init_op_state()
-        self._start_client(self.config.client_mode == "polling",
-                           self.config.event_wakeup_service_ns)
-        self.read_path = ClientReadPath(client_host, self.replicas, self.name)
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    def _build_client_side(self) -> None:
-        config, memory, nic = self.config, self.client_host.memory, \
-            self.client_host.nic
-        g = self.group_size
-        self.region = memory.allocate(config.region_size, f"{self.name}.cregion")
+        memory = client_host.memory
+        self.region = memory.allocate(config.region_size,
+                                      f"{self.name}.cregion")
         self.md_stride = meta_len(g, 0)
         self.md_buf = memory.allocate(self.md_stride * config.slots,
                                       f"{self.name}.md")
-        self.ack_stride = result_map_len(g)
-        self.ack_buf = memory.allocate(self.ack_stride * config.slots,
-                                       f"{self.name}.ack")
-        self.ack_mr = nic.register_mr(
-            self.ack_buf.address, self.ack_buf.size,
-            Access.LOCAL_WRITE | Access.REMOTE_WRITE, name=f"{self.name}.ackmr")
-        self.out_cq = nic.create_cq(name=f"{self.name}.outcq")
-        self.ack_cq = nic.create_cq(with_channel=True, name=f"{self.name}.ackcq")
-        self.qp_out = nic.create_qp(self.out_cq, self.out_cq,
-                                    sq_slots=4 * config.slots + 16, rq_slots=8,
-                                    name=f"{self.name}.out")
-        self.qp_ack = nic.create_qp(self.ack_cq, self.ack_cq, sq_slots=8,
-                                    rq_slots=config.slots,
-                                    name=f"{self.name}.ackqp")
-        # ACK RECVs are cyclic too: posted once, re-armed by the NIC.
-        self.qp_ack.rq.cyclic = True
-        self.qp_ack.post_recv_list([WorkRequest(Opcode.RECV, [], wr_id=0)],
-                                   times=config.slots)
+        open_ack_hub(self, client_host, result_map_len(g), ["ackqp"],
+                     out_sq_slots=4 * config.slots + 16)
         self.client_layout = ClientLayout(
             ack_addr=self.ack_buf.address, ack_rkey=self.ack_mr.rkey,
             ack_stride=self.ack_stride, slots=config.slots)
-
-    def _wire_chain(self) -> None:
         self.qp_out.connect(self.replicas[0].qp_up)
-        for prev, nxt in zip(self.replicas, self.replicas[1:]):
-            prev.qp_down.connect(nxt.qp_up)
-        self.replicas[-1].qp_down.connect(self.qp_ack)
-
-    def close(self) -> None:
-        """Tear the whole group down and return every carved resource.
-
-        Pending operations fail with a RuntimeError; the client region and
-        buffers are zeroed and reusable (recovery rebuilds call this on
-        the superseded group after copying its state out).
-        """
-        if not self._begin_close():
-            return
+        wire_chain(self.replicas, self.ack_qps[0])
         for replica in self.replicas:
-            replica.close()
-        self._close_client([self.qp_ack])
+            replica.prepost(config.slots)
+        self._start_client(config.client_mode == "polling",
+                           config.event_wakeup_service_ns)
+        self.read_path = ClientReadPath(client_host, self.replicas, self.name)
 
     # ------------------------------------------------------------------
     # Metadata

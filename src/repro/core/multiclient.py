@@ -24,8 +24,10 @@ This module builds that design:
   its quota, ``slots // max_clients``, so the shared pipeline can never
   overrun.
 
-Scope: gWRITE, gMEMCPY and gFLUSH.  gCAS is single-client by design here —
-its result map needs slot-relative scatter addresses that a multi-client
+Scope: gWRITE, gMEMCPY and gFLUSH — what
+:attr:`SharedChainClient.primitives` declares; gCAS and one-sided READ
+raise NotImplementedError.  gCAS is single-client by design here — its
+result map needs slot-relative scatter addresses that a multi-client
 submitter cannot compute (use a per-client group, or route locks through
 one lock-owner client).
 
@@ -39,12 +41,11 @@ import itertools
 import struct
 from typing import List, Optional, Sequence, Tuple
 
-from ..backend.base import GroupBase, ack_loop, close_ack_hub
+from ..backend.base import GroupBase, ack_loop, check_replicas, close_ack_hub, open_ack_hub
 from ..host import Host
 from ..rdma.verbs import Access, WorkCompletion
 from ..rdma.wqe import WQE_SIZE, Opcode, Sge, WorkRequest, encode_wqe
-from ..sim.engine import Event
-from .chain import prepost_gated
+from .chain import prepost_gated, wire_chain
 from .group import GroupConfig
 from .metadata import OpKind, OpSpec
 
@@ -172,13 +173,16 @@ class _SharedReplica:
 class SharedChain:
     """One replication chain shared by several independent clients."""
 
+    #: Inclusive replica-count bounds, checked by
+    #: :func:`~repro.backend.base.check_replicas`.
+    min_replicas = 1
+    max_replicas = None
     _ids = itertools.count()
 
     def __init__(self, owner_host: Host, replica_hosts: Sequence[Host],
                  config: Optional[GroupConfig] = None, name: str = "",
                  max_clients: int = 8):
-        if not replica_hosts:
-            raise ValueError("a chain needs at least one replica")
+        check_replicas(SharedChain, len(replica_hosts))
         if max_clients < 1:
             raise ValueError("max_clients must be positive")
         self.config = config or GroupConfig()
@@ -191,43 +195,17 @@ class SharedChain:
         self.max_clients = max_clients
         self.replicas = [_SharedReplica(host, self, hop)
                          for hop, host in enumerate(replica_hosts)]
-        self._build_owner_side()
-        self._wire_chain()
+        open_ack_hub(self, owner_host, TAG_SIZE, ["ackqp"])
+        # The ACK hub is event-driven: no poller, one wakeup per batch.
+        self.ack_thread = owner_host.spawn_thread(f"{self.name}.ackhub")
+        self.poller = None
+        self._ack_wake_ns = self.config.event_wakeup_service_ns
+        wire_chain(self.replicas, self.ack_qps[0])
         for replica in self.replicas:
             replica.prepost(self.config.slots)
         self.clients: List["SharedChainClient"] = []
         self._closed = False
         self.sim.process(ack_loop(self), name=f"{self.name}.ack")
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def _build_owner_side(self) -> None:
-        config = self.config
-        memory, nic = self.owner_host.memory, self.owner_host.nic
-        self.ack_buf = memory.allocate(TAG_SIZE * config.slots,
-                                       f"{self.name}.ack")
-        self.ack_mr = nic.register_mr(
-            self.ack_buf.address, self.ack_buf.size,
-            Access.LOCAL_WRITE | Access.REMOTE_WRITE,
-            name=f"{self.name}.ackmr")
-        self.ack_cq = nic.create_cq(with_channel=True,
-                                    name=f"{self.name}.ackcq")
-        self.qp_ack = nic.create_qp(self.ack_cq, self.ack_cq, sq_slots=8,
-                                    rq_slots=config.slots,
-                                    name=f"{self.name}.ackqp")
-        self.qp_ack.rq.cyclic = True
-        self.qp_ack.post_recv_list([WorkRequest(Opcode.RECV, [], wr_id=0)],
-                                   times=config.slots)
-        self.ack_thread = self.owner_host.spawn_thread(f"{self.name}.ackhub")
-        # The ACK hub is event-driven: no poller, one wakeup per batch.
-        self.poller = None
-        self._ack_wake_ns = config.event_wakeup_service_ns
-
-    def _wire_chain(self) -> None:
-        for prev, nxt in zip(self.replicas, self.replicas[1:]):
-            prev.qp_down.connect(nxt.qp_up)
-        self.replicas[-1].qp_down.connect(self.qp_ack)
 
     def ack_slot_addr(self, slot: int) -> int:
         return self.ack_buf.address + (slot % self.config.slots) * TAG_SIZE
@@ -242,7 +220,7 @@ class SharedChain:
             client.close()
         for replica in self.replicas:
             replica.close()
-        close_ack_hub(self, self.owner_host, [self.qp_ack])
+        close_ack_hub(self, self.owner_host)
 
     def attach_client(self, client_host: Host) -> "SharedChainClient":
         """Register a client: a fresh QP into the head replica's SRQ."""
@@ -275,17 +253,19 @@ class SharedChainClient(GroupBase):
     hub routes each ACK back by the tag at the end of the metadata.
     """
 
+    #: No gCAS (its result map needs slot-relative scatter addresses a
+    #: slot-oblivious client cannot compute) and no read path.
+    primitives = frozenset({OpKind.GWRITE, OpKind.GMEMCPY, OpKind.GFLUSH})
+
     def __init__(self, chain: SharedChain, host: Host, client_id: int):
-        self.chain = chain
-        self.client_host = host
-        self.client_id = client_id
-        self.sim = chain.sim
-        self.name = f"{chain.name}.c{client_id}"
-        self.group_size = chain.group_size
-        self.replicas = chain.replicas
         self.quota = chain.config.slots // chain.max_clients
-        config = self.config = dataclasses.replace(chain.config,
-                                                   slots=self.quota)
+        super().__init__(host, [node.host for node in chain.replicas],
+                         dataclasses.replace(chain.config, slots=self.quota),
+                         f"{chain.name}.c{client_id}")
+        self.chain = chain
+        self.client_id = client_id
+        self.replicas = chain.replicas
+        config = self.config
         self._build_ns = (config.meta_build_base_ns
                           + config.meta_build_per_hop_ns * self.group_size)
         memory, nic = host.memory, host.nic
@@ -305,7 +285,6 @@ class SharedChainClient(GroupBase):
             srq=head.srq)
         self.qp_out.connect(self.qp_in)
         self.submit_thread = host.spawn_thread(f"{self.name}.submit")
-        self._init_op_state()
         self.sim.process(self._submitter(), name=f"{self.name}.submitter")
 
     @property
@@ -323,14 +302,7 @@ class SharedChainClient(GroupBase):
         if not self._begin_close():
             return
         self.replicas[0].host.nic.destroy_qp(self.qp_in)
-        self._close_client(None)
-
-    def submit(self, op: OpSpec) -> Event:
-        if op.kind is OpKind.GCAS:
-            raise NotImplementedError(
-                "gCAS needs slot-relative result scatter; use a dedicated "
-                "single-client group for locking (see module docstring)")
-        return super().submit(op)
+        self._close_client()
 
     # ------------------------------------------------------------------
     # Metadata: slot-independent images only

@@ -23,18 +23,19 @@ class ClientReadPath:
     """Per-group read fan-out: one client↔replica QP pair per replica."""
 
     MAX_READ = 64 * 1024
+    #: One-sided READs in flight at most (one staging slot each).
+    SLOTS = 64
 
-    def __init__(self, client_host, replicas, name: str, slots: int = 64):
+    def __init__(self, client_host, replicas, name: str):
         self.client_host = client_host
         self.replicas = replicas
-        self.slots = slots
         nic = client_host.nic
-        self.buf = client_host.memory.allocate(self.MAX_READ * slots,
+        self.buf = client_host.memory.allocate(self.MAX_READ * self.SLOTS,
                                                f"{name}.readbuf")
         self.cq = nic.create_cq(with_channel=True, name=f"{name}.readcq")
         self.qps = []
         for hop, replica in enumerate(replicas):
-            local_qp = nic.create_qp(self.cq, self.cq, sq_slots=slots + 8,
+            local_qp = nic.create_qp(self.cq, self.cq, sq_slots=self.SLOTS + 8,
                                      rq_slots=8, name=f"{name}.read{hop}")
             remote_cq = replica.host.nic.create_cq(name=f"{name}.rrcq{hop}")
             remote_qp = replica.host.nic.create_qp(remote_cq, remote_cq,
@@ -57,13 +58,13 @@ class ClientReadPath:
         """
         if size > self.MAX_READ:
             raise ValueError(f"read of {size}B exceeds {self.MAX_READ}B limit")
-        if len(self._waiters) >= self.slots:
+        if len(self._waiters) >= self.SLOTS:
             raise RuntimeError(
-                f"more than {self.slots} one-sided reads in flight")
+                f"more than {self.SLOTS} one-sided reads in flight")
         replica = self.replicas[hop]
         token = self._next_token
         self._next_token += 1
-        slot_addr = self.buf.address + (token % self.slots) * self.MAX_READ
+        slot_addr = self.buf.address + (token % self.SLOTS) * self.MAX_READ
         done = self.client_host.sim.event()
         self._waiters[token] = done
         self._sizes[token] = size

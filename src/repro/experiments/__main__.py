@@ -87,9 +87,11 @@ def _usage() -> None:
           "on a miss)")
     print("\nregistered backends (for --backend):")
     for spec in backend_registry.specs():
-        upper = spec.max_replicas if spec.max_replicas is not None else "-"
+        group_cls = spec.group_cls
+        upper = "-" if group_cls.max_replicas is None \
+            else group_cls.max_replicas
         print(f"  {spec.name:<12} {spec.description} "
-              f"[replicas {spec.min_replicas}..{upper}]")
+              f"[replicas {group_cls.min_replicas}..{upper}]")
 
 
 def main(argv) -> int:

@@ -24,7 +24,7 @@ import os
 from collections import deque
 from typing import Dict, List, Optional, Sequence
 
-from ..backend.api import ReplicationBackend
+from ..backend.base import GroupBase
 from ..cluster import (
     DEFAULT_TENANTS_PER_CORE,
     Scenario,
@@ -97,7 +97,7 @@ def build_testbed(replica_count: int = 3, seed: int = 0, cores: int = 16,
 
 
 def make_group(testbed: Testbed, backend: str, name: str = "",
-               **kwargs) -> ReplicationBackend:
+               **kwargs) -> GroupBase:
     """Build ``backend`` (a registry name) over the testbed's hosts."""
     from .. import backend as backend_registry
     return backend_registry.create(backend, testbed.client, testbed.replicas,

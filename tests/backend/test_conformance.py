@@ -3,16 +3,19 @@
 Parametrized over ``repro.backend.names()``, so a backend registered by a
 plugin (or a future in-tree variant) is automatically held to the same
 write / gCAS / flush / recovery semantics the storage layer and the
-experiments rely on.  Constructed exclusively through the registry — the
-whole point of the protocol is that nothing here imports a group class.
+experiments rely on.  Constructed through the registry — nothing here
+imports a group class; the contract is :class:`~repro.backend.GroupBase`.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro import backend as backend_registry
-from repro.backend import BackendSpec, GroupBase, ReplicationBackend
+from repro.backend import BackendSpec, GroupBase
+from repro.cluster import build_scenario
 from repro.host import Cluster
 from repro.sim.units import ms
 
@@ -51,20 +54,30 @@ def run(cluster: Cluster, generator, deadline_ms: int = 2000):
 class TestRegistry:
     def test_spec_fields(self, spec):
         assert spec.description
-        assert spec.min_replicas >= 1
-        assert spec.config_cls is not None
+        assert spec.group_cls.min_replicas >= 1
+        assert spec.group_cls.config_cls is not None
 
     def test_create_rejects_out_of_range_replicas(self, spec, cluster):
+        """Class construction, ``backend.create`` and ``build_scenario``
+        all refuse a replica count outside the class's bounds with the
+        same error."""
+        group_cls = spec.group_cls
         client = cluster.add_host("oor-client")
-        too_few = cluster.add_hosts(max(0, spec.min_replicas - 1),
-                                    prefix="oor")
-        if spec.min_replicas > 1:
-            with pytest.raises(ValueError):
-                backend_registry.create(spec.name, client, too_few)
-        if spec.max_replicas is not None:
-            too_many = cluster.add_hosts(spec.max_replicas + 1, prefix="oom")
-            with pytest.raises(ValueError):
-                backend_registry.create(spec.name, client, too_many)
+        counts = [group_cls.min_replicas - 1]
+        if group_cls.max_replicas is not None:
+            counts.append(group_cls.max_replicas + 1)
+        for count in counts:
+            hosts = cluster.add_hosts(count, prefix=f"oor{count}-")
+            messages = set()
+            for build in (
+                    partial(group_cls, client, hosts),
+                    partial(backend_registry.create, spec.name, client, hosts),
+                    partial(build_scenario, backend=spec.name,
+                            replicas=count)):
+                with pytest.raises(ValueError, match="replicas") as caught:
+                    build()
+                messages.add(str(caught.value))
+            assert len(messages) == 1, messages
 
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError):
@@ -73,7 +86,6 @@ class TestRegistry:
 
 class TestProtocol:
     def test_satisfies_protocol(self, group):
-        assert isinstance(group, ReplicationBackend)
         assert isinstance(group, GroupBase)
 
     def test_membership(self, group):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.backend.ops import OpKind, OpSpec
+from repro.backend.ops import READ, OpKind, OpSpec
 from repro.core.group import GroupConfig
 from repro.core.multiclient import SharedChain
 from repro.sim.units import ms, us
@@ -127,10 +127,14 @@ class TestBasics:
 class TestLimits:
     def test_gcas_unsupported(self, cluster):
         _chain, (client,), _hosts = make_chain(cluster, clients=1)
-        with pytest.raises(NotImplementedError):
+        assert OpKind.GCAS not in client.primitives
+        assert READ not in client.primitives
+        with pytest.raises(NotImplementedError, match="gcas"):
             client.gcas(0, 0, 1)
-        with pytest.raises(NotImplementedError):
+        with pytest.raises(NotImplementedError, match="gcas"):
             client.submit(OpSpec(OpKind.GCAS, offset=0, new_value=1))
+        with pytest.raises(NotImplementedError, match="read"):
+            client.remote_read(0, 0, 8)
 
     def test_client_limit(self, cluster):
         chain, _handles, _hosts = make_chain(cluster, clients=2)

@@ -90,7 +90,7 @@ class TestRead:
 
     def test_window_limit(self, cluster):
         group = make_group(cluster)
-        for _ in range(group.read_path.slots):
+        for _ in range(group.read_path.SLOTS):
             group.read_path.read(0, 0, 8)
         with pytest.raises(RuntimeError):
             group.read_path.read(0, 0, 8)

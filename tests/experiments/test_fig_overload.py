@@ -12,22 +12,36 @@ overload dynamics live in the offered-load/capacity ratio):
 
 import json
 
+import pytest
+
 from repro.experiments.fig_overload import (run_hotspot_shift,
                                             run_retry_storm,
                                             run_tenant_burst)
 
-# One shared cut-down parameter set so the expensive storm sweep runs
-# once per mode (serial / parallel), with every assertion reading from
-# the same rows.
+# One shared cut-down parameter set so each expensive sweep runs once per
+# mode (serial / parallel), with every assertion reading from the same
+# rows.
 STORM_KW = dict(rate_ops=400_000, bucket_ms=1, buckets=8, stall_bucket=2,
                 stall_buckets=2, tenants=2, seed=42)
 BURST_KW = dict(rate_per_tenant=150_000, bucket_ms=1, buckets=6,
                 tenants=3, seed=43)
 
 
+@pytest.fixture(scope="module")
+def storm_rows():
+    """The serial retry-storm rows, shared by this module's tests."""
+    return run_retry_storm(**STORM_KW)
+
+
+@pytest.fixture(scope="module")
+def burst_rows():
+    """The serial tenant-burst rows, shared by this module's tests."""
+    return run_tenant_burst(**BURST_KW)
+
+
 class TestRetryStorm:
-    def test_separation_determinism_and_no_lost_writes(self):
-        serial = run_retry_storm(**STORM_KW)
+    def test_separation_determinism_and_no_lost_writes(self, storm_rows):
+        serial = storm_rows
         parallel = run_retry_storm(jobs=2, **STORM_KW)
         # Byte-identical rows regardless of worker fan-out.
         assert json.dumps(serial, sort_keys=True) == json.dumps(
@@ -54,8 +68,8 @@ class TestRetryStorm:
         assert naive["retries"] > admitted["retries"]
         assert admitted["shed"] > 0 and naive["shed"] == 0
 
-    def test_timeline_shape(self):
-        rows = run_retry_storm(**STORM_KW)
+    def test_timeline_shape(self, storm_rows):
+        rows = storm_rows
         for row in rows:
             timeline = row["timeline"]
             assert len(timeline) == STORM_KW["buckets"]
@@ -70,9 +84,8 @@ class TestRetryStorm:
 
 
 class TestTenantBurst:
-    def test_quotas_isolate_victims(self):
-        arms = {arm["arm"]: arm["tenants"] for arm in
-                run_tenant_burst(**BURST_KW)}
+    def test_quotas_isolate_victims(self, burst_rows):
+        arms = {arm["arm"]: arm["tenants"] for arm in burst_rows}
 
         # Without quotas the burster's backlog blows every victim's SLO.
         victims = [t for t in arms["no-quota"]
@@ -91,8 +104,8 @@ class TestTenantBurst:
         assert all(t["p99_us"] < 100 for t in shielded)
         assert burster["throttled"] > 0
 
-    def test_burst_sweep_deterministic(self):
-        serial = run_tenant_burst(**BURST_KW)
+    def test_burst_sweep_deterministic(self, burst_rows):
+        serial = burst_rows
         parallel = run_tenant_burst(jobs=2, **BURST_KW)
         assert json.dumps(serial, sort_keys=True) == json.dumps(
             parallel, sort_keys=True)

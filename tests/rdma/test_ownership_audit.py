@@ -20,7 +20,7 @@ import sys
 
 import pytest
 
-from repro import backend as backend_registry
+from repro.backend import READ, OpKind
 from repro.nvm.cache import NICWriteCache
 from repro.nvm.memory import MemoryDevice
 from repro.rdma.driver import WorkQueue
@@ -125,6 +125,17 @@ def audit(monkeypatch):
     return record
 
 
+#: How the audit issues each primitive a client may declare.
+_ISSUE = {
+    OpKind.GWRITE: lambda group: [group.gwrite(0, 256),
+                                  group.gwrite(512, 64, durable=True)],
+    OpKind.GMEMCPY: lambda group: [group.gmemcpy(0, 1024, 128)],
+    OpKind.GFLUSH: lambda group: [group.gflush()],
+    OpKind.GCAS: lambda group: [group.gcas(4096, 7, 9)],
+    READ: lambda group: [group.remote_read(group.group_size - 1, 0, 64)],
+}
+
+
 def test_every_primitive_keeps_ring_writes_in_the_rdma_layer(
         audit, cluster, client_kind, request):
     group = request.getfixturevalue("client_group")
@@ -132,12 +143,10 @@ def test_every_primitive_keeps_ring_writes_in_the_rdma_layer(
     sim = cluster.sim
     group.write_local(0, b"a" * 256)
     group.write_local(4096, (7).to_bytes(8, "little"))
-    events = [group.gwrite(0, 256), group.gwrite(512, 64, durable=True),
-              group.gmemcpy(0, 1024, 128), group.gflush()]
-    # A shared chain has no gCAS or READ path; every backend has both.
-    if client_kind in backend_registry.names():
-        events += [group.gcas(4096, 7, 9),
-                   group.remote_read(group.group_size - 1, 0, 64)]
+    events = []
+    # Every primitive the client declares, in this order.
+    for primitive in sorted(group.primitives, key=list(_ISSUE).index):
+        events += _ISSUE[primitive](group)
     events += [group.gwrite(64 * index, 64) for index in range(12)]
     cluster.run(until=sim.now + ms(20))
     assert all(event.ok for event in events)
