@@ -32,7 +32,6 @@ from typing import (
     Dict,
     FrozenSet,
     Generator,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -145,8 +144,9 @@ class GroupBase:
 
     ``GroupBase(client_host, replica_hosts, config=None, name="")`` sets
     the identity every group shares — ``config`` (default
-    ``config_cls()``), ``name`` (default the class's ``_prefix`` and next
-    ``_ids`` number), ``client_host``, ``sim``, ``group_size`` — after
+    ``config_cls()``), ``name`` (default the class's ``_prefix``, numbered
+    per cluster by :meth:`~repro.host.Cluster.next_name`),
+    ``client_host``, ``sim``, ``group_size`` — after
     :func:`check_replicas`, and the op-state tables.  Subclasses then set
     ``replicas`` (node engines with ``.host``, ``.region``,
     ``.region_mr`` and ``close()``; ``replicas[0]`` is the head),
@@ -171,9 +171,8 @@ class GroupBase:
     #: The backend's config dataclass; a group built without one gets
     #: ``config_cls()``.
     config_cls: Type
-    #: Default-name prefix and counter; each group class owns its own.
+    #: Default-name prefix; each group class owns its own.
     _prefix: str
-    _ids: Iterator[int]
     #: Busy-polling ACK thread (poll mode), or None (event mode).
     poller: Optional[Thread] = None
     _closed = False
@@ -182,7 +181,7 @@ class GroupBase:
                  config: Any = None, name: str = "") -> None:
         check_replicas(type(self), len(replica_hosts))
         self.config = config or self.config_cls()
-        self.name = name or f"{self._prefix}{next(self._ids)}"
+        self.name = name or client_host.cluster.next_name(self._prefix)
         self.client_host = client_host
         self.sim = client_host.sim
         self.group_size = len(replica_hosts)

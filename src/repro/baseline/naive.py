@@ -25,7 +25,6 @@ pair toward the next node.  The tail ACKs the client with WRITE_WITH_IMM.
 
 from __future__ import annotations
 
-import itertools
 import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -266,7 +265,6 @@ class NaiveGroup(GroupBase):
 
     config_cls = NaiveConfig
     _prefix = "naive"
-    _ids = itertools.count()
 
     def __init__(self, client_host: Host, replica_hosts: Sequence[Host],
                  config: Optional[NaiveConfig] = None, name: str = ""):

@@ -31,7 +31,6 @@ nodes.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..backend.base import GroupBase, open_ack_hub
@@ -67,7 +66,6 @@ class FanoutGroup(GroupBase):
     min_replicas = 2
     max_replicas = 1 + (MAX_SGE - 2) // 2
     _prefix = "fanout"
-    _ids = itertools.count()
 
     def __init__(self, client_host: Host, replica_hosts: Sequence[Host],
                  config: Optional[GroupConfig] = None, name: str = ""):

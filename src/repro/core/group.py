@@ -22,7 +22,6 @@ the metadata message.  Completions run through the shared
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -69,7 +68,6 @@ class HyperLoopGroup(GroupBase):
 
     config_cls = GroupConfig
     _prefix = "group"
-    _ids = itertools.count()
 
     def __init__(self, client_host: Host, replica_hosts: Sequence[Host],
                  config: Optional[GroupConfig] = None, name: str = ""):

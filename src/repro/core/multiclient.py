@@ -37,7 +37,6 @@ Replica CPUs still do exactly zero data-path work.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import struct
 from typing import List, Optional, Sequence, Tuple
 
@@ -177,7 +176,6 @@ class SharedChain:
     #: :func:`~repro.backend.base.check_replicas`.
     min_replicas = 1
     max_replicas = None
-    _ids = itertools.count()
 
     def __init__(self, owner_host: Host, replica_hosts: Sequence[Host],
                  config: Optional[GroupConfig] = None, name: str = "",
@@ -188,7 +186,7 @@ class SharedChain:
         self.config = config or GroupConfig()
         if self.config.slots < max_clients:
             raise ValueError("need at least one slot per client")
-        self.name = name or f"shared{next(SharedChain._ids)}"
+        self.name = name or owner_host.cluster.next_name("shared")
         self.owner_host = owner_host
         self.sim = owner_host.sim
         self.group_size = len(replica_hosts)

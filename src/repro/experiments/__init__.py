@@ -1,16 +1,7 @@
 """Experiment harness: one module per table/figure in the paper's evaluation.
 
-=============  ===========================================================
-Module         Reproduces
-=============  ===========================================================
-``fig2``       Figure 2(a)/(b): multi-tenant MongoDB latency root cause
-``fig8``       Figure 8(a)/(b): gWRITE / gMEMCPY latency vs message size
-``table2``     Table 2: gCAS latency statistics
-``fig9``       Figure 9: gWRITE throughput + backup CPU vs message size
-``fig10``      Figure 10(a)/(b): tail latency vs replication group size
-``fig11``      Figure 11: replicated RocksDB latency, three systems
-``fig12``      Figure 12: MongoDB latency across YCSB workloads
-=============  ===========================================================
+``python -m repro.experiments`` lists every module with the first line of
+its docstring.
 """
 
 from . import (availability, common, fig2, fig8, fig9, fig10, fig11,

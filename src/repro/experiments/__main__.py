@@ -25,9 +25,9 @@ ones — can stand in for HyperLoop in the offloaded arm.  Experiments whose
 point is the baseline itself (fig2) ignore the flag, and so does
 ``claims``: the paper's claims are about HyperLoop.
 
-``--jobs N`` fans independent sweep points out over
-worker processes (fig8/fig9/fig10/fig12/fig_shards); every point owns its
-simulator and seed, so rows are identical to a serial run.
+``--jobs N`` fans sweep points out over worker processes (``claims`` runs
+all its figures' points as one sweep); every point owns its simulator and
+seed, so rows are identical to a serial run.
 
 ``--cache-dir DIR`` journals every completed sweep point to a
 per-experiment JSONL file under ``DIR``, keyed by a config hash;
@@ -45,44 +45,24 @@ from .. import backend as backend_registry
 from . import (availability, fig2, fig8, fig9, fig10, fig11, fig12,
                fig_faults, fig_overload, fig_shards, parallel, table2)
 
-EXPERIMENTS = {
-    "fig2": ("Figure 2 — multi-tenancy root cause (MongoDB)",
-             lambda backend, jobs: fig2.main()),
-    "fig8": ("Figure 8 — gWRITE/gMEMCPY latency vs size",
-             lambda backend, jobs: (
-                 fig8.main("gwrite", backend=backend, jobs=jobs),
-                 fig8.main("gmemcpy", backend=backend, jobs=jobs))),
-    "table2": ("Table 2 — gCAS latency",
-               lambda backend, jobs: table2.main(backend=backend)),
-    "fig9": ("Figure 9 — throughput & backup CPU",
-             lambda backend, jobs: fig9.main(backend=backend, jobs=jobs)),
-    "fig10": ("Figure 10 — tail latency vs group size",
-              lambda backend, jobs: fig10.main(backend=backend, jobs=jobs)),
-    "fig11": ("Figure 11 — replicated RocksDB",
-              lambda backend, jobs: fig11.main(backend=backend)),
-    "fig12": ("Figure 12 — MongoDB across YCSB workloads",
-              lambda backend, jobs: fig12.main(backend=backend, jobs=jobs)),
-    "fig_shards": ("Scale-out — sharded throughput & online rebalance",
-                   lambda backend, jobs: fig_shards.main(backend=backend,
-                                                         jobs=jobs)),
-    "fig_overload": ("Overload — retry storm, tenant burst, hotspot shift",
-                     lambda backend, jobs: fig_overload.main(
-                         backend=backend, jobs=jobs)),
-    "fig_faults": ("Faults — availability timelines per fault class",
-                   lambda backend, jobs: fig_faults.main(
-                       backend=backend, jobs=jobs)),
-    "availability": ("Availability — throughput through crash & repair",
-                     lambda backend, jobs: availability.main(backend=backend)),
-}
+#: Name -> module: its docstring's first line describes it, and its
+#: ``main(backend="hyperloop", jobs=1)`` prints its tables.
+EXPERIMENTS = {module.__name__.rsplit(".", 1)[-1]: module for module in (
+    fig2, fig8, table2, fig9, fig10, fig11, fig12, fig_shards, fig_overload,
+    fig_faults, availability)}
 
 DEFAULT_BACKEND = "hyperloop"
+
+
+def _title(module) -> str:
+    return module.__doc__.splitlines()[0].rstrip(".")
 
 
 def _usage() -> None:
     print(__doc__)
     print("available experiments:")
-    for name, (description, _fn) in EXPERIMENTS.items():
-        print(f"  {name:<12} {description}")
+    for name, module in EXPERIMENTS.items():
+        print(f"  {name:<12} {_title(module)}")
     print(f"  {'claims':<12} Paper claims scorecard (runs alone; exit 1 "
           "on a miss)")
     print("\nregistered backends (for --backend):")
@@ -172,12 +152,12 @@ def main(argv) -> int:
               file=sys.stderr)
         return 2
     for name in names:
-        description, fn = EXPERIMENTS[name]
-        print(f"\n=== {description} ===")
+        module = EXPERIMENTS[name]
+        print(f"\n=== {_title(module)} ===")
         # Wall-clock here is progress reporting for the human running the
         # CLI, not simulation input.
         started = time.time()
-        fn(backend, jobs)
+        module.main(backend=backend, jobs=jobs)
         elapsed = time.time() - started
         print(f"[{name} done in {elapsed:.1f}s wall]")
     return 0

@@ -19,22 +19,27 @@ projects that row onto the timeline's summary.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
 from . import fig_faults
 from .common import count_outage_buckets, format_table
+from .parallel import sweep
 
-__all__ = ["run", "main"]
+__all__ = ["points", "worker", "run", "main"]
 
 
-def run(bucket_ms: int = 10, buckets: int = 60, crash_bucket: int = 15,
-        ops_per_bucket_target: int = 200, seed: int = 90,
-        backend: str = "hyperloop") -> Dict:
-    """Returns the timeline plus outage statistics."""
-    row = fig_faults.run(kinds=["crash"], backends=[backend], jobs=1,
-                         bucket_ms=bucket_ms, buckets=buckets,
-                         fault_bucket=crash_bucket,
-                         ops_per_bucket=ops_per_bucket_target, seed=seed)[0]
+def points(bucket_ms: int = 10, buckets: int = 60, crash_bucket: int = 15,
+           ops_per_bucket_target: int = 200, seed: int = 90,
+           backend: str = "hyperloop") -> List[tuple]:
+    """The fault grid's crash cell at this geometry: a single point."""
+    return [("crash", backend, bucket_ms, buckets, crash_bucket,
+             ops_per_bucket_target, seed)]
+
+
+def worker(point) -> Dict:
+    """Run the crash cell; project its row onto the timeline's summary."""
+    _kind, _backend, bucket_ms, _buckets, crash_bucket, target, _seed = point
+    row = fig_faults.worker(point)
     return {
         "timeline": row["timeline"],
         "bucket_ms": bucket_ms,
@@ -42,13 +47,22 @@ def run(bucket_ms: int = 10, buckets: int = 60, crash_bucket: int = 15,
         "outage_ms": row["outage_ms"],
         "detection_ms": row["detection_ms"],
         "outage_buckets": count_outage_buckets(
-            row["timeline"], crash_bucket, ops_per_bucket_target // 2),
+            row["timeline"], crash_bucket, target // 2),
         "repairs": row["reconfigs"],
         "lost_acked_writes": row["lost_acked_writes"],
     }
 
 
-def main(backend: str = "hyperloop") -> Dict:
+def run(bucket_ms: int = 10, buckets: int = 60, crash_bucket: int = 15,
+        ops_per_bucket_target: int = 200, seed: int = 90,
+        backend: str = "hyperloop") -> Dict:
+    """Returns the timeline plus outage statistics."""
+    return sweep(points(bucket_ms, buckets, crash_bucket,
+                        ops_per_bucket_target, seed, backend), worker)[0]
+
+
+def main(backend: str = "hyperloop", jobs: int = 1) -> Dict:
+    """One point, so ``jobs`` has nothing to fan out."""
     result = run(backend=backend)
     rows = [{"bucket": index,
              "t_ms": index * result["bucket_ms"],
@@ -66,7 +80,3 @@ def main(backend: str = "hyperloop") -> Dict:
           f"repairs: {result['repairs']}, "
           f"ACKed writes lost: {result['lost_acked_writes']}")
     return result
-
-
-if __name__ == "__main__":
-    main()

@@ -7,8 +7,9 @@ latency per chain hop, the NIC message-rate ceiling, CPU wake-up delay
 under tenant load), so a drifting anchor fails as loudly as a claim.
 Each :class:`Claim` row names one claim, states what the paper reports,
 names the figure run it reads, bounds one number, and reduces the run
-to that number.  :func:`check` runs each figure at most once, however
-many rows read it::
+to that number.  :func:`check` puts every point of every figure the rows
+read into one sweep, heaviest figures first, and reduces each figure
+once, however many rows read it::
 
     python -m repro.experiments claims            # print the scorecard
     python -m repro.experiments claims --jobs 2   # sweep points in parallel
@@ -20,17 +21,17 @@ for the default scale, and some of them need its sample counts.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Sequence
+from functools import partial
+from typing import Any, Callable, Collection, Dict, List, Sequence, Tuple
 
 from ..host import Cluster
 from ..rdma.verbs import Access
 from ..rdma.wqe import Opcode, Sge, WorkRequest
 from ..sim.stats import LatencyRecorder
 from ..sim.units import MiB, ms, us
-from ..workloads.openloop import load_sweep
+from ..workloads.openloop import OpenLoopConfig, open_loop_gwrite
 from . import availability, fig2, fig8, fig9, fig10, fig11, fig12, table2
 from .common import (
     build_testbed,
@@ -42,13 +43,15 @@ from .common import (
     scaled,
     throughput_run,
 )
+from .parallel import sweep
 
-__all__ = ["Claim", "CLAIMS", "FIGURES", "check", "holds", "main"]
+__all__ = ["Claim", "CLAIMS", "Figure", "FIGURES", "check", "holds",
+           "main", "results"]
 
 
 @dataclass(frozen=True)
 class Claim:
-    """One shape claim: ``measure(FIGURES[figure](jobs))`` meets ``bound``.
+    """One shape claim: ``measure`` of its figure's result meets ``bound``.
 
     ``bound`` is a comparison and a number, e.g. ``"> 50"`` or ``"== 0"``.
     """
@@ -58,6 +61,21 @@ class Claim:
     figure: str
     bound: str
     measure: Callable[[Any], float]
+
+
+@dataclass(frozen=True)
+class Figure:
+    """A figure run: ``reduce([worker(point) for point in points()])``.
+
+    ``points()`` runs at check time, so op counts follow ``REPRO_QUICK``;
+    a row is a function of its point alone, so any process may run it.
+    Rows are JSON values (a ``[key, value]`` pair for a ``dict`` reduce),
+    so the sweep journal can keep them.
+    """
+
+    points: Callable[[], List[Any]]
+    worker: Callable[[Any], Any]
+    reduce: Callable[[List[Any]], Any] = list
 
 
 _COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
@@ -70,40 +88,61 @@ def holds(value: float, bound: str) -> bool:
     return bool(_COMPARE[comparison](value, float(threshold)))
 
 
-# -- runs that are not a figure module of their own -----------------------
-def _flush_cost() -> Dict[bool, float]:
+# -- points ---------------------------------------------------------------
+def _fixed(*points: Any) -> Callable[[], List[Any]]:
+    """Points that do not scale."""
+    return partial(list, points)
+
+
+def _scaled(grid: List[tuple], quick: int, full: int) -> List[tuple]:
+    """``grid``, each point ending in the op count for this scale."""
+    return [(*point, scaled(quick, full)) for point in grid]
+
+
+def _at_count(points: Callable[..., List[Any]], quick: int,
+              **kwargs: Any) -> List[Any]:
+    """A figure module's points at the op count the bounds were set for."""
+    return points(count=scaled(quick, 10_000), **kwargs)
+
+
+#: The load figure's (system, seed, offered ops/s): a fresh testbed, and
+#: seed, per rate point.
+_LOAD_GRID = [("hyperloop", 61, 100e3), ("hyperloop", 62, 400e3),
+              ("hyperloop", 63, 800e3), ("hyperloop", 64, 1000e3),
+              ("naive-polling", 65, 100e3), ("naive-polling", 66, 400e3),
+              ("naive-polling", 67, 600e3), ("naive-polling", 68, 800e3)]
+
+
+# -- workers of the runs that are not a figure module of their own --------
+def _flush_cost(point: Tuple[bool, int]) -> List[Any]:
     """Average 1 KB gWRITE latency without / with the interleaved gFLUSH."""
-    return {durable: latency_sweep(
-        make_hyperloop(build_testbed(3, seed=77)), "gwrite", 1024,
-        scaled(500, 5000), durable=durable).mean_us()
-        for durable in (False, True)}
+    durable, count = point
+    return [durable, latency_sweep(
+        make_hyperloop(build_testbed(3, seed=77)), "gwrite", 1024, count,
+        durable=durable).mean_us()]
 
 
-def _flush_durability() -> Dict[bool, bool]:
+def _flush_durability(durable: bool) -> List[bool]:
     """Does an ACKed gWRITE survive a power failure of the tail replica?"""
-    out = {}
-    for durable in (False, True):
-        testbed = build_testbed(3, seed=78)
-        group = make_hyperloop(testbed)
-        sim = testbed.cluster.sim
+    testbed = build_testbed(3, seed=78)
+    group = make_hyperloop(testbed)
+    sim = testbed.cluster.sim
 
-        def proc(group=group, durable=durable):
-            group.write_local(0, b"evidence")
-            yield group.gwrite(0, 8, durable=durable)
+    def proc():
+        group.write_local(0, b"evidence")
+        yield group.gwrite(0, 8, durable=durable)
 
-        process = sim.process(proc())
-        sim.run_until(process)
-        if not process.ok:
-            raise RuntimeError("flush_durability: the gWRITE failed")
-        testbed.replicas[2].fail_power()  # Right after the ACK.
-        out[durable] = group.read_replica(2, 0, 8) == b"evidence"
-    return out
+    process = sim.process(proc())
+    sim.run_until(process)
+    if not process.ok:
+        raise RuntimeError("flush_durability: the gWRITE failed")
+    testbed.replicas[2].fail_power()  # Right after the ACK.
+    return [durable, group.read_replica(2, 0, 8) == b"evidence"]
 
 
-def _p2p_write_rtt() -> float:
-    """Average of 200 64 B verbs WRITE + completion round trips between
-    two idle hosts."""
-    cluster = Cluster(seed=101)
+def _p2p_write_rtt(seed: int) -> float:
+    """Average of 200 64 B verbs WRITE round trips between idle hosts."""
+    cluster = Cluster(seed=seed)
     a, b = cluster.add_host("cal-a"), cluster.add_host("cal-b")
     cq, cq_b = a.nic.create_cq(), b.nic.create_cq()
     qp_a = a.nic.create_qp(cq, cq, sq_slots=16, rq_slots=16)
@@ -130,81 +169,110 @@ def _p2p_write_rtt() -> float:
     return recorder.mean_us()
 
 
-def _wakeup_p99() -> Dict[int, float]:
-    """p99 wake-up delay of 300 2 µs jobs 700 µs apart, by tenant count."""
-    def probe(sim, worker, recorder):
+def _wakeup_p99(tenants: int) -> List[Any]:
+    """p99 wake-up delay of 300 2 µs jobs 700 µs apart beside ``tenants``."""
+    cluster = Cluster(seed=104 + tenants)
+    host = cluster.add_host("cal-cpu")
+    if tenants:
+        host.add_tenant_load(tenants)
+    recorder = LatencyRecorder("wakeup")
+    sim = cluster.sim
+    thread = host.spawn_thread("probe")
+
+    def probe():
         for _ in range(300):
             yield sim.timeout(us(700))
             start = sim.now
-            yield worker.run(2_000)
+            yield thread.run(2_000)
             recorder.record(sim.now - start - 2_000)
 
-    out = {}
-    for tenants in (0, 160):
-        cluster = Cluster(seed=104 + tenants)
-        host = cluster.add_host("cal-cpu")
-        if tenants:
-            host.add_tenant_load(tenants)
-        recorder = LatencyRecorder("wakeup")
-        sim = cluster.sim
-        sim.run_until(sim.process(probe(sim, host.spawn_thread("probe"),
-                                        recorder)))
-        out[tenants] = recorder.percentile_us(99)
-    return out
+    sim.run_until(sim.process(probe()))
+    return [tenants, recorder.percentile_us(99)]
 
 
-def _chain_vs_fanout(seed: int, slots, run) -> Dict[str, float]:
-    """``run(group)`` on a HyperLoop chain and on a fan-out group (§7)."""
-    return {backend: run(make_group(build_testbed(3, seed=seed), backend,
-                                    slots=count, region_size=32 << 20))
-            for backend, count in zip(("hyperloop", "fanout"), slots)}
+def _fanout_latency(point: Tuple[str, int, int]) -> List[Any]:
+    """256 B gWRITE average of a HyperLoop chain or a fan-out group (§7)."""
+    backend, slots, count = point
+    group = make_group(build_testbed(3, seed=55), backend, slots=slots,
+                       region_size=32 << 20)
+    return [backend, latency_sweep(group, "gwrite", 256, count).mean_us()]
 
 
-def _load_vs_offered() -> List[Dict]:
-    """Open-loop 512 B gWRITE latency vs Poisson offered load, idle hosts."""
-    operations = scaled(1500, 20_000)
-    seeds = itertools.count(61)  # One fresh testbed per rate point.
-
-    def hyperloop():
-        return make_hyperloop(build_testbed(3, seed=next(seeds)), slots=1024)
-
-    def naive():
-        return make_naive(build_testbed(3, seed=next(seeds)), mode="polling",
-                          slots=1024)
-
-    arms = [("hyperloop", hyperloop, [100e3, 400e3, 800e3, 1000e3]),
-            ("naive-polling", naive, [100e3, 400e3, 600e3, 800e3])]
-    return [{"system": system, **row} for system, make, rates in arms
-            for row in load_sweep(make, rates, operations=operations)]
+def _fanout_goodput(point: Tuple[str, int, int]) -> List[Any]:
+    """64 KB gWRITE goodput of a HyperLoop chain or a fan-out group."""
+    backend, slots, total_mib = point
+    group = make_group(build_testbed(3, seed=56), backend, slots=slots,
+                       region_size=32 << 20)
+    return [backend, throughput_run(group, 65536, total_mib * MiB,
+                                    window=128)["gbps"]]
 
 
-#: Figure key -> the run its claims read, given the ``--jobs`` count.
-FIGURES: Dict[str, Callable[[int], Any]] = {
-    "fig2a": lambda jobs: fig2.run_replica_set_sweep(counts=[9, 18, 27]),
-    "fig2b": lambda jobs: fig2.run_core_sweep(cores=[4, 8, 16]),
-    "fig8a": lambda jobs: fig8.run(op="gwrite", count=scaled(1000, 10_000),
-                                   jobs=jobs),
-    "fig8b": lambda jobs: fig8.run(op="gmemcpy", count=scaled(1000, 10_000),
-                                   sizes=[128, 512, 2048, 8192], jobs=jobs),
-    "table2": lambda jobs: table2.run(),
-    "fig9": lambda jobs: fig9.run(jobs=jobs),
-    "fig10": lambda jobs: fig10.run(sizes=[512, 8192],
-                                    count=scaled(800, 10_000), jobs=jobs),
-    "fig11": lambda jobs: fig11.run(),
-    "fig12": lambda jobs: fig12.run(jobs=jobs),
-    "flush_cost": lambda jobs: _flush_cost(),
-    "flush_durability": lambda jobs: _flush_durability(),
-    "fanout_latency": lambda jobs: _chain_vs_fanout(
-        55, (1024, 256), lambda group: latency_sweep(
-            group, "gwrite", 256, scaled(400, 5000)).mean_us()),
-    "fanout_goodput": lambda jobs: _chain_vs_fanout(
-        56, (512, 512), lambda group: throughput_run(
-            group, 65536, scaled(24, 512) * MiB, window=128)["gbps"]),
-    "load": lambda jobs: _load_vs_offered(),
-    "availability": lambda jobs: availability.run(),
-    "p2p_rtt": lambda jobs: _p2p_write_rtt(),
-    "wakeup": lambda jobs: _wakeup_p99(),
+def _load_worker(point: Tuple[str, int, float, int]) -> Dict:
+    """Open-loop 512 B gWRITE latency at one Poisson load, idle hosts."""
+    system, seed, rate, operations = point
+    testbed = build_testbed(3, seed=seed)
+    group = make_hyperloop(testbed, slots=1024) if system == "hyperloop" \
+        else make_naive(testbed, mode="polling", slots=1024)
+    result = open_loop_gwrite(group, OpenLoopConfig(
+        rate_ops_per_sec=rate, payload_bytes=512, operations=operations))
+    return {
+        "system": system,
+        "offered_kops": rate / 1e3,
+        "achieved_kops": result.achieved_ops_per_sec / 1e3,
+        "avg_us": result.recorder.mean_us(),
+        "p99_us": result.recorder.percentile_us(99),
+        "saturated": result.saturated,
+    }
+
+
+_only = operator.itemgetter(0)
+
+#: Figure key -> the run its claims read.  :func:`results` sweeps their
+#: points in this order: heaviest first, so the short ones fill in last.
+FIGURES: Dict[str, Figure] = {
+    "fig9": Figure(fig9.points, fig9.worker),
+    "fig2a": Figure(partial(fig2.replica_set_points, [9, 18, 27]),
+                    fig2.worker, fig2.normalize),
+    "fig2b": Figure(partial(fig2.core_points, [4, 8, 16]), fig2.worker,
+                    fig2.normalize),
+    "fig12": Figure(fig12.points, fig12.worker),
+    "fig10": Figure(partial(_at_count, fig10.points, 800, sizes=[512, 8192]),
+                    fig10.worker),
+    "fig8a": Figure(partial(_at_count, fig8.points, 1000, op="gwrite"),
+                    fig8.worker),
+    "fig11": Figure(fig11.points, fig11.worker),
+    "availability": Figure(availability.points, availability.worker, _only),
+    "fig8b": Figure(partial(_at_count, fig8.points, 1000, op="gmemcpy",
+                            sizes=[128, 512, 2048, 8192]), fig8.worker),
+    "load": Figure(partial(_scaled, _LOAD_GRID, 1500, 20_000), _load_worker),
+    "table2": Figure(table2.points, table2.worker),
+    "fanout_goodput": Figure(
+        partial(_scaled, [("hyperloop", 512), ("fanout", 512)], 24, 512),
+        _fanout_goodput, dict),
+    "fanout_latency": Figure(
+        partial(_scaled, [("hyperloop", 1024), ("fanout", 256)], 400, 5000),
+        _fanout_latency, dict),
+    "flush_cost": Figure(partial(_scaled, [(False,), (True,)], 500, 5000),
+                         _flush_cost, dict),
+    "wakeup": Figure(_fixed(0, 160), _wakeup_p99, dict),
+    "flush_durability": Figure(_fixed(False, True), _flush_durability, dict),
+    "p2p_rtt": Figure(_fixed(101), _p2p_write_rtt, _only),
 }
+
+
+def _run_tagged(tagged: Tuple[str, Any]) -> Any:
+    """The row of a point tagged with its figure's key."""
+    key, point = tagged
+    return FIGURES[key].worker(point)
+
+
+def results(keys: Collection[str], jobs: int = 1) -> Dict[str, Any]:
+    """Each figure in ``keys``, reduced, from one sweep in FIGURES order."""
+    grids = {key: FIGURES[key].points() for key in FIGURES if key in keys}
+    rows = iter(sweep([(key, point) for key, grid in grids.items()
+                       for point in grid], _run_tagged, jobs=jobs))
+    return {key: FIGURES[key].reduce([next(rows) for _point in grid])
+            for key, grid in grids.items()}
 
 
 # -- extractors -----------------------------------------------------------
@@ -377,13 +445,11 @@ CLAIMS: List[Claim] = [
 
 
 def check(jobs: int = 1) -> List[Dict]:
-    """One scorecard row per claim; each figure runs once, on first use."""
-    results: Dict[str, Any] = {}
+    """One scorecard row per claim; one sweep runs every figure they read."""
+    result = results({claim.figure for claim in CLAIMS}, jobs=jobs)
     rows = []
     for claim in CLAIMS:
-        if claim.figure not in results:
-            results[claim.figure] = FIGURES[claim.figure](jobs)
-        value = float(claim.measure(results[claim.figure]))
+        value = float(claim.measure(result[claim.figure]))
         rows.append({"claim": claim.id, "paper": claim.paper,
                      "measured": _number(value), "bound": claim.bound,
                      "ok": "yes" if holds(value, claim.bound) else "NO"})

@@ -24,13 +24,13 @@ from .common import (
 )
 from .parallel import sweep
 
-__all__ = ["GROUP_SIZES", "MESSAGE_SIZES", "run", "main"]
+__all__ = ["GROUP_SIZES", "MESSAGE_SIZES", "points", "worker", "run", "main"]
 
 GROUP_SIZES = [3, 5, 7]
 MESSAGE_SIZES = [128, 512, 2048, 8192]
 
 
-def _point_worker(point) -> Dict:
+def worker(point) -> Dict:
     """One (system, group_size, size) point on a fresh testbed."""
     system, group_size, size, count, seed, backend = point
     tenants = DEFAULT_TENANTS_PER_CORE * 16
@@ -51,17 +51,22 @@ def _point_worker(point) -> Dict:
     }
 
 
-def run(group_sizes=None, sizes=None, count: int = None,
-        seed: int = 10, backend: str = "hyperloop",
-        jobs: int = 1) -> List[Dict]:
+def points(group_sizes=None, sizes=None, count: int = None,
+           seed: int = 10, backend: str = "hyperloop") -> List[tuple]:
     group_sizes = group_sizes or GROUP_SIZES
     sizes = sizes or MESSAGE_SIZES
     count = count or scaled(1200, 10_000)
-    points = [(system, group_size, size, count, seed, backend)
-              for system in ("naive", backend)
-              for group_size in group_sizes
-              for size in sizes]
-    return sweep(points, _point_worker, jobs=jobs)
+    return [(system, group_size, size, count, seed, backend)
+            for system in ("naive", backend)
+            for group_size in group_sizes
+            for size in sizes]
+
+
+def run(group_sizes=None, sizes=None, count: int = None,
+        seed: int = 10, backend: str = "hyperloop",
+        jobs: int = 1) -> List[Dict]:
+    return sweep(points(group_sizes, sizes, count, seed, backend), worker,
+                 jobs=jobs)
 
 
 def tail_growth(rows: List[Dict], system: str) -> float:
@@ -86,7 +91,3 @@ def main(backend: str = "hyperloop", jobs: int = 1) -> List[Dict]:
           f"(paper: up to 2.97x), {backend} "
           f"{tail_growth(rows, backend):.2f}x (paper: ~flat)")
     return rows
-
-
-if __name__ == "__main__":
-    main()

@@ -32,7 +32,8 @@ from .common import (
 )
 from .parallel import sweep
 
-__all__ = ["WORKLOADS", "OP_COUNTS", "run", "main", "tail_gap_reduction"]
+__all__ = ["WORKLOADS", "OP_COUNTS", "points", "worker", "run", "main",
+           "tail_gap_reduction"]
 
 WORKLOADS = ["A", "B", "D", "E", "F"]
 #: Operations per point, sized so every workload measures at least 100
@@ -51,9 +52,10 @@ def _build(system: str, testbed, backend: str):
     return make_group(testbed, backend, slots=256, region_size=REGION)
 
 
-def _point_worker(point) -> Dict:
+def worker(point) -> Dict:
     """One (system, workload) point: fresh testbed, load + run phases."""
-    system, letter, op_count, record_count, seed, backend = point
+    (system, letter, op_count, record_count, max_scan_length, seed,
+     backend) = point
     tenants = DEFAULT_TENANTS_PER_CORE * 16
     testbed = build_testbed(3, seed=seed, replica_tenants=tenants,
                             client_tenants=tenants)
@@ -62,8 +64,7 @@ def _point_worker(point) -> Dict:
     db = MongoLikeDB(store, MongoConfig())
     workload = YCSBWorkload(YCSBConfig(
         workload=letter, record_count=record_count,
-        field_length=1024, seed=seed,
-        max_scan_length=scaled(20, 100)))
+        field_length=1024, seed=seed, max_scan_length=max_scan_length))
     runner = YCSBRunner(workload, MongoAdapter(db))
     sim = testbed.cluster.sim
 
@@ -88,6 +89,16 @@ def _point_worker(point) -> Dict:
     }
 
 
+def points(workloads=None, op_count: int = None, record_count: int = None,
+           seed: int = 13, backend: str = "hyperloop") -> List[tuple]:
+    workloads = workloads or WORKLOADS
+    record_count = record_count or scaled(150, 100_000)
+    return [(system, letter,
+             op_count or scaled(OP_COUNTS[letter], 100_000),
+             record_count, scaled(20, 100), seed, backend)
+            for system in ("native", backend) for letter in workloads]
+
+
 def run(workloads=None, op_count: int = None, record_count: int = None,
         seed: int = 13, backend: str = "hyperloop",
         jobs: int = 1) -> List[Dict]:
@@ -95,13 +106,8 @@ def run(workloads=None, op_count: int = None, record_count: int = None,
 
     ``op_count`` overrides :data:`OP_COUNTS` for every workload.
     """
-    workloads = workloads or WORKLOADS
-    record_count = record_count or scaled(150, 100_000)
-    points = [(system, letter,
-               op_count or scaled(OP_COUNTS[letter], 100_000),
-               record_count, seed, backend)
-              for system in ("native", backend) for letter in workloads]
-    return sweep(points, _point_worker, jobs=jobs)
+    return sweep(points(workloads, op_count, record_count, seed, backend),
+                 worker, jobs=jobs)
 
 
 def tail_gap_reduction(rows: List[Dict]) -> Dict[str, float]:
@@ -135,7 +141,3 @@ def main(backend: str = "hyperloop", jobs: int = 1) -> List[Dict]:
           "(paper: up to 79%); avg→p99 gap reduction up to "
           f"{100 * max(gaps.values()):.0f}% (paper: up to 81%)")
     return rows
-
-
-if __name__ == "__main__":
-    main()

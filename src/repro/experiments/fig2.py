@@ -26,8 +26,10 @@ from ..host import Cluster, HostParams
 from ..sim.units import seconds, us
 from ..workloads import MongoAdapter, YCSBConfig, YCSBRunner, YCSBWorkload
 from .common import format_table, run_until, scaled
+from .parallel import sweep
 
-__all__ = ["run_replica_set_sweep", "run_core_sweep", "main"]
+__all__ = ["replica_set_points", "core_points", "worker", "normalize",
+           "run_replica_set_sweep", "run_core_sweep", "main"]
 
 REGION = 24 << 20
 WAL = 2 << 20
@@ -99,9 +101,9 @@ def _build_deployment(replica_sets: int, server_cores: int, seed: int,
     return cluster, servers, runners, processes
 
 
-def _run_config(replica_sets: int, server_cores: int, seed: int) -> Dict:
-    ops_per_set = scaled(120, 3000)
-    records_per_set = scaled(40, 1000)
+def worker(point) -> Dict:
+    """One (replica-sets, cores) configuration, run to completion."""
+    replica_sets, server_cores, seed, ops_per_set, records_per_set = point
     cluster, servers, runners, processes = _build_deployment(
         replica_sets, server_cores, seed, ops_per_set, records_per_set)
     done = cluster.sim.all_of(processes)
@@ -125,39 +127,44 @@ def _run_config(replica_sets: int, server_cores: int, seed: int) -> Dict:
     }
 
 
+def replica_set_points(counts=None, seed: int = 2) -> List[tuple]:
+    """Figure 2(a)'s configurations: 16 cores, ``counts`` replica-sets."""
+    return [(count, 16, seed, scaled(120, 3000), scaled(40, 1000))
+            for count in counts or [9, 15, 21, 27]]
+
+
+def core_points(cores=None, replica_sets: int = 18,
+                seed: int = 3) -> List[tuple]:
+    """Figure 2(b)'s configurations: ``replica_sets`` sets, ``cores``."""
+    return [(replica_sets, core_count, seed, scaled(120, 3000),
+             scaled(40, 1000)) for core_count in cores or [4, 8, 12, 16]]
+
+
+def normalize(rows: List[Dict]) -> List[Dict]:
+    """Add ``norm_ctxsw``: each row's context switches over the peak's."""
+    peak = max(row["context_switches"] for row in rows) or 1
+    for row in rows:
+        row["norm_ctxsw"] = row["context_switches"] / peak
+    return rows
+
+
 def run_replica_set_sweep(counts=None, seed: int = 2) -> List[Dict]:
     """Figure 2(a): latency & context switches vs number of replica-sets."""
-    counts = counts or [9, 15, 21, 27]
-    rows = [_run_config(count, 16, seed) for count in counts]
-    _normalize(rows)
-    return rows
+    return normalize(sweep(replica_set_points(counts, seed), worker))
 
 
 def run_core_sweep(cores=None, replica_sets: int = 18,
                    seed: int = 3) -> List[Dict]:
     """Figure 2(b): latency & context switches vs cores per machine."""
-    cores = cores or [4, 8, 12, 16]
-    rows = [_run_config(replica_sets, core_count, seed)
-            for core_count in cores]
-    _normalize(rows)
-    return rows
+    return normalize(sweep(core_points(cores, replica_sets, seed), worker))
 
 
-def _normalize(rows: List[Dict]) -> None:
-    peak = max(row["context_switches"] for row in rows) or 1
-    for row in rows:
-        row["norm_ctxsw"] = row["context_switches"] / peak
-
-
-def main() -> Dict[str, List[Dict]]:
-    rows_a = run_replica_set_sweep()
+def main(backend: str = "hyperloop", jobs: int = 1) -> Dict[str, List[Dict]]:
+    """Both panels.  ``backend`` is ignored: Figure 2 is the baseline's."""
+    rows_a = normalize(sweep(replica_set_points(), worker, jobs=jobs))
     print(format_table(rows_a, title="Figure 2(a) — MongoDB latency vs "
                                      "number of replica-sets (3 servers)"))
-    rows_b = run_core_sweep()
+    rows_b = normalize(sweep(core_points(), worker, jobs=jobs))
     print(format_table(rows_b, title="Figure 2(b) — MongoDB latency vs "
                                      "cores per machine (18 replica-sets)"))
     return {"replica_sets": rows_a, "cores": rows_b}
-
-
-if __name__ == "__main__":
-    main()

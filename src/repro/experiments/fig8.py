@@ -25,12 +25,12 @@ from .common import (
 )
 from .parallel import sweep
 
-__all__ = ["MESSAGE_SIZES", "run", "main"]
+__all__ = ["MESSAGE_SIZES", "points", "worker", "run", "main"]
 
 MESSAGE_SIZES = [128, 256, 512, 1024, 2048, 4096, 8192]
 
 
-def _point_worker(point) -> Dict:
+def worker(point) -> Dict:
     """One (system, size) point: fresh testbed, full latency sweep."""
     system, size, op, count, seed, backend = point
     tenants = DEFAULT_TENANTS_PER_CORE * 16
@@ -51,6 +51,14 @@ def _point_worker(point) -> Dict:
     }
 
 
+def points(op: str = "gwrite", sizes=None, count: int = None,
+           seed: int = 8, backend: str = "hyperloop") -> List[tuple]:
+    sizes = sizes or MESSAGE_SIZES
+    count = count or scaled(1500, 10_000)
+    return [(system, size, op, count, seed, backend)
+            for system in ("naive", backend) for size in sizes]
+
+
 def run(op: str = "gwrite", sizes=None, count: int = None,
         seed: int = 8, backend: str = "hyperloop",
         jobs: int = 1) -> List[Dict]:
@@ -61,11 +69,7 @@ def run(op: str = "gwrite", sizes=None, count: int = None,
     simulation, so ``jobs > 1`` sweeps them in parallel with rows
     identical to the serial order.
     """
-    sizes = sizes or MESSAGE_SIZES
-    count = count or scaled(1500, 10_000)
-    points = [(system, size, op, count, seed, backend)
-              for system in ("naive", backend) for size in sizes]
-    return sweep(points, _point_worker, jobs=jobs)
+    return sweep(points(op, sizes, count, seed, backend), worker, jobs=jobs)
 
 
 def speedups(rows: List[Dict]) -> Dict[int, Dict[str, float]]:
@@ -84,19 +88,17 @@ def speedups(rows: List[Dict]) -> Dict[int, Dict[str, float]]:
     return out
 
 
-def main(op: str = "gwrite", backend: str = "hyperloop",
-         jobs: int = 1) -> List[Dict]:
-    rows = run(op=op, backend=backend, jobs=jobs)
-    print(format_table(rows, title=f"Figure 8 — {op} latency vs message size "
-                                   "(group size 3, 10:1 tenant load)"))
-    ratios = speedups(rows)
-    best_p99 = max(r["p99_x"] for r in ratios.values())
-    best_avg = max(r["avg_x"] for r in ratios.values())
-    print(f"max speedup: avg {best_avg:,.0f}x, p99 {best_p99:,.0f}x "
-          f"(paper: ~50x avg, up to ~800x p99)")
-    return rows
-
-
-if __name__ == "__main__":
-    main("gwrite")
-    main("gmemcpy")
+def main(backend: str = "hyperloop", jobs: int = 1) -> Dict[str, List[Dict]]:
+    """Figure 8(a) gWRITE and 8(b) gMEMCPY, one table each."""
+    out = {}
+    for op in ("gwrite", "gmemcpy"):
+        rows = out[op] = run(op=op, backend=backend, jobs=jobs)
+        print(format_table(rows, title=f"Figure 8 — {op} latency vs message "
+                                       "size (group size 3, 10:1 tenant "
+                                       "load)"))
+        ratios = speedups(rows)
+        best_p99 = max(r["p99_x"] for r in ratios.values())
+        best_avg = max(r["avg_x"] for r in ratios.values())
+        print(f"max speedup: avg {best_avg:,.0f}x, p99 {best_p99:,.0f}x "
+              f"(paper: ~50x avg, up to ~800x p99)")
+    return out

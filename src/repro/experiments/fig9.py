@@ -25,7 +25,7 @@ from .common import (
 )
 from .parallel import sweep
 
-__all__ = ["MESSAGE_SIZES", "run", "main"]
+__all__ = ["MESSAGE_SIZES", "points", "worker", "run", "main"]
 
 MESSAGE_SIZES = [1024, 2048, 4096, 8192, 16384, 32768, 65536]
 
@@ -47,7 +47,7 @@ def _replica_cpu_fraction(testbed, group, elapsed_ns: int,
     return min(1.0, busy / max(1, elapsed_ns))
 
 
-def _point_worker(point) -> Dict:
+def worker(point) -> Dict:
     """One (system, size) point: fresh testbed, full throughput run."""
     system, size, total_bytes, seed, backend = point
     testbed = build_testbed(3, seed=seed)
@@ -68,13 +68,18 @@ def _point_worker(point) -> Dict:
     }
 
 
-def run(sizes=None, total_bytes: int = None, seed: int = 9,
-        backend: str = "hyperloop", jobs: int = 1) -> List[Dict]:
+def points(sizes=None, total_bytes: int = None, seed: int = 9,
+           backend: str = "hyperloop") -> List[tuple]:
     sizes = sizes or MESSAGE_SIZES
     total_bytes = total_bytes or scaled(48 * MiB, 1024 * MiB)
-    points = [(system, size, total_bytes, seed, backend)
-              for system in ("naive-polling", backend) for size in sizes]
-    return sweep(points, _point_worker, jobs=jobs)
+    return [(system, size, total_bytes, seed, backend)
+            for system in ("naive-polling", backend) for size in sizes]
+
+
+def run(sizes=None, total_bytes: int = None, seed: int = 9,
+        backend: str = "hyperloop", jobs: int = 1) -> List[Dict]:
+    return sweep(points(sizes, total_bytes, seed, backend), worker,
+                 jobs=jobs)
 
 
 def main(backend: str = "hyperloop", jobs: int = 1) -> List[Dict]:
@@ -88,7 +93,3 @@ def main(backend: str = "hyperloop", jobs: int = 1) -> List[Dict]:
     print(f"backup CPU: naive-polling up to {naive_cpu:.0f}% of a core "
           f"(paper: ~100%), {backend} up to {hyper_cpu:.1f}% (paper: ~0%)")
     return rows
-
-
-if __name__ == "__main__":
-    main()

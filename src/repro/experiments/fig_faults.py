@@ -53,7 +53,7 @@ from ..sim.units import ms
 from .common import bucket_of, format_table, phase_timings, quick_run
 from .parallel import sweep
 
-__all__ = ["FAULT_KINDS", "run", "main"]
+__all__ = ["FAULT_KINDS", "worker", "run", "main"]
 
 #: The fault classes swept, in presentation order.
 FAULT_KINDS = ["crash", "partition", "straggler", "nvm-power", "link-flap"]
@@ -95,7 +95,7 @@ def _make_plan(kind: str, fault_ns: int, horizon_ns: int) -> FaultPlan:
     return FaultPlan([event], name=f"fig_faults.{kind}")
 
 
-def _fault_worker(point) -> Dict[str, Any]:
+def worker(point) -> Dict[str, Any]:
     """One (fault class, backend) cell, on a fresh cluster."""
     (kind, backend, bucket_ms, buckets, fault_bucket, ops_per_bucket,
      seed) = point
@@ -166,6 +166,11 @@ def _fault_worker(point) -> Dict[str, Any]:
     }
 
 
+def _default_fault_bucket() -> int:
+    """The bucket the fault fires in when :func:`run` is given none."""
+    return 5 if quick_run() else 8
+
+
 def run(jobs: int = 1, bucket_ms: int = 5,
         buckets: Optional[int] = None, fault_bucket: Optional[int] = None,
         ops_per_bucket: int = 200, seed: int = 91,
@@ -180,7 +185,7 @@ def run(jobs: int = 1, bucket_ms: int = 5,
     if buckets is None:
         buckets = 16 if quick_run() else 30
     if fault_bucket is None:
-        fault_bucket = 5 if quick_run() else 8
+        fault_bucket = _default_fault_bucket()
     if backends is None:
         backends = ["hyperloop", "naive", "fanout"]
     if kinds is None:
@@ -188,7 +193,7 @@ def run(jobs: int = 1, bucket_ms: int = 5,
     points = [(kind, backend, bucket_ms, buckets, fault_bucket,
                ops_per_bucket, seed)
               for backend in backends for kind in kinds]
-    return sweep(points, _fault_worker, jobs=jobs)
+    return sweep(points, worker, jobs=jobs)
 
 
 def main(backend: str = "hyperloop", jobs: int = 1) -> List[Dict[str, Any]]:
@@ -225,11 +230,7 @@ def main(backend: str = "hyperloop", jobs: int = 1) -> List[Dict[str, Any]]:
     print(format_table(
         timeline_rows,
         title=f"\n{backend} — completed ops per bucket "
-              f"(fault injected in bucket {5 if quick_run() else 8})"))
+              f"(fault injected in bucket {_default_fault_bucket()})"))
     lost_total = sum(row["lost_acked_writes"] for row in rows)
     print(f"ACKed writes lost across all cells: {lost_total}")
     return rows
-
-
-if __name__ == "__main__":
-    main()

@@ -442,7 +442,3 @@ def main(backend: str = "hyperloop", jobs: int = 1) -> List[Dict[str, Any]]:
           f"shed before: {hotspot['shed_before_shift']}, "
           f"after: {hotspot['shed_after_shift']}")
     return storm
-
-
-if __name__ == "__main__":
-    main()

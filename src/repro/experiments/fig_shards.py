@@ -226,7 +226,3 @@ def main(backend: str = "hyperloop", jobs: int = 1) -> List[Dict]:
             "across the rebalance")
     print("zero acknowledged writes lost across split + move")
     return rows
-
-
-if __name__ == "__main__":
-    main()

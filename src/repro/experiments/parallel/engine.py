@@ -10,8 +10,10 @@ identical to ``jobs=1``, cold cache or warm
 (``tests/experiments/test_parallel.py`` pins the whole matrix).
 
 Workers must be module-level functions (picklable) taking a single
-point tuple; each figure module defines a ``_point_worker`` next to its
-``run()``.
+point.  Each figure module that the claims table reads has the same
+three parts: ``points(...)`` builds its picklable grid, ``worker(point)``
+computes one row from the point alone, and ``run(...)`` reduces
+``sweep(points, worker)`` to the figure's result.
 
 With a cache directory configured (:func:`configure` or the CLI's
 ``--cache-dir``), every completed row is
@@ -162,15 +164,13 @@ def sweep(points: Iterable[P], worker: Callable[[P], R], jobs: int = 1, *,
         return rows
 
     task = partial(_run_point, worker)
-    # One IPC round-trip per point (chunksize=1, the default) dominates
-    # small-point sweeps; ~4 chunks per worker balances batching against
-    # tail-straggler idling.
-    chunksize = max(1, len(misses) // (jobs * 4))
     try:
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(misses))) as pool:
-            results = pool.map(task, [point for _index, point in misses],
-                               chunksize=chunksize)
+            # One point per task: points cost from milliseconds to a
+            # minute, and a chunk would pin neighbouring heavy points
+            # onto one worker while the others idle.
+            results = pool.map(task, [point for _index, point in misses])
             for (index, point), row in zip(misses, results):
                 rows[index] = row
                 record(point, row)

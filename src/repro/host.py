@@ -154,6 +154,7 @@ class Cluster:
         self.default_host_params = host_params or HostParams()
         self.hosts: Dict[str, Host] = {}
         self.tracer = None
+        self._named: Dict[str, int] = {}
 
     def enable_tracing(self, capacity: int = 1_000_000):
         """Install a :class:`~repro.sim.trace.Tracer`.
@@ -168,6 +169,13 @@ class Cluster:
         for host in self.hosts.values():
             host.nic.tracer = self.tracer
         return self.tracer
+
+    def next_name(self, prefix: str) -> str:
+        """``prefix`` numbered per cluster (``group0``, ``group1``, …), so
+        a default name does not depend on what else the process built."""
+        number = self._named.get(prefix, 0)
+        self._named[prefix] = number + 1
+        return f"{prefix}{number}"
 
     def add_host(self, name: str, params: Optional[HostParams] = None) -> Host:
         if name in self.hosts:

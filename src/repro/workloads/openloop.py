@@ -4,22 +4,21 @@ The paper's microbenchmarks are closed-loop; systems evaluation also
 needs the open-loop view — fire operations at a Poisson arrival rate
 regardless of completions, and watch the latency curve bend as offered
 load approaches the service capacity.  This module provides that
-generator plus a sweep helper used by the ``load`` figure of
-:mod:`repro.experiments.claims` (an extension, clearly labeled as beyond
-the paper's tables).
+generator; the ``load`` figure of :mod:`repro.experiments.claims` runs it
+once per offered rate (an extension, clearly labeled as beyond the
+paper's tables).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
 
 from ..sim.rng import exponential
 from ..sim.stats import LatencyRecorder
 from ..sim.units import seconds
 
 __all__ = ["OpenLoopConfig", "OpenLoopResult", "open_loop_gwrite",
-           "load_sweep", "span_throughput"]
+           "span_throughput"]
 
 
 def span_throughput(count: int, first_ns, last_ns) -> float:
@@ -130,23 +129,3 @@ def open_loop_gwrite(group, config: OpenLoopConfig,
         achieved_ops_per_sec=achieved,
         recorder=recorder,
         shed=state["shed"])
-
-
-def load_sweep(make_group, rates: List[float],
-               payload_bytes: int = 512,
-               operations: int = 2_000) -> List[Dict]:
-    """Latency-vs-offered-load curve: one fresh group per rate point."""
-    rows = []
-    for rate in rates:
-        group = make_group()
-        result = open_loop_gwrite(group, OpenLoopConfig(
-            rate_ops_per_sec=rate, payload_bytes=payload_bytes,
-            operations=operations))
-        rows.append({
-            "offered_kops": rate / 1e3,
-            "achieved_kops": result.achieved_ops_per_sec / 1e3,
-            "avg_us": result.recorder.mean_us(),
-            "p99_us": result.recorder.percentile_us(99),
-            "saturated": result.saturated,
-        })
-    return rows

@@ -12,10 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import claims
+from repro.experiments import claims, fig11, table2
 from repro.experiments.__main__ import main as cli_main
-from repro.experiments.claims import CLAIMS, FIGURES, Claim
+from repro.experiments.claims import CLAIMS, FIGURES, Claim, Figure
 from repro.experiments.common import format_table
+from repro.experiments.parallel import sweep
 
 #: Figures cheap enough for tier-1 whose claims hold at REPRO_QUICK scale.
 #: Left out: fig2 (12 s even at that scale), availability (8 s; its run
@@ -43,9 +44,32 @@ def _quick_subset():
             and claim.id not in QUICK_SKIPPED]
 
 
+#: Figures whose points cost well under a second each at REPRO_QUICK.
+CHEAP_FIGURES = {"table2", "fig11", "flush_cost", "flush_durability",
+                 "fanout_latency", "fanout_goodput", "p2p_rtt", "wakeup",
+                 "load"}
+
+
 def _stub(monkeypatch, table, figures):
     monkeypatch.setattr(claims, "CLAIMS", table)
     monkeypatch.setattr(claims, "FIGURES", figures)
+
+
+def _echo(point):
+    """Stub worker: a point's row is the point itself."""
+    return point
+
+
+def _counting_sweep(monkeypatch):
+    """Route claims' sweep calls through a recorder of their ``jobs``."""
+    calls = []
+
+    def counted(points, worker, jobs=1):
+        calls.append(jobs)
+        return sweep(points, worker, jobs=1)
+
+    monkeypatch.setattr(claims, "sweep", counted)
+    return calls
 
 
 class TestTable:
@@ -93,20 +117,34 @@ class TestTable:
 
 class TestCheck:
     def test_each_figure_runs_once(self, monkeypatch):
-        calls = {key: [] for key in FIGURES}
-        figures = {key: (lambda jobs, key=key: calls[key].append(jobs))
-                   for key in FIGURES}
+        reduced = {key: [] for key in FIGURES}
+
+        def reduce_for(key):
+            return lambda rows: reduced[key].append(rows)
+
+        figures = {key: Figure(lambda key=key: [(key, 0), (key, 1)], _echo,
+                               reduce_for(key)) for key in FIGURES}
         table = [Claim(claim.id, claim.paper, claim.figure, "> 0",
                        lambda result: 1.0) for claim in CLAIMS]
         _stub(monkeypatch, table, figures)
+        sweeps = _counting_sweep(monkeypatch)
         rows = claims.check(jobs=3)
         assert len(rows) == len(CLAIMS)
-        assert calls == {key: [3] for key in FIGURES}
+        assert sweeps == [3]
+        assert reduced == {key: [[(key, 0), (key, 1)]] for key in FIGURES}
+
+    def test_points_run_heaviest_figures_first(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(claims, "sweep", lambda points, worker, jobs=1:
+                            seen.extend(points) or [None] * len(points))
+        claims.results(["p2p_rtt", "fig10", "fig9"])
+        keys = [key for key, _point in seen]
+        assert keys[0] == "fig9" and keys[-1] == "p2p_rtt"
 
     def test_scorecard_row(self, monkeypatch):
         _stub(monkeypatch, [Claim("stub.p99", "14", "stub", "< 50",
                                   lambda rows: rows[0] * 2)],
-              {"stub": lambda jobs: [6.0]})
+              {"stub": Figure(lambda: [6.0], _echo)})
         assert claims.check() == [{"claim": "stub.p99", "paper": "14",
                                    "measured": "12", "bound": "< 50",
                                    "ok": "yes"}]
@@ -122,25 +160,43 @@ class TestCheck:
 class TestCli:
     def test_violated_bound_exits_1(self, monkeypatch, capsys):
         _stub(monkeypatch,
-              [Claim("stub.ok", "-", "stub", "> 1", lambda value: value),
-               Claim("stub.bad", "-", "stub", "< 1", lambda value: value)],
-              {"stub": lambda jobs: 5.0})
+              [Claim("stub.ok", "-", "stub", "> 1", lambda rows: rows[0]),
+               Claim("stub.bad", "-", "stub", "< 1", lambda rows: rows[0])],
+              {"stub": Figure(lambda: [5.0], _echo)})
         assert cli_main(["claims"]) == 1
         out = capsys.readouterr().out
         assert "stub.bad" in out and "NO" in out and "1/2 claims hold" in out
 
     def test_all_bounds_met_exits_0_and_passes_jobs(self, monkeypatch):
-        seen = []
         _stub(monkeypatch,
-              [Claim("stub.ok", "-", "stub", "> 1", lambda value: value)],
-              {"stub": lambda jobs: seen.append(jobs) or 5.0})
+              [Claim("stub.ok", "-", "stub", "> 1", lambda rows: rows[0])],
+              {"stub": Figure(lambda: [5.0], _echo)})
+        sweeps = _counting_sweep(monkeypatch)
         assert cli_main(["claims", "--jobs", "2"]) == 0
-        assert seen == [2]
+        assert sweeps == [2]
 
     def test_claims_runs_alone(self, monkeypatch, capsys):
         _stub(monkeypatch, [], {})
         assert cli_main(["claims", "fig8"]) == 2
         assert "claims runs alone" in capsys.readouterr().err
+
+
+def test_one_sweep_reduces_to_each_figures_own_run(monkeypatch):
+    """Rows are a function of their points alone: the tagged sweep at
+    ``jobs=2``, and a serial sweep over the points in reverse, reduce to
+    exactly what each figure gives when it runs by itself."""
+    monkeypatch.delenv("REPRO_FULL", raising=False)
+    monkeypatch.setenv("REPRO_QUICK", "1")
+    alone = {key: claims.results([key])[key] for key in CHEAP_FIGURES}
+    assert alone["table2"] == table2.run()
+    assert alone["fig11"] == fig11.run()
+    assert claims.results(CHEAP_FIGURES, jobs=2) == alone
+
+    def reversed_serial(points, worker, jobs=1):
+        return sweep(points[::-1], worker)[::-1]
+
+    monkeypatch.setattr(claims, "sweep", reversed_serial)
+    assert claims.results(CHEAP_FIGURES) == alone
 
 
 def test_quick_subset_holds(monkeypatch):

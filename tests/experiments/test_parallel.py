@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -211,9 +212,10 @@ class TestPublishedRecorders:
         assert sweep(self.POINTS, _summary_row, jobs=2) == baseline
         assert not journal_dir.exists()
         seen_jobs = []
-        monkeypatch.setitem(cli.EXPERIMENTS, "probe",
-                            ("records --jobs",
-                             lambda backend, jobs: seen_jobs.append(jobs)))
+        probe = SimpleNamespace(
+            __doc__="Records --jobs.",
+            main=lambda backend, jobs: seen_jobs.append(jobs))
+        monkeypatch.setitem(cli.EXPERIMENTS, "probe", probe)
         assert cli.main(["probe"]) == 0
         assert seen_jobs == [1]
         # The ambient options are built at import: a fresh interpreter

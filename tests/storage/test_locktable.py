@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.client import StoreConfig, initialize
 from repro.core.group import GroupConfig, HyperLoopGroup
+from repro.experiments.common import build_testbed, make_hyperloop
 from repro.sim.units import ms
 from repro.storage.locktable import READER_MASK, WRITER_FLAG
 
@@ -158,3 +159,17 @@ class TestReadLocks:
 
         run_to_completion(cluster, reader(), writer())
         assert order.index("write-locked") > order.index("read-unlocking")
+
+
+def test_backoff_stream_depends_on_the_build_alone():
+    """Two identical builds in one process draw identical backoffs: the
+    stream is named after the group, whose default name is numbered per
+    cluster, not by how many groups the process built before."""
+
+    def draws():
+        group = make_hyperloop(build_testbed(3, seed=5))
+        store = initialize(group, StoreConfig())
+        return group.name, [store.locks._backoff(attempt)
+                            for attempt in (3, 4, 5)]
+
+    assert draws() == draws()

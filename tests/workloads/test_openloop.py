@@ -1,8 +1,9 @@
 """Tests for the open-loop load generator."""
 
 from repro.core.group import GroupConfig, HyperLoopGroup
-from repro.workloads.openloop import (OpenLoopConfig, load_sweep,
-                                      open_loop_gwrite, span_throughput)
+from repro.experiments.claims import _load_worker
+from repro.workloads.openloop import (OpenLoopConfig, open_loop_gwrite,
+                                      span_throughput)
 
 
 def make_group(cluster, slots=256):
@@ -110,19 +111,10 @@ class TestOpenLoop:
         # (~1 ms here) which would push the figure beyond Poisson noise.
         assert 0.6 * 40_000 < result.achieved_ops_per_sec < 1.4 * 40_000
 
-    def test_sweep_rows(self, cluster):
-        calls = {"count": 0}
-
-        def mk():
-            calls["count"] += 1
-            client = cluster.add_host(f"sw{calls['count']}-client")
-            replicas = cluster.add_hosts(3, prefix=f"sw{calls['count']}-r")
-            return HyperLoopGroup(client, replicas,
-                                  GroupConfig(slots=64,
-                                              region_size=1 << 20))
-
-        rows = load_sweep(mk, [30e3, 60e3], operations=200)
-        assert len(rows) == 2
-        assert calls["count"] == 2
-        assert rows[0]["offered_kops"] == 30.0
+    def test_sweep_rows(self):
+        """The claims' load figure: one fresh testbed per rate point."""
+        rows = [_load_worker(("hyperloop", 61, rate, 200))
+                for rate in (30e3, 60e3)]
+        assert [row["offered_kops"] for row in rows] == [30.0, 60.0]
+        assert {row["system"] for row in rows} == {"hyperloop"}
         assert all(row["p99_us"] >= row["avg_us"] * 0.5 for row in rows)
