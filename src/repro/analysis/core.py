@@ -65,10 +65,6 @@ class RuleContext:
         """Is this module under any of the given ``repro/...`` prefixes?"""
         return any(self.module.startswith(prefix) for prefix in prefixes)
 
-    def is_module(self, *names: str) -> bool:
-        """Exact canonical-path match (``repro/sim/engine.py``)."""
-        return self.module in names
-
 
 class Rule:
     """Base class for simlint rules.

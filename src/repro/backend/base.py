@@ -10,17 +10,22 @@ primitives its class declares, region access, flow control, drain, abort,
 close).  Only the wire topology and per-node engines differ.
 
 :class:`GroupBase` holds the shared half: identity and the replica-count
-check (:func:`check_replicas`), the ACK hub (:func:`open_ack_hub` /
-:func:`close_ack_hub`), the submit loop (:meth:`GroupBase._submitter`)
-that posts every op to the head the same way, the completion path
-(:func:`ack_loop`) and teardown (:meth:`GroupBase.close`).  A backend
-implementation is reduced to: per-node engines (each with a ``close()``),
-the metadata message its head consumes (``_metadata(op, slot)``) and what
-building it costs the client CPU (``_build_ns``), plus
-:meth:`GroupBase._route` / :meth:`GroupBase._result_map` if its ACKs are
-not one WRITE_WITH_IMM per op carrying the slot.  Subclasses must provide
-the attributes listed under :attr:`GroupBase` and may override
-:meth:`_region_limit` (e.g. to reserve scratch space at the region tail).
+check (:func:`check_replicas`), the ACK hub (:func:`open_ack_hub`), the
+submit loop (:meth:`GroupBase._submitter`) that posts every op to the
+head the same way, the completion path (:func:`ack_loop`) and teardown
+(:meth:`GroupBase.close`).  Teardown is by name: everything a group
+makes — its node engines' verbs objects and memory, the ACK hub, the
+client's buffers, the read path on both ends — is named ``<group>.…``,
+and :func:`release` hands that name to
+:meth:`~repro.host.Host.release` on every host the group touched.  A
+backend implementation is reduced to: per-node engines that name what
+they make under the group's name, the metadata message its head
+consumes (``_metadata(op, slot)``) and what building it costs the client
+CPU (``_build_ns``), plus :meth:`GroupBase._route` /
+:meth:`GroupBase._result_map` if its ACKs are not one WRITE_WITH_IMM per
+op carrying the slot.  Subclasses must provide the attributes listed
+under :attr:`GroupBase` and may override :meth:`_region_limit` (e.g. to
+reserve scratch space at the region tail).
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from typing import (
     Dict,
     FrozenSet,
     Generator,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -48,7 +54,7 @@ from ..sim.engine import Event
 from .ops import READ, OpKind, OpResult, OpSpec
 
 __all__ = ["GroupBase", "ack_loop", "check_replicas", "open_ack_hub",
-           "close_ack_hub"]
+           "release"]
 
 
 def check_replicas(owner: Type, count: int) -> None:
@@ -127,16 +133,11 @@ def open_ack_hub(hub: Any, host: Host, stride: int,
                           times=config.slots)
 
 
-def close_ack_hub(hub: Any, host: Host) -> None:
-    """Return what :func:`open_ack_hub` built on ``host``, but the out QP
-    and CQ.  With the CQ gone nothing notifies :func:`ack_loop`'s channel
-    again, so the loop stays parked for good."""
-    nic = host.nic
-    for qp in hub.ack_qps:
-        nic.destroy_qp(qp)
-    nic.destroy_cq(hub.ack_cq)
-    nic.deregister_mr(hub.ack_mr)
-    host.memory.free(hub.ack_buf)
+def release(owner: str, hosts: Iterable[Host]) -> None:
+    """:meth:`~repro.host.Host.release` ``owner`` on each distinct host of
+    ``hosts``, in first-seen order."""
+    for host in dict.fromkeys(hosts):
+        host.release(owner)
 
 
 class GroupBase:
@@ -148,8 +149,8 @@ class GroupBase:
     per cluster by :meth:`~repro.host.Cluster.next_name`),
     ``client_host``, ``sim``, ``group_size`` — after
     :func:`check_replicas`, and the op-state tables.  Subclasses then set
-    ``replicas`` (node engines with ``.host``, ``.region``,
-    ``.region_mr`` and ``close()``; ``replicas[0]`` is the head),
+    ``replicas`` (node engines with ``.host``, ``.region`` and
+    ``.region_mr``; ``replicas[0]`` is the head),
     ``region`` (the client's own copy of the replicated region),
     ``md_buf`` / ``md_stride`` (one metadata message of exactly
     ``md_stride`` bytes per slot), ``qp_out`` (connected to the head) and
@@ -157,7 +158,9 @@ class GroupBase:
     ``_metadata`` (see :meth:`_submitter`) and, when they declare
     :data:`~repro.backend.ops.READ`, ``read_path`` (a
     :class:`~repro.core.readpath.ClientReadPath`); then call
-    :meth:`_start_client`.
+    :meth:`_start_client`.  Every verbs object and allocation they make,
+    on any host, is named ``<name>.…``: that name is what :meth:`close`
+    releases.
     """
 
     #: The primitives this client serves: Table 1's four kinds and
@@ -279,6 +282,8 @@ class GroupBase:
         """One-sided READ of ``region[offset:offset+size]`` on replica ``hop``."""
         if READ not in self.primitives:
             raise self._unsupported(READ)
+        if self._closed:
+            raise RuntimeError(f"{self.name} is closed")
         self._check_range(offset, size)
         return self.read_path.read(hop, offset, size)
 
@@ -430,18 +435,19 @@ class GroupBase:
     def close(self) -> None:
         """Tear the whole group down and return every carved resource.
 
-        Pending operations fail with a RuntimeError; each node engine
-        closes, then the client's own resources go back, zeroed and
-        reusable (recovery rebuilds call this on the superseded group
-        after copying its state out).
+        Pending operations fail with a RuntimeError, the poller stops, and
+        every member host and the client release what carries the group's
+        name (:func:`release`): zeroed and reusable (recovery rebuilds
+        call this on the superseded group after copying its state out).
+        With the ACK CQ gone nothing notifies :func:`ack_loop` again, so
+        it stays parked for good.  One-sided reads still in flight fail
+        last.
         """
         if not self._begin_close():
             return
-        for node in self.replicas:
-            node.close()
-        self._close_client()
-        close_ack_hub(self, self.client_host)
-        self.read_path.close()
+        release(self.name, [*self.member_hosts(), self.client_host])
+        if READ in self.primitives:
+            self.read_path.close()
 
     def _begin_close(self) -> bool:
         """Idempotence guard + in-flight abort; True if teardown should run."""
@@ -452,14 +458,6 @@ class GroupBase:
         if self.poller is not None:
             self.poller.stop()
         return True
-
-    def _close_client(self) -> None:
-        """Return the out QP and CQ and the region and metadata buffers."""
-        nic, memory = self.client_host.nic, self.client_host.memory
-        nic.destroy_qp(self.qp_out)
-        nic.destroy_cq(self.out_cq)
-        memory.free(self.region)
-        memory.free(self.md_buf)
 
     # ------------------------------------------------------------------
     # Client processes and their building blocks

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 from ..backend.base import GroupBase, open_ack_hub
 from ..backend.ops import OpKind, OpSpec
 from ..backend.registry import register
-from ..core.chain import wire_chain
+from ..core.chain import carve_region, wire_chain
 from ..core.readpath import ClientReadPath
 from ..host import Host
 from ..rdma.verbs import Access
@@ -107,11 +107,9 @@ class _NaiveReplica:
         config = group.config
         self.name = f"{group.name}.r{hop}"
         memory, nic = host.memory, host.nic
-        self.region = memory.allocate(config.region_size, f"{self.name}.region")
-        self.region_mr = nic.register_mr(
-            self.region.address, self.region.size,
-            Access.LOCAL_WRITE | Access.REMOTE_WRITE | Access.REMOTE_READ,
-            name=f"{self.name}.region")
+        self.region, self.region_mr = carve_region(
+            host, self.name, config.region_size,
+            Access.LOCAL_WRITE | Access.REMOTE_WRITE | Access.REMOTE_READ)
         stride = HEADER_SIZE + 8 * group.group_size
         self.msg_stride = stride
         self.msg_buf = memory.allocate(stride * config.slots, f"{self.name}.msgs")
@@ -131,20 +129,6 @@ class _NaiveReplica:
         for slot in range(config.slots):
             self._post_recv(slot)
         host.sim.process(self._handler(), name=f"{self.name}.handler")
-
-    def close(self) -> None:
-        """Stop the poller, destroy QPs and CQs, deregister the region MR,
-        and return the region and message buffer."""
-        if self.poller is not None:
-            self.poller.stop()
-        nic, memory = self.host.nic, self.host.memory
-        nic.destroy_qp(self.qp_up)
-        nic.destroy_qp(self.qp_down)
-        nic.destroy_cq(self.up_cq)
-        nic.destroy_cq(self.down_cq)
-        nic.deregister_mr(self.region_mr)
-        memory.free(self.region)
-        memory.free(self.msg_buf)
 
     def msg_addr(self, slot: int) -> int:
         return self.msg_buf.address + (slot % self.group.config.slots) \
@@ -290,3 +274,12 @@ class NaiveGroup(GroupBase):
     def _metadata(self, op: OpSpec, slot: int) -> bytes:
         return encode_header(op, slot, 0, self.group_size) \
             + bytes(8 * self.group_size)
+
+    def _begin_close(self) -> bool:
+        """The base guard, then the replicas' pollers stop too."""
+        if not super()._begin_close():
+            return False
+        for replica in self.replicas:
+            if replica.poller is not None:
+                replica.poller.stop()
+        return True

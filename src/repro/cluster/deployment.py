@@ -56,11 +56,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
-from typing import (TYPE_CHECKING, Any, Dict, Generator, Iterator, List,
-                    Optional)
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from ..faults.injector import FaultTargets
+from typing import Any, Dict, Generator, Iterator, List, Optional
 
 from .. import backend as backend_registry
 from ..backend.base import GroupBase, check_replicas
@@ -513,37 +509,10 @@ class ShardedDeployment:
                 lost.append(key)
         return lost
 
-    def acked_writes(self) -> int:
-        """Distinct keys with at least one acknowledged write."""
-        return len(self._acked_seq)
-
     @property
     def in_flight(self) -> int:
         return sum(self.handles[shard_id].group.in_flight
                    for shard_id in sorted(self.handles))
-
-    # ------------------------------------------------------------------
-    # Fault targeting (repro.faults drives these)
-    # ------------------------------------------------------------------
-    def replica_host_names(self, shard_id: int) -> List[str]:
-        """The replica host names of one shard's chain, in hop order.
-
-        Fault plans name targets by host, so this is the bridge from
-        "break shard 2's middle replica" to a concrete
-        :class:`~repro.faults.plan.CrashProcess` target — and it tracks
-        moves, always reflecting the shard's *current* placement.
-        """
-        handle = self.handles[shard_id]
-        return [host.name for host in handle.assignment.replicas]
-
-    def client_host_name(self, shard_id: int) -> str:
-        """The client-side host of one shard's chain."""
-        return self.handles[shard_id].assignment.client.name
-
-    def fault_targets(self) -> "FaultTargets":
-        """A fault-injection resolver bound to this deployment's cluster."""
-        from ..faults.injector import FaultTargets
-        return FaultTargets(self.cluster)
 
     def shard_rows(self) -> List[Dict[str, Any]]:
         """Per-shard summary rows (experiments print these)."""

@@ -80,9 +80,6 @@ class ScenarioConfig:
         check_replicas(backend_registry.get(self.backend).group_cls,
                        self.replicas)
 
-    def tenants_per_core(self) -> float:
-        return self.replica_tenants / self.cores if self.cores else 0.0
-
 
 @dataclass
 class Scenario:

@@ -38,7 +38,22 @@ from ..rdma.verbs import Access
 from ..rdma.wqe import WQE_SIZE, Opcode, Sge, WorkRequest
 from .metadata import NodeLayout, max_staging_len, staging_len
 
-__all__ = ["ReplicaEngine", "prepost_gated", "wire_chain"]
+__all__ = ["ReplicaEngine", "carve_region", "prepost_gated", "wire_chain"]
+
+#: A replicated region is remotely writable, readable and atomic-capable
+#: (group locks live inside it).
+REGION_ACCESS = (Access.LOCAL_WRITE | Access.REMOTE_WRITE
+                 | Access.REMOTE_READ | Access.REMOTE_ATOMIC)
+
+
+def carve_region(host: Host, node: str, size: int,
+                 access: Access = REGION_ACCESS):
+    """Allocate node ``node``'s replicated region on ``host`` and register
+    it with ``access``, both named ``<node>.region``; returns
+    ``(allocation, mr)``."""
+    region = host.memory.allocate(size, f"{node}.region")
+    return region, host.nic.register_mr(region.address, region.size, access,
+                                        name=f"{node}.region")
 
 
 def wire_chain(replicas, ack_qp) -> None:
@@ -72,18 +87,12 @@ class ReplicaEngine:
         self.config = config
         self.name = f"{group_name}.r{hop}"
         memory, nic = host.memory, host.nic
-        self.region = memory.allocate(config.region_size, f"{self.name}.region")
+        self.region, self.region_mr = carve_region(host, self.name,
+                                                   config.region_size)
         stride = max_staging_len(group_size)
         self.staging = memory.allocate(stride * config.slots,
                                        f"{self.name}.staging")
         self.staging_stride = stride
-        # The replicated region is remotely writable/readable and atomic-
-        # capable (group locks live inside it).
-        self.region_mr = nic.register_mr(
-            self.region.address, self.region.size,
-            Access.LOCAL_WRITE | Access.REMOTE_WRITE | Access.REMOTE_READ
-            | Access.REMOTE_ATOMIC,
-            name=f"{self.name}.region")
         slots = config.slots
         self.up_recv_cq = nic.create_cq(name=f"{self.name}.upcq")
         self.local_cq = nic.create_cq(name=f"{self.name}.localcq")
@@ -102,9 +111,10 @@ class ReplicaEngine:
                                      name=f"{self.name}.down")
         self.qp_local.connect(self.qp_local)
         # Mirror the paper: the WQE rings are themselves registered memory
-        # (remote manipulation is bounds-checked like any RDMA access).
-        self.local_ring_mr = nic.ring_mr(self.qp_local, "sq")
-        self.down_ring_mr = nic.ring_mr(self.qp_down, "sq")
+        # (remote manipulation is bounds-checked like any RDMA access);
+        # named after their QPs, they go when the group is released.
+        nic.ring_mr(self.qp_local, "sq")
+        nic.ring_mr(self.qp_down, "sq")
         # Modified-driver cyclic rings: the slot pattern is pre-posted once
         # and re-armed by NIC ownership write-back, so the replica CPU does
         # no recurring work at all (§3.1's "very few cycles that initialize
@@ -113,19 +123,6 @@ class ReplicaEngine:
         self.qp_local.sq.cyclic = True
         self.qp_down.sq.cyclic = True
         self.posted_slots = 0
-
-    def close(self) -> None:
-        """Destroy QPs and CQs, deregister MRs, and return the carved
-        memory."""
-        nic, memory = self.host.nic, self.host.memory
-        for qp in (self.qp_up, self.qp_local, self.qp_down):
-            nic.destroy_qp(qp)
-        for cq in (self.up_recv_cq, self.local_cq, self.down_cq):
-            nic.destroy_cq(cq)
-        for mr in (self.region_mr, self.local_ring_mr, self.down_ring_mr):
-            nic.deregister_mr(mr)
-        memory.free(self.region)
-        memory.free(self.staging)
 
     def layout(self) -> NodeLayout:
         return NodeLayout(

@@ -13,9 +13,8 @@ supports up to 2 backups (replication factor 3 — the common deployment).
 from __future__ import annotations
 
 from ..host import Host
-from ..rdma.verbs import Access
 from ..rdma.wqe import WQE_SIZE, Opcode, Sge, WorkRequest
-from .chain import prepost_gated
+from .chain import carve_region, prepost_gated
 
 __all__ = ["_FanoutPrimary", "_FanoutBackup",
            "_PRIMARY_BLOCK_WQES", "_BACKUP_BLOCK_WQES", "_BACKUP_MSG_SIZE"]
@@ -37,11 +36,8 @@ class _FanoutPrimary:
         config = group.config
         memory, nic = host.memory, host.nic
         self.name = f"{group.name}.primary"
-        self.region = memory.allocate(config.region_size, f"{self.name}.region")
-        self.region_mr = nic.register_mr(
-            self.region.address, self.region.size,
-            Access.LOCAL_WRITE | Access.REMOTE_WRITE | Access.REMOTE_READ
-            | Access.REMOTE_ATOMIC, name=f"{self.name}.region")
+        self.region, self.region_mr = carve_region(host, self.name,
+                                                   config.region_size)
         backups = group.backup_count
         # Staging for each backup's outgoing metadata message.
         self.staging = memory.allocate(
@@ -70,18 +66,6 @@ class _FanoutPrimary:
         for qp in self.qp_backups:
             qp.sq.cyclic = True
         self.posted_slots = 0
-
-    def close(self) -> None:
-        """Destroy QPs and CQs, deregister the region MR, and return the
-        carved memory."""
-        nic, memory = self.host.nic, self.host.memory
-        for qp in [self.qp_up, self.qp_local, self.qp_ack] + self.qp_backups:
-            nic.destroy_qp(qp)
-        for cq in (self.up_cq, self.local_cq, self.out_cq):
-            nic.destroy_cq(cq)
-        nic.deregister_mr(self.region_mr)
-        memory.free(self.region)
-        memory.free(self.staging)
 
     def staging_slot(self, slot: int, backup: int) -> int:
         config = self.group.config
@@ -126,13 +110,10 @@ class _FanoutBackup:
         self.group = group
         self.index = index
         config = group.config
-        memory, nic = host.memory, host.nic
+        nic = host.nic
         self.name = f"{group.name}.backup{index}"
-        self.region = memory.allocate(config.region_size, f"{self.name}.region")
-        self.region_mr = nic.register_mr(
-            self.region.address, self.region.size,
-            Access.LOCAL_WRITE | Access.REMOTE_WRITE | Access.REMOTE_READ
-            | Access.REMOTE_ATOMIC, name=f"{self.name}.region")
+        self.region, self.region_mr = carve_region(host, self.name,
+                                                   config.region_size)
         self.up_cq = nic.create_cq(name=f"{self.name}.upcq")
         self.local_cq = nic.create_cq(name=f"{self.name}.localcq")
         self.qp_up = nic.create_qp(self.local_cq, self.up_cq, sq_slots=8,
@@ -149,17 +130,6 @@ class _FanoutBackup:
         self.qp_local.sq.cyclic = True
         self.qp_ack.sq.cyclic = True
         self.posted_slots = 0
-
-    def close(self) -> None:
-        """Destroy QPs and CQs, deregister the region MR, and return the
-        region."""
-        nic = self.host.nic
-        for qp in (self.qp_up, self.qp_local, self.qp_ack):
-            nic.destroy_qp(qp)
-        for cq in (self.up_cq, self.local_cq):
-            nic.destroy_cq(cq)
-        nic.deregister_mr(self.region_mr)
-        self.host.memory.free(self.region)
 
     def prepost(self, count: int) -> None:
         local = prepost_gated(self.qp_local, self.up_cq, 1, count)

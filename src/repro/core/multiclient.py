@@ -40,11 +40,11 @@ import dataclasses
 import struct
 from typing import List, Optional, Sequence, Tuple
 
-from ..backend.base import GroupBase, ack_loop, check_replicas, close_ack_hub, open_ack_hub
+from ..backend.base import GroupBase, ack_loop, check_replicas, open_ack_hub, release
 from ..host import Host
-from ..rdma.verbs import Access, WorkCompletion
+from ..rdma.verbs import WorkCompletion
 from ..rdma.wqe import WQE_SIZE, Opcode, Sge, WorkRequest, encode_wqe
-from .chain import prepost_gated, wire_chain
+from .chain import carve_region, prepost_gated, wire_chain
 from .group import GroupConfig
 from .metadata import OpKind, OpSpec
 
@@ -70,11 +70,8 @@ class _SharedReplica:
         config = chain.config
         memory, nic = host.memory, host.nic
         self.name = f"{chain.name}.r{hop}"
-        self.region = memory.allocate(config.region_size, f"{self.name}.region")
-        self.region_mr = nic.register_mr(
-            self.region.address, self.region.size,
-            Access.LOCAL_WRITE | Access.REMOTE_WRITE | Access.REMOTE_READ
-            | Access.REMOTE_ATOMIC, name=f"{self.name}.region")
+        self.region, self.region_mr = carve_region(host, self.name,
+                                                   config.region_size)
         self.is_tail = hop == chain.group_size - 1
         self.staging_stride = max(
             TAG_SIZE, _meta_len(chain.group_size, hop + 1)
@@ -110,21 +107,6 @@ class _SharedReplica:
     def staging_slot(self, slot: int) -> int:
         return self.staging.address \
             + (slot % self.chain.config.slots) * self.staging_stride
-
-    def close(self) -> None:
-        """Destroy QPs and CQs, deregister the region MR, and return the
-        carved memory (the head's SRQ ring too)."""
-        nic, memory = self.host.nic, self.host.memory
-        for qp in (self.qp_up, self.qp_local, self.qp_down):
-            if qp is not None:
-                nic.destroy_qp(qp)
-        for cq in (self.up_cq, self.local_cq, self.down_cq):
-            nic.destroy_cq(cq)
-        nic.deregister_mr(self.region_mr)
-        if self.srq is not None:
-            memory.free(self.srq.ring)
-        memory.free(self.region)
-        memory.free(self.staging)
 
     def prepost(self, count: int) -> None:
         """Pre-post the next ``count`` slots: one list post per ring."""
@@ -209,16 +191,15 @@ class SharedChain:
         return self.ack_buf.address + (slot % self.config.slots) * TAG_SIZE
 
     def close(self) -> None:
-        """Tear the chain down: close every client, then return each
-        replica's resources and the owner's ACK hub."""
+        """Tear the chain down: close every client, then every replica
+        host and the owner release what carries the chain's name."""
         if self._closed:
             return
         self._closed = True
         for client in self.clients:
             client.close()
-        for replica in self.replicas:
-            replica.close()
-        close_ack_hub(self, self.owner_host)
+        release(self.name, [*(replica.host for replica in self.replicas),
+                            self.owner_host])
 
     def attach_client(self, client_host: Host) -> "SharedChainClient":
         """Register a client: a fresh QP into the head replica's SRQ."""
@@ -292,15 +273,6 @@ class SharedChainClient(GroupBase):
     def _result_map(self, slot: int) -> bytes:
         # gCAS is out of scope, so there is no result map to read.
         return b""
-
-    def close(self) -> None:
-        """Detach: pending ops fail, and this client's QPs (its own and the
-        head's end of it), out CQ and buffers go back.  The ACK hub and
-        the replicas are the chain's."""
-        if not self._begin_close():
-            return
-        self.replicas[0].host.nic.destroy_qp(self.qp_in)
-        self._close_client()
 
     # ------------------------------------------------------------------
     # Metadata: slot-independent images only

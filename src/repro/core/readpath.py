@@ -76,16 +76,8 @@ class ClientReadPath:
         return done
 
     def close(self) -> None:
-        """Destroy the read QPs and CQs and free the staging buffer."""
-        for hop, local_qp in enumerate(self.qps):
-            remote_qp = local_qp.remote
-            local_qp.nic.destroy_qp(local_qp)
-            if remote_qp is not None and remote_qp is not local_qp:
-                remote_qp.nic.destroy_qp(remote_qp)
-                remote_qp.nic.destroy_cq(remote_qp.recv_cq)
-        self.qps = []
-        self.client_host.nic.destroy_cq(self.cq)
-        self.client_host.memory.free(self.buf)
+        """Fail every read still in flight.  The QPs, CQs and buffer carry
+        the group's name, so the group's close has released them."""
         for waiter in self._waiters.values():
             if not waiter.triggered:
                 waiter.fail(RuntimeError("read path closed"))

@@ -29,7 +29,7 @@ from .common import format_table, run_until, scaled
 from .parallel import sweep
 
 __all__ = ["replica_set_points", "core_points", "worker", "normalize",
-           "run_replica_set_sweep", "run_core_sweep", "main"]
+           "main"]
 
 REGION = 24 << 20
 WAL = 2 << 20
@@ -146,17 +146,6 @@ def normalize(rows: List[Dict]) -> List[Dict]:
     for row in rows:
         row["norm_ctxsw"] = row["context_switches"] / peak
     return rows
-
-
-def run_replica_set_sweep(counts=None, seed: int = 2) -> List[Dict]:
-    """Figure 2(a): latency & context switches vs number of replica-sets."""
-    return normalize(sweep(replica_set_points(counts, seed), worker))
-
-
-def run_core_sweep(cores=None, replica_sets: int = 18,
-                   seed: int = 3) -> List[Dict]:
-    """Figure 2(b): latency & context switches vs cores per machine."""
-    return normalize(sweep(core_points(cores, replica_sets, seed), worker))
 
 
 def main(backend: str = "hyperloop", jobs: int = 1) -> Dict[str, List[Dict]]:

@@ -127,6 +127,15 @@ class Host:
             tenant.stop()
         self._tenants = []
 
+    def release(self, owner: str) -> None:
+        """Return everything on this host named ``owner.…``: the NIC's QPs,
+        CQs and MRs (:meth:`~repro.rdma.nic.RNIC.release`), then the
+        allocations left (destroying a QP frees its rings).  The trailing
+        dot keeps ``group1`` from matching ``group10``."""
+        prefix = owner + "."
+        self.nic.release(prefix)
+        self.memory.release(prefix)
+
     def fail_power(self) -> None:
         """Inject a power failure on this machine."""
         self.power.fail()

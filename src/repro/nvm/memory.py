@@ -327,6 +327,14 @@ class MemoryDevice:
             self._brk = merged.pop()[0]
         self._free_list = merged
 
+    def release(self, prefix: str) -> None:
+        """:meth:`free` every live allocation whose name starts with
+        ``prefix``, in allocation order."""
+        for allocation in [allocation for name, allocation
+                           in self._allocations.items()
+                           if name.startswith(prefix)]:
+            self.free(allocation)
+
     def allocation(self, name: str) -> Allocation:
         return self._allocations[name]
 

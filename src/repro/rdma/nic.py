@@ -286,6 +286,19 @@ class RNIC:
             # Shared receive rings belong to their creator, not any QP.
             self.memory.free(qp.rq.ring)
 
+    def release(self, prefix: str) -> None:
+        """Destroy every QP, then every CQ, then deregister every MR whose
+        name starts with ``prefix``, each in creation order."""
+        for qp in [qp for qp in self.qps.values()
+                   if qp.name.startswith(prefix)]:
+            self.destroy_qp(qp)
+        for cq in [cq for cq in self.cqs.values()
+                   if cq.name.startswith(prefix)]:
+            self.destroy_cq(cq)
+        for mr in [mr for mr in self.mrs.values()
+                   if mr.name.startswith(prefix)]:
+            self.deregister_mr(mr)
+
     def ring_mr(self, qp: QueuePair, queue: str = "sq") -> MemoryRegion:
         """Register a QP's descriptor ring as a remote-writable MR."""
         wq = qp.sq if queue == "sq" else qp.rq

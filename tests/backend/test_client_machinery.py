@@ -148,14 +148,16 @@ def test_close_stops_the_client_poller(cluster, backend, options):
 @pytest.mark.parametrize("backend", backend_registry.names())
 def test_close_returns_every_nic_object(cluster, backend):
     """Three create/close cycles on one set of hosts leave every NIC with
-    the QPs, CQs and MRs it had before the first group."""
+    the QPs, CQs and MRs it had before the first group, and every host
+    with the free memory it had."""
     client = cluster.add_host("nc-client")
     replicas = cluster.add_hosts(3, prefix="nc-replica")
     hosts = (client, *replicas)
 
     def nic_objects():
         return [(host.name, len(host.nic.qps), len(host.nic.cqs),
-                 len(host.nic.mrs)) for host in hosts]
+                 len(host.nic.mrs), host.memory.bytes_free)
+                for host in hosts]
 
     before = nic_objects()
     for index in range(3):
@@ -201,3 +203,60 @@ def test_shared_chain_close_returns_every_nic_object(cluster):
         chain.close()                       # Idempotent.
     cluster.run(until=cluster.sim.now + us(100))
     assert held() == before
+
+
+def _owned(hosts, owner):
+    """Per host: how many QPs, CQs and MRs are named ``owner.…``."""
+    prefix = owner + "."
+
+    def count(objects):
+        return sum(item.name.startswith(prefix) for item in objects)
+
+    return [(host.name, count(host.nic.qps.values()),
+             count(host.nic.cqs.values()), count(host.nic.mrs.values()))
+            for host in hosts]
+
+
+@pytest.mark.parametrize("backend", backend_registry.names())
+def test_close_spares_a_group_whose_name_extends_it(cluster, backend):
+    """Closing ``g1`` leaves ``g10`` on the same hosts whole: its QPs, CQs
+    and MRs stay, and it still ACKs a gWRITE."""
+    client = cluster.add_host("ni-client")
+    replicas = cluster.add_hosts(3, prefix="ni-replica")
+    hosts = (client, *replicas)
+    g1 = _registered_group(backend, client, replicas, "g1")
+    g10 = _registered_group(backend, client, replicas, "g10")
+    before = _owned(hosts, "g10")
+    assert all(qps and cqs for _name, qps, cqs, _mrs in before)
+    g1.close()
+    assert _owned(hosts, "g1") == [(host.name, 0, 0, 0) for host in hosts]
+    assert _owned(hosts, "g10") == before
+    g10.write_local(0, b"kept")
+    done = g10.gwrite(0, 4)
+    cluster.run(until=cluster.sim.now + ms(1))
+    assert done.ok
+    assert g10.read_replica(2, 0, 4) == b"kept"
+
+
+def test_shared_chain_client_close_spares_the_other_client(cluster):
+    """Closing one client of a shared chain releases only its own QPs, CQs
+    and buffers; the other client keeps ACKing."""
+    owner = cluster.add_host("cc-owner")
+    peer = cluster.add_host("cc-peer")
+    replicas = cluster.add_hosts(3, prefix="cc-replica")
+    hosts = (owner, peer, *replicas)
+    chain = SharedChain(owner, replicas,
+                        GroupConfig(slots=16, region_size=1 << 20),
+                        name="cc", max_clients=2)
+    clients = [chain.attach_client(host) for host in (owner, peer)]
+    kept = _owned(hosts, "cc.c1")
+    clients[0].close()
+    assert _owned(hosts, "cc.c0") == [(host.name, 0, 0, 0) for host in hosts]
+    assert _owned(hosts, "cc.c1") == kept
+    clients[1].write_local(0, b"peer")
+    done = clients[1].gwrite(0, 4)
+    cluster.run(until=cluster.sim.now + ms(1))
+    assert done.ok
+    assert replicas[2].memory.read(chain.replicas[2].region.address,
+                                   4) == b"peer"
+    chain.close()

@@ -210,6 +210,8 @@ class TestRecovery:
         group.close()
         with pytest.raises(RuntimeError):
             group.gwrite(0, 12)
+        with pytest.raises(RuntimeError, match="closed"):
+            group.remote_read(0, 0, 12)
 
     def test_rebuild_after_close_reuses_hosts(self, spec, group, cluster):
         """A supervisor's repair path: tear down, rebuild on the same
