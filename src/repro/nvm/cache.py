@@ -70,10 +70,6 @@ class NICWriteCache:
         """DMA read — coherent with the visible image by construction."""
         return self.backing.read(address, size)
 
-    def dma_copy_within(self, src: int, dst: int, size: int) -> None:
-        """Local DMA copy (gMEMCPY's engine): the copy target is cached."""
-        self.dma_write(dst, self.dma_read(src, size))
-
     # ------------------------------------------------------------------
     # Flush / writeback
     # ------------------------------------------------------------------

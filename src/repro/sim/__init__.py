@@ -16,7 +16,7 @@ from .rng import (
     ScrambledZipfianGenerator,
     ZipfianGenerator,
 )
-from .stats import Counter, LatencyRecorder, UtilizationTracker, summarize_us
+from .stats import Counter, LatencyRecorder
 from . import units
 
 __all__ = [
@@ -37,7 +37,5 @@ __all__ = [
     "LatestGenerator",
     "Counter",
     "LatencyRecorder",
-    "UtilizationTracker",
-    "summarize_us",
     "units",
 ]

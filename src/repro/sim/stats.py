@@ -1,4 +1,4 @@
-"""Measurement utilities: latency recorders, counters and utilization probes.
+"""Measurement utilities: latency recorders and counters.
 
 Every experiment in the reproduction reports one or more of:
 
@@ -27,8 +27,6 @@ from .units import to_us
 __all__ = [
     "LatencyRecorder",
     "Counter",
-    "UtilizationTracker",
-    "summarize_us",
 ]
 
 
@@ -120,14 +118,6 @@ class LatencyRecorder:
         }
 
 
-def summarize_us(samples_ns: Sequence[int]) -> Dict[str, float]:
-    """One-shot summary for a raw list of nanosecond samples."""
-    recorder = LatencyRecorder()
-    for sample in samples_ns:
-        recorder.record(sample)
-    return recorder.summary_us()
-
-
 class Counter:
     """A named monotonic counter (context switches, messages, bytes...)."""
 
@@ -143,31 +133,3 @@ class Counter:
     def reset(self) -> int:
         value, self.value = self.value, 0
         return value
-
-
-class UtilizationTracker:
-    """Tracks busy time of a resource to report fractional utilization.
-
-    Components call :meth:`add_busy` with each busy interval; utilization over
-    a window is busy-time / window.  Values can legitimately exceed 1.0 only
-    if the caller double-books the resource, so we clamp and flag.
-    """
-
-    __slots__ = ("name", "busy_ns")
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.busy_ns = 0
-
-    def add_busy(self, duration_ns: int) -> None:
-        if duration_ns < 0:
-            raise ValueError("negative busy duration")
-        self.busy_ns += duration_ns
-
-    def utilization(self, window_ns: int) -> float:
-        if window_ns <= 0:
-            raise ValueError("window must be positive")
-        return min(1.0, self.busy_ns / window_ns)
-
-    def reset(self) -> None:
-        self.busy_ns = 0

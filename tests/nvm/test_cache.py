@@ -38,13 +38,6 @@ class TestDmaPath:
         cache.dma_write(0, b"")
         assert cache.dirty_bytes == 0
 
-    def test_copy_within_via_cache(self, setup):
-        _sim, memory, cache = setup
-        memory.write(0, b"abcdef")
-        cache.dma_copy_within(0, 100, 6)
-        assert memory.read(100, 6) == b"abcdef"
-        assert cache.dirty_bytes == 6
-
     def test_out_of_bounds_rejected(self, setup):
         _sim, _memory, cache = setup
         with pytest.raises(IndexError):

@@ -1,4 +1,4 @@
-"""Tests for latency recorders, counters and utilization tracking."""
+"""Tests for latency recorders and counters."""
 
 import os
 import subprocess
@@ -9,12 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim import stats
-from repro.sim.stats import (
-    Counter,
-    LatencyRecorder,
-    UtilizationTracker,
-    summarize_us,
-)
+from repro.sim.stats import Counter, LatencyRecorder
 
 
 class TestLatencyRecorder:
@@ -58,12 +53,6 @@ class TestLatencyRecorder:
         recorder.record(1500)
         assert recorder.mean_us() == 1.5
         assert recorder.percentile_us(50) == 1.5
-
-    def test_summary_keys(self):
-        summary = summarize_us([1000, 2000, 3000])
-        assert summary["count"] == 3
-        assert summary["avg_us"] == 2.0
-        assert summary["p99_us"] <= summary["max_us"]
 
     def test_min_max(self):
         recorder = LatencyRecorder()
@@ -154,8 +143,10 @@ def test_importing_repro_does_not_import_numpy():
         filter(None, [os.path.dirname(os.path.dirname(
             os.path.dirname(stats.__file__))), env.get("PYTHONPATH", "")]))
     snippet = ("import sys, repro\n"
-               "from repro.sim.stats import summarize_us\n"
-               "summarize_us(range(4096))\n"
+               "from repro.sim.stats import LatencyRecorder\n"
+               "recorder = LatencyRecorder()\n"
+               "for sample in range(4096): recorder.record(sample)\n"
+               "recorder.summary_us()\n"
                "print('numpy' in sys.modules)")
     output = subprocess.run([sys.executable, "-c", snippet], env=env,
                             capture_output=True, text=True, check=True)
@@ -175,27 +166,3 @@ class TestCounter:
         assert counter.reset() == 3
         assert counter.value == 0
 
-
-class TestUtilizationTracker:
-    def test_basic(self):
-        tracker = UtilizationTracker("u")
-        tracker.add_busy(500)
-        assert tracker.utilization(1000) == 0.5
-
-    def test_clamped_at_one(self):
-        tracker = UtilizationTracker("u")
-        tracker.add_busy(2000)
-        assert tracker.utilization(1000) == 1.0
-
-    def test_invalid_inputs(self):
-        tracker = UtilizationTracker("u")
-        with pytest.raises(ValueError):
-            tracker.add_busy(-1)
-        with pytest.raises(ValueError):
-            tracker.utilization(0)
-
-    def test_reset(self):
-        tracker = UtilizationTracker("u")
-        tracker.add_busy(100)
-        tracker.reset()
-        assert tracker.utilization(100) == 0.0
