@@ -526,7 +526,7 @@ class GroupBase:
                 memory.copy_within(self.region.address + op.src_offset,
                                    self.region.address + op.dst_offset,
                                    op.size)
-            if op.durable or op.kind is OpKind.GFLUSH:
+            if op.flushes:
                 self.qp_out.post_send(WorkRequest(
                     Opcode.READ, [Sge(0, 0)],
                     remote_addr=head.region.address,

@@ -45,6 +45,12 @@ class OpSpec:
     execute_map: Optional[Sequence[bool]] = None  # gCAS selective execution.
     durable: bool = False      # Interleave gFLUSH down the chain.
 
+    @property
+    def flushes(self) -> bool:
+        """The one flush rule: a durable op and a gFLUSH make every
+        replica durable, on every backend."""
+        return self.durable or self.kind is OpKind.GFLUSH
+
     def validate(self, group_size: int) -> None:
         if self.kind is OpKind.GCAS and self.execute_map is not None \
                 and len(self.execute_map) != group_size:

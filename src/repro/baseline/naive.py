@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 from ..backend.base import GroupBase, open_ack_hub
 from ..backend.ops import OpKind, OpSpec
 from ..backend.registry import register
-from ..core.chain import carve_region, wire_chain
+from ..core.chain import carve_region
 from ..core.readpath import ClientReadPath
 from ..host import Host
 from ..rdma.verbs import Access
@@ -182,7 +182,7 @@ class _NaiveReplica:
                 total += int(op.size / config.memcpy_bytes_per_ns)
             elif op.kind is OpKind.GCAS:
                 total += config.cas_ns
-            posts = 2 + (1 if op.durable or op.kind is OpKind.GFLUSH else 0)
+            posts = 2 + op.flushes
             total += posts * config.handler_post_ns
         return total
 
@@ -211,7 +211,6 @@ class _NaiveReplica:
             memory.write(result_base + self.hop * 8,
                          original.to_bytes(8, "little"))
         is_tail = self.hop == group.group_size - 1
-        durable = op.durable or op.kind is OpKind.GFLUSH
         if is_tail:
             # ACK the client with the result map.
             self.qp_down.post_send(WorkRequest(
@@ -227,7 +226,7 @@ class _NaiveReplica:
                 [Sge(self.region.address + op.offset, op.size)],
                 remote_addr=next_replica.region.address + op.offset,
                 rkey=next_replica.region_mr.rkey, signaled=False))
-        if durable:
+        if op.flushes:
             self.qp_down.post_send(WorkRequest(
                 Opcode.READ, [Sge(0, 0)],
                 remote_addr=next_replica.region.address,
@@ -266,7 +265,9 @@ class NaiveGroup(GroupBase):
         open_ack_hub(self, client_host, 8 * self.group_size, ["ackqp"],
                      out_sq_slots=4 * config.slots + 16)
         self.qp_out.connect(self.replicas[0].qp_up)
-        wire_chain(self.replicas, self.ack_qps[0])
+        for prev, nxt in zip(self.replicas, self.replicas[1:]):
+            prev.qp_down.connect(nxt.qp_up)
+        self.replicas[-1].qp_down.connect(self.ack_qps[0])
         self._start_client(config.client_mode == "polling",
                            config.ack_dispatch_ns)
         self.read_path = ClientReadPath(client_host, self.replicas, self.name)

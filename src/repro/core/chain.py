@@ -1,44 +1,46 @@
-"""Chain-replica control plane: memory carve-outs, QPs, slot pre-posting.
+"""The replica engine: one slot machine for every offloaded topology.
 
-This is the *setup* half of the HyperLoop chain (§4.1/§4.2) — everything
-a replica's CPU does once, off the critical path, so that the data path
-can run entirely on the NICs afterwards.  The data-path half (the
-client-side primitive API) lives in :mod:`repro.core.group`.
+This is the *setup* half of HyperLoop (§4.1/§4.2) — everything a replica's
+CPU does once, off the critical path, so that the data path runs entirely
+on the NICs afterwards.  The chain (:class:`~repro.core.group.HyperLoopGroup`),
+the shared chain (:mod:`repro.core.multiclient`) and the fan-out
+(:mod:`repro.core.fanout`) run the same mechanism and differ only in the
+:class:`Wiring` each hands :class:`ReplicaEngine` per node:
 
-Every replica owns three queue pairs:
+* every node receives through an upstream queue — its QP ``up`` or, at a
+  shared chain's head, an SRQ the clients' QPs share — and owns a loopback
+  QP ``local`` whose ring holds, per slot, a consume-mode ``WAIT(up CQ)``
+  gating one unowned placeholder that becomes the local op (NOP / CAS /
+  local-copy WRITE);
+* each further gated ring (the chain's ``down``, the fan-out's ``ack`` and
+  ``out<i>``) holds, per slot, a ``WAIT(local CQ)`` gating its placeholders
+  and, on a shared chain, one static descriptor that serves every reuse of
+  the slot unchanged;
+* one RECV per slot scatters the client's descriptor images onto the slot's
+  placeholders — patching their fields and ownership bits by pure DMA — and
+  the rest into the slot's staging buffer, which a forward re-transmits.
 
-* ``qp_up``    — connected to the previous node (client for replica 0);
-* ``qp_local`` — loopback, where the per-op *local* operation (NOP / CAS /
-  local-copy WRITE) executes;
-* ``qp_down``  — connected to the next node (the client's ACK QP for the
-  tail).
-
-For every pipeline slot ``k`` the replica's CPU pre-posts — once, off the
-critical path — the chain of work requests described in §4.1/§4.2:
-
-* ``qp_up``: a RECV whose scatter list points **at the four pre-posted WQE
-  descriptors below plus the slot's staging buffer**, so the incoming
-  metadata SEND patches the descriptors (including their ownership bits) by
-  pure DMA;
-* ``qp_local``: a consume-mode ``WAIT(up_recv_cq)`` then an unowned
-  placeholder that the patch turns into the local op;
-* ``qp_down``: a consume-mode ``WAIT(local_send_cq)`` then three unowned
-  placeholders that become forward-data (WRITE), forward-flush (0-byte
-  READ) and forward-metadata (SEND, or WRITE_WITH_IMM ACK at the tail).
-
-After setup the replica CPU does nothing at all: the modified driver marks
-the rings *cyclic*, so the NIC's ownership write-back re-arms each slot for
-reuse and the pre-posted pattern serves unboundedly many operations.
+The engine pre-posts all ``config.slots`` slots once, on rings that hold
+exactly one pass of the pattern, so slot ``k`` always maps to the same
+descriptor addresses.  The modified driver marks the rings *cyclic*: the
+NIC's ownership write-back re-arms each slot, and the replica CPU does no
+recurring work at all.  The patched rings are registered as remotely
+writable memory, and the engine's CQs only feed WAITs, so they keep a
+completion count and store no entries.
 """
 
 from __future__ import annotations
 
-from ..host import Host
-from ..rdma.verbs import Access
-from ..rdma.wqe import WQE_SIZE, Opcode, Sge, WorkRequest
-from .metadata import NodeLayout, max_staging_len, staging_len
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
-__all__ = ["ReplicaEngine", "carve_region", "prepost_gated", "wire_chain"]
+from ..host import Host
+from ..rdma.verbs import Access, CompletionQueue, QueuePair
+from ..rdma.wqe import WQE_SIZE, Opcode, Sge, WorkRequest
+from .metadata import NodeLayout
+
+__all__ = ["ReplicaEngine", "Ring", "Wiring", "carve_region",
+           "prepost_gated", "wire_chain"]
 
 #: A replicated region is remotely writable, readable and atomic-capable
 #: (group locks live inside it).
@@ -57,102 +59,149 @@ def carve_region(host: Host, node: str, size: int,
 
 
 def wire_chain(replicas, ack_qp) -> None:
-    """Connect each replica's down QP to the next one's up QP, and the
+    """Connect each engine's ``down`` QP to the next one's up QP, and the
     tail's to the client's ACK QP ``ack_qp``."""
     for prev, nxt in zip(replicas, replicas[1:]):
-        prev.qp_down.connect(nxt.qp_up)
-    replicas[-1].qp_down.connect(ack_qp)
+        prev.qps["down"].connect(nxt.qp_up)
+    replicas[-1].qps["down"].connect(ack_qp)
 
 
-def prepost_gated(qp, wait_cq, placeholders: int, count: int) -> int:
+def prepost_gated(qp, wait_cq, placeholders: int, count: int,
+                  statics: Optional[Sequence[WorkRequest]] = None) -> int:
     """List-post ``count`` slots of a WAIT on ``wait_cq`` gating
-    ``placeholders`` unowned NOPs for the metadata scatter to patch; returns
-    the first index.  The WAIT is consume-mode (``wait_count=0``) so a
-    cyclic ring re-serves it forever without count patching."""
+    ``placeholders`` unowned NOPs for the metadata scatter to patch, then,
+    with ``statics``, slot ``k``'s owned ``statics[k]``; returns the first
+    index.  The WAIT is consume-mode (``wait_count=0``) so a cyclic ring
+    re-serves it forever without count patching."""
     wait = WorkRequest(Opcode.WAIT, wait_cq=wait_cq.cq_id, wait_count=0,
                        signaled=False)
     nop = WorkRequest(Opcode.NOP, signaled=False)
-    return qp.post_send_list([wait] + [nop] * placeholders,
-                             [True] + [False] * placeholders, times=count)
+    block = [wait] + [nop] * placeholders
+    owned = [True] + [False] * placeholders
+    if statics is None:
+        return qp.post_send_list(block, owned, times=count)
+    return qp.post_send_list([wr for static in statics
+                              for wr in (*block, static)],
+                             (owned + [True]) * count)
+
+
+@dataclass(frozen=True)
+class Ring:
+    """A gated send ring, the QP ``<node>.<name>``: per slot a WAIT gating
+    ``placeholders`` unowned NOPs, then, if set, the owned
+    ``static(slot, staging)`` (``staging`` is the slot's staging address)."""
+
+    name: str
+    placeholders: int
+    static: Optional[Callable[[int, int], WorkRequest]] = None
+
+    @property
+    def stride(self) -> int:
+        """Descriptors per slot."""
+        return 1 + self.placeholders + (self.static is not None)
+
+
+#: Every node's loopback ring: the local op, gated on the upstream RECV.
+LOCAL = Ring("local", 1)
+
+
+@dataclass(frozen=True)
+class Wiring:
+    """One node's slot machine, as data."""
+
+    #: The rings after ``local``, in QP order; each WAITs on the local CQ.
+    rings: Tuple[Ring, ...]
+    #: The RECV's scatter list, one ``(ring, at, length)`` per SGE: it lands
+    #: ``length`` bytes ``at`` bytes into the slot's placeholders of
+    #: ``ring`` (``"local"`` or one of ``rings``), or, for ``"staging"``,
+    #: into the slot's staging buffer.
+    scatter: Tuple[Tuple[str, int, int], ...]
+    #: Staging bytes per slot (0: no staging buffer).
+    staging: int = 0
+    #: The third CQ, ``<node>.<out>cq``, that the up QP's and every ring
+    #: but ``local``'s sends complete into; empty: they use the local CQ.
+    out: str = ""
+    #: Receive through an SRQ (a shared chain's head) instead of QP ``up``.
+    srq: bool = False
 
 
 class ReplicaEngine:
-    """Per-replica state: memory carve-outs, QPs, and slot pre-posting."""
+    """One node of an offloaded group: its region, its count-only CQs
+    (``cqs``: ``up``, ``local`` and ``wiring.out``), its receive queue
+    ``rq`` (``qp_up``'s, or an SRQ), and its gated rings (``qps``, by ring
+    name), pre-posted by :meth:`arm`."""
 
-    def __init__(self, host: Host, group_name: str, hop: int,
-                 group_size: int, config):
+    def __init__(self, host: Host, name: str, config, wiring: Wiring):
         self.host = host
-        self.hop = hop
-        self.group_size = group_size
+        self.name = name
         self.config = config
-        self.name = f"{group_name}.r{hop}"
-        memory, nic = host.memory, host.nic
-        self.region, self.region_mr = carve_region(host, self.name,
+        self.wiring = wiring
+        memory, nic, slots = host.memory, host.nic, config.slots
+        self.region, self.region_mr = carve_region(host, name,
                                                    config.region_size)
-        stride = max_staging_len(group_size)
-        self.staging = memory.allocate(stride * config.slots,
-                                       f"{self.name}.staging")
-        self.staging_stride = stride
-        slots = config.slots
-        self.up_recv_cq = nic.create_cq(name=f"{self.name}.upcq")
-        self.local_cq = nic.create_cq(name=f"{self.name}.localcq")
-        self.down_cq = nic.create_cq(name=f"{self.name}.downcq")
-        # Cyclic reuse requires each ring to hold *exactly* one pass of
-        # the pre-posted slot pattern, so absolute slot k always maps back
-        # to the same descriptor addresses.
-        self.qp_up = nic.create_qp(self.down_cq, self.up_recv_cq,
-                                   sq_slots=8, rq_slots=slots,
-                                   name=f"{self.name}.up")
-        self.qp_local = nic.create_qp(self.local_cq, self.local_cq,
-                                      sq_slots=2 * slots, rq_slots=8,
-                                      name=f"{self.name}.local")
-        self.qp_down = nic.create_qp(self.down_cq, self.down_cq,
-                                     sq_slots=4 * slots, rq_slots=8,
-                                     name=f"{self.name}.down")
-        self.qp_local.connect(self.qp_local)
-        # Mirror the paper: the WQE rings are themselves registered memory
-        # (remote manipulation is bounds-checked like any RDMA access);
-        # named after their QPs, they go when the group is released.
-        nic.ring_mr(self.qp_local, "sq")
-        nic.ring_mr(self.qp_down, "sq")
-        # Modified-driver cyclic rings: the slot pattern is pre-posted once
-        # and re-armed by NIC ownership write-back, so the replica CPU does
-        # no recurring work at all (§3.1's "very few cycles that initialize
-        # the HyperLoop groups").
-        self.qp_up.rq.cyclic = True
-        self.qp_local.sq.cyclic = True
-        self.qp_down.sq.cyclic = True
-        self.posted_slots = 0
+        self.staging = memory.allocate(wiring.staging * slots,
+                                       f"{name}.staging") \
+            if wiring.staging else None
+        # Nothing polls these: they only feed the WAITs (and the
+        # unsignaled forwards never complete).
+        self.cqs: Dict[str, CompletionQueue] = {
+            cq: nic.create_cq(name=f"{name}.{cq}cq", count_only=True)
+            for cq in ("up", "local", wiring.out) if cq}
+        local_cq, out_cq = self.cqs["local"], self.cqs[wiring.out or "local"]
+        self.qp_up: Optional[QueuePair] = None
+        if wiring.srq:
+            self.rq = nic.create_srq(slots=slots, name=f"{name}.srq")
+        else:
+            self.qp_up = nic.create_qp(out_cq, self.cqs["up"], sq_slots=8,
+                                       rq_slots=slots, name=f"{name}.up")
+            self.rq = self.qp_up.rq
+        self.rq.cyclic = True
+        self.qps: Dict[str, QueuePair] = {}
+        for ring in (LOCAL, *wiring.rings):
+            cq = local_cq if ring is LOCAL else out_cq
+            # Exactly one pass of the slot pattern per ring.
+            qp = self.qps[ring.name] = nic.create_qp(
+                cq, cq, sq_slots=ring.stride * slots, rq_slots=8,
+                name=f"{name}.{ring.name}")
+            qp.sq.cyclic = True
+            # The paper's WQE memory is registered like any RDMA target
+            # (remote manipulation is bounds-checked); named after its QP,
+            # it goes when the group is released.
+            nic.ring_mr(qp, "sq")
+        self.qps["local"].connect(self.qps["local"])
 
     def layout(self) -> NodeLayout:
+        """What a client must know about this node."""
         return NodeLayout(
             name=self.name,
             region_addr=self.region.address,
             region_rkey=self.region_mr.rkey,
-            staging_addr=self.staging.address,
-            staging_stride=self.staging_stride,
+            staging_addr=self.staging.address if self.staging else 0,
+            staging_stride=self.wiring.staging,
             slots=self.config.slots)
 
-    # ------------------------------------------------------------------
-    # Slot pre-posting (control plane)
-    # ------------------------------------------------------------------
-    def prepost(self, count: int) -> None:
-        """Pre-post the WQE chains of the next ``count`` pipeline slots."""
-        # Local queue: WAIT on the upstream RECV CQ, then the local op.
-        local = prepost_gated(self.qp_local, self.up_recv_cq, 1, count)
-        # Down queue: WAIT on the local op's CQE, then the three forwards
-        # (data, flush, metadata).
-        down = prepost_gated(self.qp_down, self.local_cq, 3, count)
-        # Upstream RECVs: scatter the inbound metadata onto the slot's four
-        # placeholders, remainder into the staging buffer.
-        local_sq, down_sq = self.qp_local.sq, self.qp_down.sq
-        layout, first = self.layout(), self.posted_slots
-        meta_len = staging_len(self.group_size, self.hop)
-        self.qp_up.post_recv_list([WorkRequest(Opcode.RECV, [
-            Sge(local_sq.slot_address(local + 2 * k + 1), WQE_SIZE),
-            Sge(down_sq.slot_address(down + 4 * k + 1), WQE_SIZE),
-            Sge(down_sq.slot_address(down + 4 * k + 2), WQE_SIZE),
-            Sge(down_sq.slot_address(down + 4 * k + 3), WQE_SIZE),
-            Sge(layout.staging_slot(first + k), meta_len),
-        ], wr_id=first + k) for k in range(count)])
-        self.posted_slots += count
+    def arm(self) -> None:
+        """Pre-post every slot once: one list post per ring, then one RECV
+        per slot.  Posting needs connected QPs, so a group arms its nodes
+        after wiring them."""
+        wiring, slots = self.wiring, self.config.slots
+        stride = wiring.staging
+        staging = self.staging.address if self.staging else 0
+        # Where each scatter target sits for slot 0, and how far it moves
+        # per slot: a fresh ring holding one pass keeps slot k's
+        # descriptors ``ring.stride * k`` entries on.
+        bases = {"staging": (staging, stride)}
+        for ring in (LOCAL, *wiring.rings):
+            qp = self.qps[ring.name]
+            statics = None if ring.static is None else [
+                ring.static(k, staging + k * stride) for k in range(slots)]
+            first = prepost_gated(
+                qp, self.cqs["up" if ring is LOCAL else "local"],
+                ring.placeholders, slots, statics)
+            bases[ring.name] = (qp.sq.slot_address(first + 1),
+                                ring.stride * WQE_SIZE)
+        sges = [(bases[where][0] + at, bases[where][1], length)
+                for where, at, length in wiring.scatter]
+        self.rq.post_list([WorkRequest(Opcode.RECV, [
+            Sge(base + step * k, length) for base, step, length in sges],
+            wr_id=k) for k in range(slots)], (True,) * slots)

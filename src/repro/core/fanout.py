@@ -18,9 +18,8 @@ exactly that:
 
 No replica CPU runs on the path, including the primary's.
 
-The per-node engines (QPs, cyclic pre-posted slot patterns, the MAX_SGE
-fan-out-width bound) live in :mod:`repro.core.fanout_nodes`; this module
-holds the client-side handle.
+Each node is a :class:`~repro.core.chain.ReplicaEngine`: the primary wired
+by :func:`primary_wiring`, each backup by :data:`BACKUP_WIRING`.
 
 Trade-off vs the chain (the paper's §7 load-balancing point, checked by the
 ``fanout.*`` rows of :mod:`repro.experiments.claims`): fan-out has fewer
@@ -37,18 +36,47 @@ from ..backend.base import GroupBase, open_ack_hub
 from ..backend.registry import register
 from ..host import Host
 from ..rdma.verbs import WorkCompletion
-from ..rdma.wqe import MAX_SGE, WQE_SIZE, Opcode, Sge, WorkRequest, encode_wqe
-from .fanout_nodes import (
-    _BACKUP_MSG_SIZE,
-    _FanoutBackup,
-    _FanoutPrimary,
-    _PRIMARY_BLOCK_WQES,
-)
+from ..rdma.wqe import MAX_SGE, WQE_SIZE
+from .chain import ReplicaEngine, Ring, Wiring
 from .group import GroupConfig
-from .metadata import OpKind, OpSpec
+from .metadata import (
+    OpSpec,
+    ack,
+    forward_data,
+    forward_flush,
+    forward_meta,
+    images,
+    local_op,
+)
 from .readpath import ClientReadPath
 
-__all__ = ["FanoutGroup"]
+__all__ = ["FanoutGroup", "BACKUP_WIRING", "primary_wiring"]
+
+#: What the primary forwards to each backup: the backup's local op and its
+#: client ACK, the two descriptors its RECV patches.
+_BACKUP_MSG_SIZE = 2 * WQE_SIZE
+
+#: A backup: the local op gated on the primary's SEND, then its client ACK.
+BACKUP_WIRING = Wiring(
+    rings=(Ring("ack", 1),),
+    scatter=(("local", 0, WQE_SIZE), ("ack", 0, WQE_SIZE)))
+
+
+def primary_wiring(backups: int) -> Wiring:
+    """The primary: its local op, its client ACK and one ``out<i>`` ring
+    per backup (data WRITE, flush READ, metadata SEND), all gated on the
+    local op so gCAS/gMEMCPY results and ordering hold.  The RECV patches
+    each backup's block with one SGE and stages that backup's message
+    after it: ``2 + 2·backups`` SGEs, which ``MAX_SGE`` bounds."""
+    return Wiring(
+        rings=(Ring("ack", 1),
+               *(Ring(f"out{i}", 3) for i in range(backups))),
+        scatter=(("local", 0, WQE_SIZE), ("ack", 0, WQE_SIZE),
+                 *(segment for i in range(backups) for segment in (
+                     (f"out{i}", 0, 3 * WQE_SIZE),
+                     ("staging", i * _BACKUP_MSG_SIZE, _BACKUP_MSG_SIZE)))),
+        staging=_BACKUP_MSG_SIZE * backups, out="out")
+
 
 @register("fanout",
           description="NIC-offloaded primary/backup fan-out (§7 extension)")
@@ -58,7 +86,7 @@ class FanoutGroup(GroupBase):
     Fully API-compatible with :class:`HyperLoopGroup` — gWRITE/gCAS (with
     execute maps)/gMEMCPY/gFLUSH, remote reads, abort — so the entire §5
     storage stack runs over fan-out unchanged.  Limited to 2 backups by
-    the scatter-gather budget — see :mod:`repro.core.fanout_nodes`.
+    the scatter-gather budget — see :func:`primary_wiring`.
     """
 
     config_cls = GroupConfig
@@ -73,34 +101,38 @@ class FanoutGroup(GroupBase):
         config = self.config
         self._build_ns = (config.meta_build_base_ns
                           + config.meta_build_per_hop_ns * self.group_size)
-        self.backup_count = self.group_size - 1
-        self.primary = _FanoutPrimary(replica_hosts[0], self)
-        self.backups = [_FanoutBackup(host, self, i)
-                        for i, host in enumerate(replica_hosts[1:])]
+        backup_count = self.group_size - 1
         #: All member nodes, primary first (chain-API parity).
-        self.replicas = [self.primary] + self.backups
+        self.replicas = [
+            ReplicaEngine(replica_hosts[0], f"{self.name}.primary", config,
+                          primary_wiring(backup_count)),
+            *(ReplicaEngine(host, f"{self.name}.backup{i}", config,
+                            BACKUP_WIRING)
+              for i, host in enumerate(replica_hosts[1:]))]
+        self.layouts = [node.layout() for node in self.replicas]
         memory = client_host.memory
         self.region = memory.allocate(config.region_size,
                                       f"{self.name}.cregion")
-        self.md_stride = ((1 + _PRIMARY_BLOCK_WQES * self.backup_count)
-                          * WQE_SIZE
-                          + WQE_SIZE  # Primary ACK descriptor.
-                          + _BACKUP_MSG_SIZE * self.backup_count)
+        # The primary's local op and ACK, then per backup: data, flush,
+        # SEND, and the backup's local op and ACK it carries.
+        self.md_stride = (2 + 5 * backup_count) * WQE_SIZE
         self.md_buf = memory.allocate(self.md_stride * config.slots,
                                       f"{self.name}.md")
         # One inbound ACK QP per replica, all feeding one CQ.
         open_ack_hub(self, client_host, 8 * self.group_size,
                      [f"ackin{i}" for i in range(self.group_size)],
                      out_sq_slots=4 * config.slots)
-        self.qp_out.connect(self.primary.qp_up)
-        self.primary.qp_ack.connect(self.ack_qps[0])
-        for i, backup in enumerate(self.backups):
-            self.primary.qp_backups[i].connect(backup.qp_up)
-            backup.qp_ack.connect(self.ack_qps[1 + i])
+        primary, *backups = self.replicas
+        self.qp_out.connect(primary.qp_up)
+        for node, ack_qp in zip(self.replicas, self.ack_qps):
+            node.qps["ack"].connect(ack_qp)
+        for i, backup in enumerate(backups):
+            primary.qps[f"out{i}"].connect(backup.qp_up)
         for node in self.replicas:
-            node.prepost(config.slots)
+            node.arm()
         self._ack_counts: Dict[int, int] = {}
-        self._start_client(True, config.event_wakeup_service_ns)
+        self._start_client(config.client_mode == "polling",
+                           config.event_wakeup_service_ns)
         self.read_path = ClientReadPath(client_host, self.replicas,
                                         self.name)
 
@@ -113,77 +145,28 @@ class FanoutGroup(GroupBase):
     # ------------------------------------------------------------------
     # Metadata construction
     # ------------------------------------------------------------------
-    def _local_op_image(self, op: OpSpec, region_addr: int, region_rkey: int,
-                        result_addr: int, execute: bool = True) -> bytes:
-        if op.kind is OpKind.GCAS and not execute:
-            # Selective execution (§4.2): a signaled NOP keeps the ACK
-            # chain ticking without touching the lock word.
-            return encode_wqe(WorkRequest(Opcode.NOP, signaled=True),
-                              owned=True)
-        if op.kind is OpKind.GMEMCPY:
-            wr = WorkRequest(Opcode.WRITE,
-                             [Sge(region_addr + op.src_offset, op.size)],
-                             remote_addr=region_addr + op.dst_offset,
-                             rkey=region_rkey, signaled=True)
-        elif op.kind is OpKind.GCAS:
-            wr = WorkRequest(Opcode.CAS, [Sge(result_addr, 8)],
-                             remote_addr=region_addr + op.offset,
-                             rkey=region_rkey, compare=op.old_value,
-                             swap=op.new_value, signaled=True)
-        else:
-            wr = WorkRequest(Opcode.NOP, signaled=True)
-        return encode_wqe(wr, owned=True)
-
-    def _ack_image(self, slot: int, hop: int, result_addr: int) -> bytes:
-        wr = WorkRequest(Opcode.WRITE_WITH_IMM, [Sge(result_addr, 8)],
-                         remote_addr=self.ack_addr(slot) + hop * 8,
-                         rkey=self.ack_mr.rkey, imm=slot & 0xFFFFFFFF,
-                         signaled=False)
-        return encode_wqe(wr, owned=True)
-
     def _metadata(self, op: OpSpec, slot: int) -> bytes:
         # The slot's SEND is not posted yet, so no ACK for it can have
         # been counted.
         self._ack_counts[slot] = 0
-        primary = self.primary
+        primary, *backups = self.layouts
+        ack_addr, ack_rkey = self.ack_addr(slot), self.ack_mr.rkey
         # Per-node CAS result scratch: the region's reserved last 8 bytes
         # (the public offset range excludes this tail, see _region_limit).
-        primary_result = primary.region.address + primary.region.size - 8
-        execute = op.execute_map or [True] * self.group_size
-        parts = [self._local_op_image(op, primary.region.address,
-                                      primary.region_mr.rkey, primary_result,
-                                      execute[0]),
-                 self._ack_image(slot, 0, primary_result)]
-        for i, backup in enumerate(self.backups):
-            write_wr = WorkRequest(Opcode.NOP, signaled=False)
-            if op.kind is OpKind.GWRITE and op.size > 0:
-                write_wr = WorkRequest(
-                    Opcode.WRITE,
-                    [Sge(primary.region.address + op.offset, op.size)],
-                    remote_addr=backup.region.address + op.offset,
-                    rkey=backup.region_mr.rkey, signaled=False)
-            flush_wr = WorkRequest(Opcode.NOP, signaled=False)
-            if op.durable:
-                # Durability fans out too: the primary 0-byte-READs each
-                # backup after the data WRITE and before the metadata SEND.
-                flush_wr = WorkRequest(
-                    Opcode.READ, [Sge(0, 0)],
-                    remote_addr=backup.region.address,
-                    rkey=backup.region_mr.rkey, signaled=False)
-            send_wr = WorkRequest(
-                Opcode.SEND, [Sge(primary.staging_slot(slot, i),
-                                  _BACKUP_MSG_SIZE)], signaled=False)
-            parts.append(encode_wqe(write_wr, owned=True))
-            parts.append(encode_wqe(flush_wr, owned=True))
-            parts.append(encode_wqe(send_wr, owned=True))
-            backup_result = backup.region.address + backup.region.size - 8
-            parts.append(self._local_op_image(
-                op, backup.region.address, backup.region_mr.rkey,
-                backup_result, execute[1 + i]))
-            parts.append(self._ack_image(slot, 1 + i, backup_result))
-        message = b"".join(parts)
-        assert len(message) == self.md_stride
-        return message
+        scratch = self.config.region_size - 8
+        result = primary.region_addr + scratch
+        wrs = [local_op(op, 0, primary, result),
+               ack(result, 8, ack_addr, ack_rkey, slot)]
+        staged = primary.staging_slot(slot)
+        for i, backup in enumerate(backups):
+            result = backup.region_addr + scratch
+            wrs += (forward_data(op, primary, backup),
+                    forward_flush(op, backup),
+                    forward_meta(staged + i * _BACKUP_MSG_SIZE,
+                                 _BACKUP_MSG_SIZE),
+                    local_op(op, 1 + i, backup, result),
+                    ack(result, 8, ack_addr + (1 + i) * 8, ack_rkey, slot))
+        return images(wrs)
 
     def _region_limit(self) -> int:
         # The last 64 bytes of each region are reserved for per-node CAS

@@ -23,15 +23,22 @@ paper ships compact ≤32-byte descriptors because its driver pre-arranges all
 constant WQE fields; we ship whole descriptor images instead so that the
 scatter-patch is a plain DMA with no driver-side reassembly — the mechanism
 is identical, the metadata is just less compact (see DESIGN.md).
+
+Every offloaded client builds its images from one descriptor vocabulary —
+:func:`local_op`, :func:`forward_data`, :func:`forward_flush`,
+:func:`forward_meta` and :func:`ack` — in the order its topology's RECV
+scatters them: this chain's four-WQE entries, the shared chain's three-WQE
+entries (:mod:`repro.core.multiclient`), the fan-out's per-backup blocks
+(:mod:`repro.core.fanout`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from ..backend.ops import OpKind, OpSpec
-from ..rdma.wqe import Opcode, Sge, WorkRequest, encode_wqe
+from ..rdma.wqe import WQE_SIZE, Opcode, Sge, WorkRequest, encode_wqe
 
 __all__ = [
     "ENTRY_WQES",
@@ -44,10 +51,14 @@ __all__ = [
     "staging_len",
     "result_map_len",
     "result_offset_in_staging",
+    "local_op",
+    "forward_data",
+    "forward_flush",
+    "forward_meta",
+    "ack",
+    "images",
     "build_metadata",
 ]
-
-from ..rdma.wqe import WQE_SIZE
 
 ENTRY_WQES = 4
 ENTRY_SIZE = ENTRY_WQES * WQE_SIZE
@@ -108,15 +119,12 @@ def result_offset_in_staging(group_size: int, hop: int) -> int:
     return (group_size - 1 - hop) * ENTRY_SIZE
 
 
-def _nop() -> WorkRequest:
-    return WorkRequest(Opcode.NOP, signaled=False)
+def local_op(op: OpSpec, hop: int, node: NodeLayout,
+             result_addr: int) -> WorkRequest:
+    """The per-replica local operation (executed on the loopback QP); a
+    gCAS lands the word's old value at ``result_addr``.
 
-
-def _local_op(op: OpSpec, hop: int, node: NodeLayout, slot: int,
-              group_size: int) -> WorkRequest:
-    """The per-replica local operation (executed on the loopback QP).
-
-    Always signaled: its CQE is what the downstream WAIT counts.
+    Always signaled: its CQE is what the downstream WAITs count.
     """
     if op.kind is OpKind.GMEMCPY:
         # Local DMA copy, log region -> database region (§4.2, Figure 7).
@@ -125,29 +133,24 @@ def _local_op(op: OpSpec, hop: int, node: NodeLayout, slot: int,
             [Sge(node.region_addr + op.src_offset, op.size)],
             remote_addr=node.region_addr + op.dst_offset,
             rkey=node.region_rkey, signaled=True)
-    if op.kind is OpKind.GCAS:
-        execute = op.execute_map[hop] if op.execute_map is not None else True
-        if not execute:
-            # Selective execution: the descriptor becomes a NOP but still
-            # completes, so the forwarding WAIT chain keeps counting (§4.2).
-            return WorkRequest(Opcode.NOP, signaled=True)
-        result_addr = (node.staging_slot(slot)
-                       + result_offset_in_staging(group_size, hop) + hop * 8)
+    if op.kind is OpKind.GCAS and (op.execute_map is None
+                                   or op.execute_map[hop]):
         return WorkRequest(
             Opcode.CAS, [Sge(result_addr, 8)],
             remote_addr=node.region_addr + op.offset,
             rkey=node.region_rkey,
             compare=op.old_value, swap=op.new_value, signaled=True)
     # gWRITE and gFLUSH need no local work beyond what the inbound WRITE /
-    # flush already did; a signaled NOP keeps the chain ticking.
+    # flush already did, nor does a gCAS its execute map skips (§4.2); a
+    # signaled NOP keeps the WAIT chain counting.
     return WorkRequest(Opcode.NOP, signaled=True)
 
 
-def _forward_data(op: OpSpec, node: NodeLayout,
-                  next_node: Optional[NodeLayout]) -> WorkRequest:
-    """Forward the payload to the next replica (gWRITE only)."""
+def forward_data(op: OpSpec, node: NodeLayout,
+                 next_node: Optional[NodeLayout]) -> WorkRequest:
+    """Forward a gWRITE's payload from ``node`` to ``next_node``."""
     if next_node is None or op.kind is not OpKind.GWRITE or op.size == 0:
-        return _nop()
+        return WorkRequest(Opcode.NOP, signaled=False)
     return WorkRequest(
         Opcode.WRITE,
         [Sge(node.region_addr + op.offset, op.size)],
@@ -155,39 +158,41 @@ def _forward_data(op: OpSpec, node: NodeLayout,
         rkey=next_node.region_rkey, signaled=False)
 
 
-def _forward_flush(op: OpSpec,
-                   next_node: Optional[NodeLayout]) -> WorkRequest:
-    """A 0-byte READ that forces the *next* NIC to drain its cache.
+def forward_flush(op: OpSpec,
+                  next_node: Optional[NodeLayout]) -> WorkRequest:
+    """A 0-byte READ that forces ``next_node``'s NIC to drain its cache,
+    for every op that :attr:`~repro.backend.ops.OpSpec.flushes`.
 
-    Issued for durable operations and standalone gFLUSH.  FIFO delivery
-    guarantees the flush lands after the data WRITE and before the metadata
-    SEND, so durability propagates hop by hop in order (§4.2).
+    FIFO delivery lands it after the data WRITE and before the forwarded
+    metadata, so durability propagates in order (§4.2).
     """
-    if next_node is None or not (op.durable or op.kind is OpKind.GFLUSH):
-        return _nop()
+    if next_node is None or not op.flushes:
+        return WorkRequest(Opcode.NOP, signaled=False)
     return WorkRequest(
         Opcode.READ, [Sge(0, 0)],
         remote_addr=next_node.region_addr,
         rkey=next_node.region_rkey, signaled=False)
 
 
-def _forward_meta(node: NodeLayout, next_node: Optional[NodeLayout],
-                  client: ClientLayout, slot: int,
-                  group_size: int, hop: int) -> WorkRequest:
-    """Forward remaining metadata, or — at the tail — ACK the client."""
-    if next_node is not None:
-        return WorkRequest(
-            Opcode.SEND,
-            [Sge(node.staging_slot(slot), staging_len(group_size, hop))],
-            signaled=False)
-    result_addr = (node.staging_slot(slot)
-                   + result_offset_in_staging(group_size, hop))
-    return WorkRequest(
-        Opcode.WRITE_WITH_IMM,
-        [Sge(result_addr, result_map_len(group_size))],
-        remote_addr=client.ack_slot(slot),
-        rkey=client.ack_rkey,
-        imm=slot & 0xFFFFFFFF, signaled=False)
+def forward_meta(addr: int, length: int, static: bool = False) -> WorkRequest:
+    """SEND ``length`` staged bytes at ``addr`` on to the next node."""
+    return WorkRequest(Opcode.SEND, [Sge(addr, length)], signaled=False,
+                       static=static)
+
+
+def ack(addr: int, length: int, remote_addr: int, rkey: int, imm: int,
+        static: bool = False) -> WorkRequest:
+    """ACK the client: WRITE_WITH_IMM ``length`` bytes at ``addr`` (a result
+    map, or a shared chain's client tag) to ``remote_addr``; ``imm``
+    names the slot."""
+    return WorkRequest(Opcode.WRITE_WITH_IMM, [Sge(addr, length)],
+                       remote_addr=remote_addr, rkey=rkey,
+                       imm=imm & 0xFFFFFFFF, signaled=False, static=static)
+
+
+def images(wrs: Sequence[WorkRequest]) -> bytes:
+    """The owned descriptor images a RECV scatters onto placeholders."""
+    return b"".join([encode_wqe(wr, owned=True) for wr in wrs])
 
 
 def build_metadata(op: OpSpec, layouts: List[NodeLayout],
@@ -195,24 +200,26 @@ def build_metadata(op: OpSpec, layouts: List[NodeLayout],
     """Build the full metadata message the client sends to the head replica.
 
     The returned bytes are ``meta_len(g, 0)`` long: one four-WQE entry per
-    replica followed by a zeroed result map.
+    replica (local op, forward data, forward flush, then the forwarded
+    metadata or, at the tail, the ACK) followed by a zeroed result map.
     """
     group_size = len(layouts)
     if group_size == 0:
         raise ValueError("empty group")
     op.validate(group_size)
-    parts: List[bytes] = []
+    wrs: List[WorkRequest] = []
     for hop, node in enumerate(layouts):
         next_node = layouts[hop + 1] if hop + 1 < group_size else None
-        entry = b"".join((
-            encode_wqe(_local_op(op, hop, node, slot, group_size), owned=True),
-            encode_wqe(_forward_data(op, node, next_node), owned=True),
-            encode_wqe(_forward_flush(op, next_node), owned=True),
-            encode_wqe(_forward_meta(node, next_node, client, slot,
-                                     group_size, hop), owned=True),
-        ))
-        parts.append(entry)
-    parts.append(bytes(result_map_len(group_size)))
-    message = b"".join(parts)
+        staged = node.staging_slot(slot)
+        results = staged + result_offset_in_staging(group_size, hop)
+        wrs += (
+            local_op(op, hop, node, results + hop * 8),
+            forward_data(op, node, next_node),
+            forward_flush(op, next_node),
+            forward_meta(staged, staging_len(group_size, hop))
+            if next_node is not None else
+            ack(results, result_map_len(group_size), client.ack_slot(slot),
+                client.ack_rkey, slot))
+    message = images(wrs) + bytes(result_map_len(group_size))
     assert len(message) == meta_len(group_size, 0)
     return message

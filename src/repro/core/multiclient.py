@@ -43,112 +43,51 @@ from typing import List, Optional, Sequence, Tuple
 from ..backend.base import GroupBase, ack_loop, check_replicas, open_ack_hub, release
 from ..host import Host
 from ..rdma.verbs import WorkCompletion
-from ..rdma.wqe import WQE_SIZE, Opcode, Sge, WorkRequest, encode_wqe
-from .chain import carve_region, prepost_gated, wire_chain
+from ..rdma.wqe import WQE_SIZE, WorkRequest
+from .chain import ReplicaEngine, Ring, Wiring, wire_chain
 from .group import GroupConfig
-from .metadata import OpKind, OpSpec
+from .metadata import (
+    OpKind,
+    OpSpec,
+    ack,
+    forward_data,
+    forward_flush,
+    forward_meta,
+    images,
+    local_op,
+)
 
 __all__ = ["SharedChain", "SharedChainClient"]
 
-_ENTRY_WQES = 3
-_ENTRY_SIZE = _ENTRY_WQES * WQE_SIZE
+_ENTRY_SIZE = 3 * WQE_SIZE   # Local op, forward data, forward flush.
 _TAG = struct.Struct("<II")  # client_id u32, client_op u32
 TAG_SIZE = 16                # Padded for alignment.
 
 
-def _meta_len(group_size: int, hop: int) -> int:
-    return (group_size - hop) * _ENTRY_SIZE + TAG_SIZE
+def _staging_len(group_size: int, hop: int) -> int:
+    """What replica ``hop`` stages and forwards: the downstream entries and
+    the tag (at the tail, the tag alone)."""
+    return (group_size - 1 - hop) * _ENTRY_SIZE + TAG_SIZE
 
 
-class _SharedReplica:
-    """One replica of a shared chain: slot machine with static forwards."""
-
-    def __init__(self, host: Host, chain: "SharedChain", hop: int):
-        self.host = host
-        self.chain = chain
-        self.hop = hop
-        config = chain.config
-        memory, nic = host.memory, host.nic
-        self.name = f"{chain.name}.r{hop}"
-        self.region, self.region_mr = carve_region(host, self.name,
-                                                   config.region_size)
-        self.is_tail = hop == chain.group_size - 1
-        self.staging_stride = max(
-            TAG_SIZE, _meta_len(chain.group_size, hop + 1)
-            if not self.is_tail else TAG_SIZE)
-        self.staging = memory.allocate(self.staging_stride * config.slots,
-                                       f"{self.name}.staging")
-        self.up_cq = nic.create_cq(name=f"{self.name}.upcq")
-        self.local_cq = nic.create_cq(name=f"{self.name}.localcq")
-        self.down_cq = nic.create_cq(name=f"{self.name}.downcq")
-        if hop == 0:
-            # The head consumes client SENDs from a shared receive queue.
-            self.srq = nic.create_srq(slots=config.slots,
-                                      name=f"{self.name}.srq")
-            self.srq.cyclic = True
-            self.qp_up = None
-        else:
-            self.srq = None
-            self.qp_up = nic.create_qp(self.down_cq, self.up_cq, sq_slots=8,
-                                       rq_slots=config.slots,
-                                       name=f"{self.name}.up")
-            self.qp_up.rq.cyclic = True
-        self.qp_local = nic.create_qp(self.local_cq, self.local_cq,
-                                      sq_slots=2 * config.slots, rq_slots=8,
-                                      name=f"{self.name}.local")
-        self.qp_local.connect(self.qp_local)
-        self.qp_local.sq.cyclic = True
-        self.qp_down = nic.create_qp(self.down_cq, self.down_cq,
-                                     sq_slots=4 * config.slots, rq_slots=8,
-                                     name=f"{self.name}.down")
-        self.qp_down.sq.cyclic = True
-        self.posted_slots = 0
-
-    def staging_slot(self, slot: int) -> int:
-        return self.staging.address \
-            + (slot % self.chain.config.slots) * self.staging_stride
-
-    def prepost(self, count: int) -> None:
-        """Pre-post the next ``count`` slots: one list post per ring."""
-        chain = self.chain
-        slots = range(self.posted_slots, self.posted_slots + count)
-        placeholder = WorkRequest(Opcode.NOP, signaled=False)
-        local = prepost_gated(self.qp_local, self.up_cq, 1, count)
-        wait = WorkRequest(Opcode.WAIT, wait_cq=self.local_cq.cq_id,
-                           wait_count=0, signaled=False)
-        down_wrs = []
-        for slot in slots:
-            # The metadata forward / tail ACK is STATIC: fully pre-posted
-            # and owned, so it needs nothing from the (slot-oblivious)
-            # client.
-            if self.is_tail:
-                static = WorkRequest(
-                    Opcode.WRITE_WITH_IMM,
-                    [Sge(self.staging_slot(slot), TAG_SIZE)],
-                    remote_addr=chain.ack_slot_addr(slot),
-                    rkey=chain.ack_mr.rkey,
-                    imm=slot % chain.config.slots, signaled=False,
-                    static=True)
-            else:
-                static = WorkRequest(
-                    Opcode.SEND,
-                    [Sge(self.staging_slot(slot),
-                         _meta_len(chain.group_size, self.hop + 1))],
-                    signaled=False, static=True)
-            down_wrs += [wait, placeholder, placeholder, static]
-        down = self.qp_down.post_send_list(
-            down_wrs, [True, False, False, True] * count)
-        local_sq, down_sq = self.qp_local.sq, self.qp_down.sq
-        recvs = [WorkRequest(Opcode.RECV, [
-            Sge(local_sq.slot_address(local + 2 * k + 1), WQE_SIZE),
-            Sge(down_sq.slot_address(down + 4 * k + 1), WQE_SIZE),
-            Sge(down_sq.slot_address(down + 4 * k + 2), WQE_SIZE),
-            Sge(self.staging_slot(slot),
-                _meta_len(chain.group_size, self.hop) - _ENTRY_SIZE),
-        ], wr_id=slot) for k, slot in enumerate(slots)]
-        receive_queue = self.srq if self.srq is not None else self.qp_up.rq
-        receive_queue.post_list(recvs, [True] * count)
-        self.posted_slots += count
+def _wiring(chain: "SharedChain", hop: int) -> Wiring:
+    """Replica ``hop``: the chain's local op and ``down`` ring, but the
+    forwarded metadata (or the tail's ACK) is a static descriptor per slot,
+    since a slot-oblivious client cannot patch it; the head receives
+    through the SRQ every client's QP shares."""
+    length = _staging_len(chain.group_size, hop)
+    if hop == chain.group_size - 1:
+        def static(slot: int, staged: int) -> WorkRequest:
+            return ack(staged, TAG_SIZE, chain.ack_slot_addr(slot),
+                       chain.ack_mr.rkey, slot, static=True)
+    else:
+        def static(slot: int, staged: int) -> WorkRequest:
+            return forward_meta(staged, length, static=True)
+    return Wiring(
+        rings=(Ring("down", 2, static),),
+        scatter=(("local", 0, WQE_SIZE), ("down", 0, WQE_SIZE),
+                 ("down", WQE_SIZE, WQE_SIZE), ("staging", 0, length)),
+        staging=length, out="down", srq=hop == 0)
 
 
 class SharedChain:
@@ -173,8 +112,10 @@ class SharedChain:
         self.sim = owner_host.sim
         self.group_size = len(replica_hosts)
         self.max_clients = max_clients
-        self.replicas = [_SharedReplica(host, self, hop)
+        self.replicas = [ReplicaEngine(host, f"{self.name}.r{hop}",
+                                       self.config, _wiring(self, hop))
                          for hop, host in enumerate(replica_hosts)]
+        self.layouts = [replica.layout() for replica in self.replicas]
         open_ack_hub(self, owner_host, TAG_SIZE, ["ackqp"])
         # The ACK hub is event-driven: no poller, one wakeup per batch.
         self.ack_thread = owner_host.spawn_thread(f"{self.name}.ackhub")
@@ -182,7 +123,7 @@ class SharedChain:
         self._ack_wake_ns = self.config.event_wakeup_service_ns
         wire_chain(self.replicas, self.ack_qps[0])
         for replica in self.replicas:
-            replica.prepost(self.config.slots)
+            replica.arm()
         self.clients: List["SharedChainClient"] = []
         self._closed = False
         self.sim.process(ack_loop(self), name=f"{self.name}.ack")
@@ -251,7 +192,7 @@ class SharedChainClient(GroupBase):
         # The client's local copy of (the parts it writes of) the region.
         self.region = memory.allocate(config.region_size,
                                       f"{self.name}.region")
-        self.md_stride = _meta_len(chain.group_size, 0)
+        self.md_stride = _ENTRY_SIZE + _staging_len(chain.group_size, 0)
         self.md_buf = memory.allocate(self.md_stride * self.quota,
                                       f"{self.name}.md")
         self.out_cq = nic.create_cq(name=f"{self.name}.outcq")
@@ -260,8 +201,8 @@ class SharedChainClient(GroupBase):
                                     sq_slots=4 * self.quota, rq_slots=8,
                                     name=f"{self.name}.out")
         self.qp_in = head.host.nic.create_qp(
-            head.down_cq, head.up_cq, sq_slots=8, name=f"{self.name}.in",
-            srq=head.srq)
+            head.cqs["down"], head.cqs["up"], sq_slots=8,
+            name=f"{self.name}.in", srq=head.rq)
         self.qp_out.connect(self.qp_in)
         self.submit_thread = host.spawn_thread(f"{self.name}.submit")
         self.sim.process(self._submitter(), name=f"{self.name}.submitter")
@@ -277,39 +218,14 @@ class SharedChainClient(GroupBase):
     # ------------------------------------------------------------------
     # Metadata: slot-independent images only
     # ------------------------------------------------------------------
-    def _image(self, op: OpSpec, hop: int) -> bytes:
-        chain = self.chain
-        node = chain.replicas[hop]
-        next_node = chain.replicas[hop + 1] \
-            if hop + 1 < chain.group_size else None
-        if op.kind is OpKind.GMEMCPY:
-            local = WorkRequest(
-                Opcode.WRITE,
-                [Sge(node.region.address + op.src_offset, op.size)],
-                remote_addr=node.region.address + op.dst_offset,
-                rkey=node.region_mr.rkey, signaled=True)
-        else:
-            local = WorkRequest(Opcode.NOP, signaled=True)
-        fd = WorkRequest(Opcode.NOP, signaled=False)
-        if next_node is not None and op.kind is OpKind.GWRITE and op.size:
-            fd = WorkRequest(
-                Opcode.WRITE,
-                [Sge(node.region.address + op.offset, op.size)],
-                remote_addr=next_node.region.address + op.offset,
-                rkey=next_node.region_mr.rkey, signaled=False)
-        ff = WorkRequest(Opcode.NOP, signaled=False)
-        if next_node is not None and (op.durable
-                                      or op.kind is OpKind.GFLUSH):
-            ff = WorkRequest(Opcode.READ, [Sge(0, 0)],
-                             remote_addr=next_node.region.address,
-                             rkey=next_node.region_mr.rkey, signaled=False)
-        return b"".join((encode_wqe(local, owned=True),
-                         encode_wqe(fd, owned=True),
-                         encode_wqe(ff, owned=True)))
-
     def _metadata(self, op: OpSpec, slot: int) -> bytes:
-        parts = [self._image(op, hop)
-                 for hop in range(self.chain.group_size)]
+        layouts = self.chain.layouts
+        wrs: List[WorkRequest] = []
+        for hop, (node, next_node) in enumerate(
+                zip(layouts, [*layouts[1:], None])):
+            # gCAS is out of scope, so no local op has a result to land.
+            wrs += (local_op(op, hop, node, 0),
+                    forward_data(op, node, next_node),
+                    forward_flush(op, next_node))
         tag = _TAG.pack(self.client_id, slot & 0xFFFFFFFF)
-        parts.append(tag.ljust(TAG_SIZE, b"\0"))
-        return b"".join(parts)
+        return images(wrs) + tag.ljust(TAG_SIZE, b"\0")

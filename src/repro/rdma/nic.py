@@ -201,9 +201,11 @@ class RNIC:
     # ------------------------------------------------------------------
     # Verbs object factories
     # ------------------------------------------------------------------
-    def create_cq(self, with_channel: bool = False, name: str = "") -> CompletionQueue:
+    def create_cq(self, with_channel: bool = False, name: str = "",
+                  count_only: bool = False) -> CompletionQueue:
         channel = CompletionChannel(self.sim) if with_channel else None
-        cq = CompletionQueue(self.sim, channel=channel, name=name)
+        cq = CompletionQueue(self.sim, channel=channel, name=name,
+                             count_only=count_only)
         self.cqs[cq.cq_id] = cq
         return cq
 

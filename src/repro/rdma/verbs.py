@@ -138,7 +138,9 @@ class CompletionQueue:
     """A completion queue.
 
     ``count`` is the total number of CQEs ever added — the monotonic counter
-    that WAIT work requests compare against (CORE-Direct semantics).
+    that WAIT work requests compare against (CORE-Direct semantics).  A
+    ``count_only`` CQ feeds only WAITs and stores no entries, as mlx5's
+    ignore-overrun CQs under CORE-Direct do: nothing polls it.
     """
 
     __slots__ = ("sim", "cq_id", "name", "channel", "_entries", "count",
@@ -147,12 +149,13 @@ class CompletionQueue:
     _ids = itertools.count(1)
 
     def __init__(self, sim: Simulator, channel: Optional[CompletionChannel] = None,
-                 name: str = "") -> None:
+                 name: str = "", count_only: bool = False) -> None:
         self.sim = sim
         self.cq_id = next(CompletionQueue._ids)
         self.name = name or f"cq{self.cq_id}"
         self.channel = channel
-        self._entries: Deque[WorkCompletion] = deque()
+        self._entries: Deque[WorkCompletion] = \
+            deque(maxlen=0) if count_only else deque()
         self.count = 0
         # Completions consumed by consume-mode WAIT WQEs, per waiting QP
         # (CORE-Direct semantics: each waiting queue advances through the

@@ -103,6 +103,19 @@ def _registered_group(backend, client, replicas, name="", **options):
 
 
 @pytest.mark.parametrize("backend", backend_registry.names())
+def test_event_client_mode_spawns_no_poller(cluster, backend):
+    """``client_mode="event"`` means no busy-polling ACK thread, on every
+    backend, and ops still complete."""
+    group = _registered_group(backend, cluster.add_host("ev-client"),
+                              cluster.add_hosts(3, prefix="ev-replica"),
+                              client_mode="event")
+    assert group.poller is None
+    events, ends = _submit_writes(group)
+    _assert_each_op_ended_once(cluster, group, events, ends)
+    assert all(event.ok for event in events)
+
+
+@pytest.mark.parametrize("backend", backend_registry.names())
 def test_close_ends_every_op_once(cluster, backend):
     group = _registered_group(backend, cluster.add_host("rg-client"),
                               cluster.add_hosts(3, prefix="rg-replica"))

@@ -14,7 +14,7 @@ from functools import partial
 import pytest
 
 from repro import backend as backend_registry
-from repro.backend import BackendSpec, GroupBase
+from repro.backend import BackendSpec, GroupBase, OpKind, OpSpec
 from repro.cluster import build_scenario
 from repro.host import Cluster
 from repro.sim.units import ms
@@ -179,6 +179,22 @@ class TestFlush:
         for hop, node in enumerate(group.replicas):
             node.host.fail_power()
             assert group.read_replica(hop, 256, 7) == b"flushed"
+
+    def test_bare_gflush_makes_every_replica_durable(self, group, cluster):
+        """A gFLUSH submitted as an ``OpSpec`` (``durable`` left False)
+        flushes every replica, not only the head: by its ACK, a volatile
+        write before it is durable everywhere."""
+        payload = b"f" * 64
+
+        def proc():
+            group.write_local(512, payload)
+            yield group.gwrite(512, 64)
+            yield group.submit(OpSpec(OpKind.GFLUSH))
+            return [node.host.memory.read_durable(node.region.address + 512,
+                                                  64)
+                    for node in group.replicas]
+
+        assert run(cluster, proc()) == [payload] * REPLICAS
 
 
 class TestRecovery:

@@ -12,11 +12,9 @@ import itertools
 
 import pytest
 
-from repro.core.chain import ReplicaEngine
 from repro.core.fanout import FanoutGroup
-from repro.core.fanout_nodes import _FanoutBackup, _FanoutPrimary
 from repro.core.group import GroupConfig, HyperLoopGroup
-from repro.core.multiclient import SharedChain, _SharedReplica
+from repro.core.multiclient import SharedChain
 from repro.host import Cluster
 from repro.rdma.verbs import CompletionQueue
 
@@ -77,24 +75,3 @@ def test_ring_bytes_after_build_match_the_per_descriptor_build(
     build(cluster)
     assert ring_digest(cluster) == recorded
 
-
-@pytest.mark.parametrize("build, recorded", BUILDS)
-def test_prepost_continues_where_the_last_call_stopped(
-        monkeypatch, build, recorded):
-    """Every engine pre-posting its slots in two calls (5, then the rest)
-    leaves the rings of a single call: the second call continues at
-    ``posted_slots`` — slot numbers, staging addresses and ``wr_id``s
-    included — instead of starting over at slot 0."""
-    monkeypatch.setattr(CompletionQueue, "_ids", itertools.count(1))
-    for engine in (ReplicaEngine, _SharedReplica, _FanoutPrimary,
-                   _FanoutBackup):
-        def in_two_calls(self, count, whole=engine.prepost):
-            whole(self, 5)
-            assert self.posted_slots == 5
-            whole(self, count - 5)
-        monkeypatch.setattr(engine, "prepost", in_two_calls)
-    cluster = Cluster(seed=1234)
-    group = build(cluster)
-    assert all(node.posted_slots == CONFIG["slots"]
-               for node in group.replicas)
-    assert ring_digest(cluster) == recorded
